@@ -21,32 +21,6 @@ _DETERMINISTIC_LIMIT = 1 << 64
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) = 0."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd is defined here for nonnegative inputs")
-    return math.gcd(a, b)
-
-
-def lcm_list(ns: list[int]) -> int:
-    """Least common multiple of a nonempty list of integers >= 1."""
-    if not ns:
-        raise ValueError("lcm of an empty list is undefined")
-    for n in ns:
-        if n < 1:
-            raise ValueError(f"lcm inputs must be >= 1, got {n}")
-    return math.lcm(*ns)
-
-
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m, in [0, m)."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if exp < 0:
-        raise ValueError("negative exponents are not supported")
-    return pow(base, exp, m)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """prime-power factors, a leftover cofactor, and what they multiply to.
@@ -263,19 +237,6 @@ def _rho_split(n: int, budget: FactorBudget) -> int | None:
         if 1 < g < n:
             return g
     return None
-
-
-def valuation(p: int, n: int) -> int:
-    """Largest a with p^a | n (0 when p does not divide n)."""
-    if n < 1:
-        raise ValueError(f"valuation needs n >= 1, got {n}")
-    if p < 2 or not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    return a
 
 
 def jacobi(a: int, n: int) -> int:

@@ -12,12 +12,11 @@ least one auxiliary prime.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .arith import crt_combine, factor, is_probable_prime, order_dividing
-from .covers import ResidueClass
+from . import codec
+from .arith import factor, is_probable_prime, order_dividing
 from .construct import TwoPrimeData
 from .lucas import LucasSpec, iter_terms_mod, period_mod
 
@@ -205,40 +204,15 @@ def certify_all_cases(
     return reports
 
 
-def nonzero_guard(target: TwoPrimeData | ResidueClass) -> bool:
-    """True iff every member of the class has absolute value > 2.
-
-    That bound matters because 2x^2 appears in the Fibonacci sequence only
-    for x in {0, 1, 2}; members beyond it can never satisfy x^2 = u_n, so
-    the exclusion cases only need to rule out x^2 - u_n = +-p^b.
-    """
-    if isinstance(target, TwoPrimeData):
-        cls = crt_combine(target.residues)
-    else:
-        cls = target
-    a = cls.a % cls.n
-    return min(a, cls.n - a) > 2
-
-
 def load_case(path) -> ExclusionCase:
     """Read a case file: {"label", "r", "m", "p", "aux": [{"q", "x_mod_q"}]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    aux = tuple(AuxPrime(q=int(e["q"]), x_mod_q=int(e["x_mod_q"]))
-                for e in raw.get("aux", []))
+    raw = codec.load(path)
+    aux = tuple(AuxPrime(q=e["q"].int(), x_mod_q=e["x_mod_q"].int())
+                for e in raw.get("aux", []).list())
     return ExclusionCase(
-        label=raw.get("label", ""), r=int(raw["r"]), m=int(raw["m"]),
-        p=int(raw["p"]), aux=aux)
+        label=raw.get("label", "").str(), r=raw["r"].int(), m=raw["m"].int(),
+        p=raw["p"].int(), aux=aux)
 
 
 def store_case(case: ExclusionCase, path) -> None:
-    payload = {
-        "label": case.label,
-        "r": str(case.r),
-        "m": str(case.m),
-        "p": str(case.p),
-        "aux": [{"q": str(a.q), "x_mod_q": str(a.x_mod_q)} for a in case.aux],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    codec.dump(asdict(case), path)

@@ -11,14 +11,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from . import assets
+from . import assets, codec
 from .arith import FactorBudget, factor
 from .certify import CertificationError, certify_all_cases, check_exclusion, load_case
 from .construct import (ERDOS_EXPONENT_COVER, build_erdos_class,
                         build_two_prime_class, check_divisibility_mechanics)
-from .covers import CoverFormatError, load_cover, verify_cover
+from .covers import load_cover, verify_cover
 from .lucas import (LucasSpec, check_rank_periodicity, rank_of_apparition,
                     u_term)
 from .mersenne import find_primitive_divisors, verify_prime_table
@@ -127,12 +127,7 @@ def _reproduce_thm11(args, report: RunReport) -> None:
               replacement=erratum.replacement,
               replacement_verified=str(erratum.verified).lower())
     if args.out_errata and audit.errata:
-        payload = [{"n": str(e.n), "bad_value": str(e.bad_value),
-                    "reason": e.reason,
-                    "replacement": None if e.replacement is None else str(e.replacement),
-                    "verified": e.verified} for e in audit.errata]
-        with open(args.out_errata, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+        codec.dump([asdict(e) for e in audit.errata], args.out_errata)
     if not audit.passed:
         report.outcome = "fail"
 
@@ -275,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="asset directory (default: packaged assets; "
                             "COVERLAB_ASSETS overrides)")
     p_rep.add_argument("--budget", type=int, default=10**8)
-    p_rep.add_argument("--factor-budget", type=int, default=10**6)
     p_rep.add_argument("--out-errata", default=None,
                        help="write discovered prime-table errata to this file")
     p_rep.add_argument("--json", action="store_true")
@@ -307,8 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = handlers[args.command](args)
-    except (CoverFormatError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (codec.FormatError, OSError) as exc:
         print(f"coverlab: input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

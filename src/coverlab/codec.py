@@ -1,0 +1,108 @@
+"""The decimal-string JSON convention every coverlab data file follows.
+
+Integers are written as decimal strings so that bigints survive any JSON
+reader; on reading, a JSON integer is accepted too, but never a bool, a
+float or a string that is not plain decimal.  Every format failure --
+invalid JSON, a missing field, a value of the wrong type -- raises one
+FormatError naming the file and the JSON path of the offending field.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+class FormatError(ValueError):
+    """A data file is not valid JSON or does not match its layout."""
+
+
+class Field:
+    """A JSON value together with the file and the JSON path it came from."""
+
+    __slots__ = ("value", "file", "path")
+
+    def __init__(self, value, file: str, path: str = "$"):
+        self.value = value
+        self.file = file
+        self.path = path
+
+    def error(self, message: str) -> FormatError:
+        return FormatError(f"{self.file}: {self.path}: {message}")
+
+    def _object(self) -> dict:
+        if not isinstance(self.value, dict):
+            raise self.error(f"expected an object, got {_kind(self.value)}")
+        return self.value
+
+    def __getitem__(self, key: str) -> "Field":
+        obj = self._object()
+        child = Field(obj.get(key), self.file, f"{self.path}.{key}")
+        if key not in obj:
+            raise child.error("missing field")
+        return child
+
+    def get(self, key: str, default) -> "Field":
+        """The field `key`, or `default` standing in for it when absent."""
+        obj = self._object()
+        return Field(obj.get(key, default), self.file, f"{self.path}.{key}")
+
+    def list(self) -> list["Field"]:
+        if not isinstance(self.value, list):
+            raise self.error(f"expected a list, got {_kind(self.value)}")
+        return [Field(v, self.file, f"{self.path}[{i}]")
+                for i, v in enumerate(self.value)]
+
+    def int(self) -> int:
+        v = self.value
+        if isinstance(v, int) and not isinstance(v, bool):
+            return v
+        if isinstance(v, str) and _DECIMAL.fullmatch(v):
+            try:
+                return int(v)
+            except ValueError as exc:        # beyond the int-string digit limit
+                raise self.error(str(exc)) from exc
+        raise self.error(f"expected an integer as a decimal string, got {_kind(v)}")
+
+    def str(self) -> str:
+        if not isinstance(self.value, str):
+            raise self.error(f"expected a string, got {_kind(self.value)}")
+        return self.value
+
+
+def _kind(value) -> str:
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "a list"
+    return json.dumps(value)[:40]
+
+
+def load(path) -> Field:
+    """Parse a JSON data file; the root Field carries the file name."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:            # bad JSON, bad UTF-8, huge literal
+            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    return Field(raw, str(path))
+
+
+def _encode(value):
+    """Ints become decimal strings; bools, None and strings stay as they are."""
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return value
+
+
+def dump(value, path) -> None:
+    """Write `value` to a JSON data file in the decimal-string convention."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_encode(value), fh, indent=2)
+        fh.write("\n")

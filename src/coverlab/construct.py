@@ -18,13 +18,13 @@ Three builders live here:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
+from . import codec
 from .arith import (Factorization, crt_combine, factor, is_probable_prime,
                     jacobi, order_dividing)
-from .covers import CoveringSystem, ResidueClass
+from .covers import CoveringSystem, ResidueClass, read_classes
 from .lucas import LucasSpec, u_term_mod
 from .mersenne import is_primitive_divisor, mersenne_valuation
 
@@ -121,7 +121,7 @@ def pow_root_mod_prime_power(k: int, a: int, p: int, e: int) -> int:
     phi = p^(e-1)(p-1).  When the order of a is odd the root is a plain
     power of a; otherwise Tonelli-Shanks square roots are iterated (with the
     sign corrected so each intermediate stays a suitable power residue) and
-    Hensel-lifted from p to p^e.  Exhaustive search backstops tiny moduli.
+    Hensel-lifted from p to p^e.
     """
     if k < 1 or k & (k - 1):
         raise ValueError(f"root degree must be a power of two, got {k}")
@@ -155,9 +155,6 @@ def pow_root_mod_prime_power(k: int, a: int, p: int, e: int) -> int:
     for level in range(alpha):
         r = _tonelli_sqrt(cur, p)
         if r is None:
-            x = _exhaustive_root(k, a, pe)
-            if x is not None:
-                return x
             raise ValueError(f"square-root chain failed for {a} modulo {p}")
         remaining = 1 << (alpha - level - 1)
         gr = math.gcd(remaining, p - 1)
@@ -173,20 +170,8 @@ def pow_root_mod_prime_power(k: int, a: int, p: int, e: int) -> int:
         fx = (pow(x, k, mod) - a) % mod
         x = (x - fx * pow(k * pow(x, k - 1, mod) % mod, -1, mod)) % mod
     if pow(x, k, pe) != a:
-        y = _exhaustive_root(k, a, pe)
-        if y is not None:
-            return y
         raise ValueError(f"root verification failed for {a} modulo {p}^{e}")
     return min(x, pe - x)
-
-
-def _exhaustive_root(k: int, a: int, pe: int) -> int | None:
-    if pe > 10**7:
-        return None
-    for x in range(pe):
-        if pow(x, k, pe) == a % pe:
-            return x
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -211,20 +196,15 @@ class TwoPrimeData:
 
 
 def load_two_prime_data(path) -> TwoPrimeData:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    cover = CoveringSystem(
-        [ResidueClass(int(c["a"]), int(c["n"])) for c in raw["odd_cover"]],
-        label=raw.get("label", ""))
-    primes = [int(p) for p in raw["primes"]]
-    residues = [ResidueClass(int(c["a"]), int(c["n"])) for c in raw["residues"]]
+    raw = codec.load(path)
+    label = raw.get("label", "").str()
     return TwoPrimeData(
-        cover=cover,
-        primes=primes,
-        residues=residues,
-        expected_a=int(raw["expected_a"]),
-        expected_m=int(raw["expected_m"]),
-        label=raw.get("label", ""),
+        cover=CoveringSystem(read_classes(raw["odd_cover"]), label=label),
+        primes=[p.int() for p in raw["primes"].list()],
+        residues=read_classes(raw["residues"]),
+        expected_a=raw["expected_a"].int(),
+        expected_m=raw["expected_m"].int(),
+        label=label,
     )
 
 
@@ -328,17 +308,16 @@ class GeneralizedErdosInstance:
 
 
 def load_generalized_erdos(path) -> GeneralizedErdosInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    classes = [
-        GeneralizedErdosClass(
-            a=int(c["a"]), n=int(c["n"]), p=int(c["p"]),
-            q=int(c["q"]) if c.get("q") is not None else None)
-        for c in raw["classes"]
-    ]
+    raw = codec.load(path)
+    classes = []
+    for c in raw["classes"].list():
+        q = c.get("q", None)
+        classes.append(GeneralizedErdosClass(
+            a=c["a"].int(), n=c["n"].int(), p=c["p"].int(),
+            q=None if q.value is None else q.int()))
     return GeneralizedErdosInstance(
-        classes=classes, m=int(raw["m"]), bound=int(raw["bound"]),
-        label=raw.get("label", ""))
+        classes=classes, m=raw["m"].int(), bound=raw["bound"].int(),
+        label=raw.get("label", "").str())
 
 
 def build_generalized_erdos(instance: GeneralizedErdosInstance) -> ResidueClass:

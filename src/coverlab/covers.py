@@ -9,13 +9,10 @@ check.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-
-class CoverFormatError(ValueError):
-    """A cover file does not match the expected JSON schema."""
+from . import codec
 
 
 @dataclass(frozen=True, order=True)
@@ -37,11 +34,6 @@ class ResidueClass:
 
     def __str__(self) -> str:
         return f"{self.a}({self.n})"
-
-
-def normalize(c: ResidueClass) -> ResidueClass:
-    """Reduce the representative into [0, n)."""
-    return c.normalized()
 
 
 @dataclass
@@ -126,46 +118,27 @@ def build_doubled_cover(odd_cover: CoveringSystem) -> CoveringSystem:
     return CoveringSystem(doubled, label=label)
 
 
+def read_classes(items: codec.Field) -> list[ResidueClass]:
+    """Residue classes from a nonempty JSON list of {"a": dec, "n": dec}."""
+    classes = []
+    for item in items.list():
+        n = item["n"].int()
+        if n < 1:
+            raise item["n"].error(f"modulus {n} < 1")
+        classes.append(ResidueClass(item["a"].int(), n))
+    if not classes:
+        raise items.error("expected a nonempty list")
+    return classes
+
+
 def load_cover(path) -> CoveringSystem:
     """Read a cover file: {"label": str, "classes": [{"a": dec, "n": dec}]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CoverFormatError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise CoverFormatError(f"{path}: top level must be an object")
-    label = raw.get("label", "")
-    if not isinstance(label, str):
-        raise CoverFormatError(f"{path}: field 'label' must be a string")
-    classes_raw = raw.get("classes")
-    if not isinstance(classes_raw, list) or not classes_raw:
-        raise CoverFormatError(f"{path}: field 'classes' must be a nonempty list")
-    classes = []
-    for i, item in enumerate(classes_raw):
-        if not isinstance(item, dict):
-            raise CoverFormatError(f"{path}: classes[{i}] must be an object")
-        try:
-            a = int(item["a"])
-            n = int(item["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CoverFormatError(
-                f"{path}: classes[{i}] needs decimal-string fields 'a' and 'n' "
-                f"({exc})") from exc
-        if n < 1:
-            raise CoverFormatError(f"{path}: classes[{i}] has modulus {n} < 1")
-        classes.append(ResidueClass(a, n))
-    return CoveringSystem(classes, label=label)
+    raw = codec.load(path)
+    return CoveringSystem(read_classes(raw["classes"]),
+                          label=raw.get("label", "").str())
 
 
 def store_cover(system: CoveringSystem, path) -> None:
     """Write a cover file; class order is preserved, bigints go as decimals."""
-    payload = {
-        "label": system.label,
-        "classes": [{"a": str(c.a), "n": str(c.n)} for c in system.classes],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    codec.dump({"label": system.label,
+                "classes": [asdict(c) for c in system.classes]}, path)

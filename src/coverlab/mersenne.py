@@ -8,13 +8,13 @@ exactly n.  All order and valuation work here runs modulo p, p^2, ... --
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import codec
 from .arith import (FactorBudget, Factorization, factor, is_probable_prime,
                     order_dividing)
-from .covers import CoveringSystem
+from .covers import CoveringSystem, modulus_multiplicity
 
 
 @dataclass(frozen=True)
@@ -42,22 +42,16 @@ class PrimeTable:
 
 
 def load_prime_table(path) -> PrimeTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    entries = {int(e["n"]): [int(p) for p in e["primes"]] for e in raw["entries"]}
-    omitted = [int(n) for n in raw.get("omitted", [])]
+    raw = codec.load(path)
+    entries = {e["n"].int(): [p.int() for p in e["primes"].list()]
+               for e in raw["entries"].list()}
+    omitted = [n.int() for n in raw.get("omitted", []).list()]
     return PrimeTable(entries=entries, omitted=omitted)
 
 
 def store_prime_table(table: PrimeTable, path) -> None:
-    payload = {
-        "entries": [{"n": str(n), "primes": [str(p) for p in ps]}
-                    for n, ps in table.entries.items()],
-        "omitted": [str(n) for n in table.omitted],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    codec.dump({"entries": [{"n": n, "primes": ps} for n, ps in table.entries.items()],
+                "omitted": table.omitted}, path)
 
 
 @lru_cache(maxsize=None)
@@ -249,9 +243,7 @@ def verify_prime_table(
         # the progression scan is what actually finds replacements.
         errata_budget = FactorBudget(trial_bound=10**5, rho_iterations=0,
                                      rho_attempts=0)
-    multiplicity: dict[int, int] = {}
-    for c in cover.classes:
-        multiplicity[c.n] = multiplicity.get(c.n, 0) + 1
+    multiplicity = modulus_multiplicity(cover)
 
     rows: list[TableRow] = []
     count_mismatches: list[tuple[int, int, int]] = []

@@ -10,10 +10,10 @@ import time
 from contextlib import contextmanager
 
 from coverlab import cli
-from coverlab.arith import factor, is_probable_prime, jacobi, mod_pow
+from coverlab.arith import factor, is_probable_prime, jacobi
 from coverlab.assets import (erdos_cover, generalized_demo, odd_cover_24,
                              odd_cover_173, prime_table, two_prime_data)
-from coverlab.certify import certify_all_cases, nonzero_guard
+from coverlab.certify import certify_all_cases
 from coverlab.construct import (ERDOS_EXPONENT_COVER, build_erdos_class,
                                 build_generalized_erdos, build_two_prime_class,
                                 check_divisibility_mechanics,
@@ -134,9 +134,10 @@ def test_criterion_07_case_engine():
         assert len(reports) == 25
         assert all(r.valid for r in reports)
         assert elapsed < 60.0, f"case engine took {elapsed:.2f}s"
-        assert nonzero_guard(data)
+        _, build = build_two_prime_class(data)
+        assert [c.ok for c in build.checks if c.name == "members-exceed-2"] == [True]
         # quoted intermediate facts reproduced by the primitives
-        assert mod_pow(2, 5, 31) == 1
+        assert pow(2, 5, 31) == 1
         assert jacobi(-2, 71) == -1
         terms29 = iter_terms_mod(U4, 29, 2100)
         for n in range(2, 2002, 70):

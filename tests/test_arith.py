@@ -1,58 +1,11 @@
+import math
 import random
 
 import pytest
 
 from coverlab.arith import (FactorBudget, Factorization, crt_combine, factor,
-                            gcd, is_probable_prime, jacobi, lcm_list, mod_pow,
-                            order_dividing, valuation)
-from coverlab.assets import odd_cover_173, odd_cover_24
-from coverlab.covers import ResidueClass, build_doubled_cover
-
-
-def divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_gcd_examples():
-    assert gcd(12, 18) == 6
-    assert gcd(0, 7) == 7
-    assert gcd(0, 0) == 0
-    # oracle: largest common element of the divisor lists
-    common = [d for d in divisors(8) if 28 % d == 0]
-    assert gcd(8, 28) == max(common) == 4
-
-
-def test_gcd_rejects_negative():
-    with pytest.raises(ValueError):
-        gcd(-4, 6)
-
-
-def test_lcm_list_examples():
-    a1 = odd_cover_173()
-    assert lcm_list([c.n for c in a1.classes]) == 675675
-    assert lcm_list([1]) == 1
-    doubled = build_doubled_cover(odd_cover_24())
-    moduli = [c.n for c in doubled.classes]
-    folded = 1
-    for n in moduli:   # oracle: pairwise fold
-        folded = folded * n // gcd(folded, n)
-    assert lcm_list(moduli) == folded == 630
-
-
-def test_lcm_list_errors():
-    with pytest.raises(ValueError):
-        lcm_list([])
-    with pytest.raises(ValueError):
-        lcm_list([3, 0])
-
-
-def test_mod_pow_examples():
-    assert mod_pow(2, 5, 31) == 1
-    assert mod_pow(2, 5, 11) == 10
-    for x in (0, 1, 5, 123456789):
-        assert mod_pow(x, 0, 97) == 1
-    with pytest.raises(ValueError):
-        mod_pow(2, 5, 1)
+                            is_probable_prime, jacobi, order_dividing)
+from coverlab.covers import ResidueClass
 
 
 def test_order_dividing_examples():
@@ -77,7 +30,7 @@ def test_order_dividing_property():
     for _ in range(200):
         m = rng.randrange(3, 500)
         a = rng.randrange(2, m)
-        if gcd(a, m) != 1:
+        if math.gcd(a, m) != 1:
             continue
         n = 1
         x = a % m
@@ -123,7 +76,7 @@ def test_crt_combine_random_consistent():
         x = rng.randrange(0, 10**6)
         classes = [ResidueClass(x % n, n) for n in moduli]
         combined = crt_combine(classes)
-        assert combined.n == lcm_list(moduli)
+        assert combined.n == math.lcm(*moduli)
         for c in classes:
             assert combined.a % c.n == c.a
 
@@ -214,30 +167,6 @@ def test_factor_reassembly_random_64bit():
         assert f.value() == n
         for p, _ in f.factors:
             assert is_probable_prime(p)
-
-
-def test_valuation_examples():
-    assert valuation(3, 63) == 2
-    assert valuation(7, 10) == 0
-    big = 2**3510 - 1
-    assert valuation(3511, big) == 2
-    # cross-check by modular lifting instead of division
-    assert pow(2, 3510, 3511**2) == 1
-    assert pow(2, 3510, 3511**3) != 1
-
-
-def test_valuation_contract():
-    with pytest.raises(ValueError):
-        valuation(6, 36)
-    with pytest.raises(ValueError):
-        valuation(3, 0)
-    rng = random.Random(3)
-    for _ in range(100):
-        p = rng.choice([2, 3, 5, 7, 11, 13])
-        n = rng.randrange(1, 10**9)
-        a = valuation(p, n)
-        assert n % p**a == 0
-        assert n % p**(a + 1) != 0
 
 
 def test_jacobi_examples():

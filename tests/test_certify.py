@@ -2,13 +2,14 @@ import json
 
 import pytest
 
-from coverlab.arith import jacobi, mod_pow
+from coverlab.arith import jacobi
 from coverlab.assets import sample_case, two_prime_data
 from coverlab.certify import (DEFAULT_Q_POOL, AuxPrime, CertificationError,
                               ExclusionCase, build_standard_cases,
                               certify_all_cases, check_exclusion, load_case,
-                              nonzero_guard, store_case)
-from coverlab.covers import ResidueClass
+                              store_case)
+from coverlab.construct import TwoPrimeData, build_two_prime_class
+from coverlab.covers import CoveringSystem, ResidueClass
 from coverlab.lucas import LucasSpec, iter_terms_mod
 
 U4 = LucasSpec(4)
@@ -123,19 +124,31 @@ def test_pool_primes_must_carry_residues():
         build_standard_cases(two_prime_data(), q_pool=(11, 23))
 
 
+def members_exceed_2(data):
+    _, report = build_two_prime_class(data)
+    return next(c.ok for c in report.checks if c.name == "members-exceed-2")
+
+
 def test_nonzero_guard():
-    data = two_prime_data()
-    assert nonzero_guard(data)
-    assert not nonzero_guard(ResidueClass(1, 5))
-    assert not nonzero_guard(ResidueClass(0, 7))
-    assert not nonzero_guard(ResidueClass(5, 7))   # -2 is a member
-    assert nonzero_guard(ResidueClass(3, 7))
+    # the cases only rule out x^2 - u_n = +-p^b; x^2 = u_n itself is left to
+    # the members-exceed-2 row, checked here on one-class instances mod 2p
+    def one_class(a, p):
+        return TwoPrimeData(cover=CoveringSystem([ResidueClass(0, 1)]),
+                            primes=[2, p],
+                            residues=[ResidueClass(1, 2), ResidueClass(a, p)],
+                            expected_a=0, expected_m=0)
+
+    assert members_exceed_2(two_prime_data())
+    assert not members_exceed_2(one_class(1, 5))    # 1 is a member
+    assert not members_exceed_2(one_class(6, 7))    # -1 = 13 (mod 14) is a member
+    assert members_exceed_2(one_class(3, 7))        # members 3, -11, 17, ...
+    assert members_exceed_2(one_class(0, 7))        # members 7, -7, 21, ...
 
 
 def test_quoted_intermediates():
     # the hand-proof facts the engine generalizes
-    assert mod_pow(2, 5, 31) == 1
-    assert mod_pow(2, 5, 11) == 10               # i.e. -1 (mod 11)
+    assert pow(2, 5, 31) == 1
+    assert pow(2, 5, 11) == 10                   # i.e. -1 (mod 11)
     assert jacobi(-2, 71) == -1
     assert 211 % 31 == 5 * 5 % 31                # 211 = 5^2 (mod 31)
     assert pow(5, 3, 31) == 1

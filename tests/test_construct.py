@@ -108,6 +108,28 @@ def test_pow_root_random_repowering():
         assert pow(x, k, pe) == a, (k, a, p, e)
 
 
+def test_pow_root_property():
+    # the solver has no search fallback: Tonelli-Shanks and Hensel lifting
+    # alone must solve every solvable instance
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    primes = [p for p in range(3, 10**4, 2) if is_probable_prime(p)]
+
+    @hypothesis.settings(max_examples=500, deadline=None)
+    @hypothesis.given(st.sampled_from(primes), st.integers(1, 3),
+                      st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 10**12))
+    def check(p, e, k, z):
+        pe = p**e
+        x = z % pe
+        if x % p == 0:
+            x += 1
+        a = pow(x, k, pe)
+        root = pow_root_mod_prime_power(k, a, p, e)
+        assert pow(root, k, pe) == a
+
+    check()
+
+
 def test_pow_root_odd_order_path():
     # the order of 2 mod 7^3 is odd, so the root is a plain power of 2
     x = pow_root_mod_prime_power(4, 2, 7, 3)

@@ -1,19 +1,20 @@
 import json
+import math
 import random
 
 import pytest
 
 from coverlab.assets import erdos_cover, odd_cover_173, odd_cover_24
-from coverlab.covers import (CoverFormatError, CoveringSystem, ResidueClass,
-                             build_doubled_cover, load_cover,
-                             modulus_multiplicity, normalize, store_cover,
+from coverlab.codec import FormatError
+from coverlab.covers import (CoveringSystem, ResidueClass, build_doubled_cover,
+                             load_cover, modulus_multiplicity, store_cover,
                              verify_cover)
 
 
 def test_normalize_examples():
-    assert normalize(ResidueClass(583939, 675675)) == ResidueClass(583939, 675675)
-    assert normalize(ResidueClass(7, 3)) == ResidueClass(1, 3)
-    assert normalize(ResidueClass(0, 1)) == ResidueClass(0, 1)
+    assert ResidueClass(583939, 675675).normalized() == ResidueClass(583939, 675675)
+    assert ResidueClass(7, 3).normalized() == ResidueClass(1, 3)
+    assert ResidueClass(0, 1).normalized() == ResidueClass(0, 1)
     with pytest.raises(ValueError):
         ResidueClass(1, 0)
 
@@ -22,8 +23,8 @@ def test_normalize_idempotent_and_membership_invariant():
     rng = random.Random(5)
     for _ in range(300):
         c = ResidueClass(rng.randrange(-100, 1000), rng.randrange(1, 60))
-        once = normalize(c)
-        assert normalize(once) == once
+        once = c.normalized()
+        assert once.normalized() == once
         for x in range(-20, 50):
             assert c.contains(x) == once.contains(x)
 
@@ -39,6 +40,7 @@ def test_verify_cover_erdos():
 def test_verify_cover_odd173():
     cover = odd_cover_173()
     assert len(cover.classes) == 173
+    assert cover.lcm() == 675675
     report = verify_cover(cover)
     assert report.is_cover and report.lcm == 675675
 
@@ -91,12 +93,19 @@ def test_build_doubled_cover():
     assert doubled.classes[0] == ResidueClass(1, 2)
     for c in doubled.classes[1:]:
         assert c.n % 4 == 2
+    folded = 1
+    for c in doubled.classes:   # oracle: pairwise fold of the moduli
+        folded = folded * c.n // math.gcd(folded, c.n)
+    assert doubled.lcm() == folded == 630
     report = verify_cover(doubled)
     assert report.is_cover and report.lcm == 630
 
 
 def test_build_doubled_cover_examples():
     everything = CoveringSystem([ResidueClass(0, 1)])
+    assert everything.lcm() == 1
+    with pytest.raises(ValueError):
+        CoveringSystem([])
     doubled = build_doubled_cover(everything)
     assert doubled.classes == [ResidueClass(1, 2), ResidueClass(0, 2)]
 
@@ -141,23 +150,23 @@ def test_cover_roundtrip(tmp_path):
 def test_load_cover_rejects_bad_files(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"label": "x", "classes": []}))
-    with pytest.raises(CoverFormatError, match="classes"):
+    with pytest.raises(FormatError, match="classes"):
         load_cover(empty)
 
     broken = tmp_path / "broken.json"
     broken.write_text('{"label": "x", "classes": [{"a": "1"')
-    with pytest.raises(CoverFormatError, match="line"):
+    with pytest.raises(FormatError, match="line"):
         load_cover(broken)
 
     missing_field = tmp_path / "field.json"
     missing_field.write_text(json.dumps({"label": "x", "classes": [{"a": "1"}]}))
-    with pytest.raises(CoverFormatError, match=r"classes\[0\]"):
+    with pytest.raises(FormatError, match=r"classes\[0\]"):
         load_cover(missing_field)
 
     zero_mod = tmp_path / "zero.json"
     zero_mod.write_text(json.dumps({"label": "x",
                                     "classes": [{"a": "1", "n": "0"}]}))
-    with pytest.raises(CoverFormatError, match="modulus"):
+    with pytest.raises(FormatError, match="modulus"):
         load_cover(zero_mod)
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from coverlab.arith import FactorBudget, is_probable_prime
@@ -91,6 +93,22 @@ def test_mersenne_valuation_examples():
     assert mersenne_valuation(3, 6) == 2      # 63 = 3^2 * 7
     assert mersenne_valuation(11, 12) == 0    # 11 does not divide 2^12 - 1
     assert mersenne_valuation(1093, 364) == 2
+    assert mersenne_valuation(3511, 3510) == 2
+    # cross-check by modular lifting
+    assert pow(2, 3510, 3511**2) == 1
+    assert pow(2, 3510, 3511**3) != 1
+    with pytest.raises(ValueError):
+        mersenne_valuation(6, 36)
+    with pytest.raises(ValueError):
+        mersenne_valuation(3, 0)
+    # oracle: repeated division of 2^n - 1 itself
+    rng = random.Random(3)
+    for _ in range(100):
+        p = rng.choice([3, 5, 7, 11, 13, 31, 127])
+        n = rng.randrange(1, 200)
+        a = mersenne_valuation(p, n)
+        assert ((1 << n) - 1) % p**a == 0
+        assert ((1 << n) - 1) % p**(a + 1) != 0
 
 
 def test_prime_table_roundtrip(tmp_path):
