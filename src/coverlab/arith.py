@@ -37,12 +37,6 @@ class Factorization:
     def complete(self) -> bool:
         return self.cofactor == 1
 
-    def value(self) -> int:
-        v = self.cofactor
-        for p, e in self.factors:
-            v *= p**e
-        return v
-
     def primes(self) -> list[int]:
         return [p for p, _ in self.factors]
 
@@ -99,25 +93,29 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
     return True
 
 
-def order_dividing(a: int, m: int, n: int, n_factors: Factorization) -> int | None:
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes of n >= 1, ascending; raises if factor(n) stops short."""
+    f = factor(n)
+    if not f.complete:
+        raise ValueError(f"could not fully factor exponent {n}")
+    return f.primes()
+
+
+def order_dividing(a: int, m: int, n: int) -> int | None:
     """Least d | n with a^d = 1 (mod m), or None when a^n is not 1.
 
-    Works by stripping prime factors of n while the congruence persists, so
-    only a complete factorization of the exponent n is needed -- never one
-    of m-1.
+    Works by stripping the prime divisors of n while the congruence
+    persists.  The exponent n is factored here, by prime_divisors(n); m - 1
+    is never factored.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     if math.gcd(a, m) != 1:
         raise ValueError(f"gcd({a % m}, {m}) != 1; order undefined")
-    if not n_factors.complete:
-        raise ValueError("exponent factorization is incomplete")
-    if n_factors.value() != n:
-        raise ValueError(f"factorization is of {n_factors.value()}, not {n}")
     if pow(a, n, m) != 1:
         return None
     d = n
-    for ell in n_factors.primes():
+    for ell in prime_divisors(n):
         while d % ell == 0 and pow(a, d // ell, m) == 1:
             d //= ell
     return d

@@ -19,7 +19,7 @@ from .certify import CertificationError, certify_all_cases, check_exclusion, loa
 from .construct import (ERDOS_EXPONENT_COVER, build_erdos_class,
                         build_two_prime_class, check_divisibility_mechanics)
 from .covers import load_cover, verify_cover
-from .lucas import (LucasSpec, check_rank_periodicity, rank_of_apparition,
+from .lucas import (LucasSpec, check_rank_periodicity, is_primitive_divisor_u,
                     u_term)
 from .mersenne import find_primitive_divisors, verify_prime_table
 
@@ -81,9 +81,8 @@ def _cmd_primitive(args) -> RunReport:
         value = u_term(spec, args.n)
         fz = factor(value, budget)
         for p in fz.primes():
-            rank = rank_of_apparition(spec, p, search_bound=args.n)
-            if rank == args.n:
-                _note(report, p=p, rank=rank)
+            if is_primitive_divisor_u(spec, p, args.n):
+                _note(report, p=p, rank=args.n)
         if not fz.complete:
             _note(report, unresolved_cofactor=fz.cofactor)
             report.outcome = "partial"
@@ -126,7 +125,7 @@ def _reproduce_thm11(args, report: RunReport) -> None:
               reason=erratum.reason,
               replacement=erratum.replacement,
               replacement_verified=str(erratum.verified).lower())
-    if args.out_errata and audit.errata:
+    if args.out_errata:
         codec.dump([asdict(e) for e in audit.errata], args.out_errata)
     if not audit.passed:
         report.outcome = "fail"
@@ -181,11 +180,8 @@ def _reproduce_lemma41(args, report: RunReport) -> None:
         spec = LucasSpec(c)
         for n in (2, 6, 10, 14):
             value = u_term(spec, n)
-            primitive = []
-            if value > 1:
-                for p in factor(value).primes():
-                    if p < 10**6 and rank_of_apparition(spec, p, search_bound=n) == n:
-                        primitive.append(p)
+            primitive = [p for p in factor(value).primes()
+                         if is_primitive_divisor_u(spec, p, n)]
             bad = [p for p in primitive
                    if not check_rank_periodicity(spec, n, p, k_max=5)]
             failures += len(bad)
@@ -258,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="search primitive divisors of U_n for this c")
     p_prim.add_argument("--n", type=int, required=True)
     p_prim.add_argument("--factor-budget", type=int, default=10**6,
-                        help="trial-division bound for the factoring step; "
-                             "the rho iteration cap scales with it")
+                        help="trial-division bound for the factoring step "
+                             "(at least 1); the rho iteration cap scales with it")
     p_prim.add_argument("--json", action="store_true")
     p_prim.add_argument("--out")
 
@@ -271,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "COVERLAB_ASSETS overrides)")
     p_rep.add_argument("--budget", type=int, default=10**8)
     p_rep.add_argument("--out-errata", default=None,
-                       help="write discovered prime-table errata to this file")
+                       help="write discovered prime-table errata to this file "
+                            "(always written, [] when there are none)")
     p_rep.add_argument("--json", action="store_true")
     p_rep.add_argument("--out")
 
@@ -292,6 +289,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("pass exactly one of --base 2 or --lucas-c C")
         if args.n < 2:
             parser.error("--n must be at least 2")
+        if args.factor_budget < 1:
+            parser.error("--factor-budget must be at least 1")
     handlers = {
         "verify-cover": _cmd_verify_cover,
         "primitive": _cmd_primitive,

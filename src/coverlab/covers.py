@@ -10,7 +10,7 @@ check.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import codec
 
@@ -63,7 +63,6 @@ class CoverReport:
     uncovered_witness: int | None
     min_multiplicity: int
     max_multiplicity: int
-    modulus_multiplicities: dict[int, int] = field(default_factory=dict)
 
 
 def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> CoverReport:
@@ -90,7 +89,6 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
         uncovered_witness=witness,
         min_multiplicity=min_mult,
         max_multiplicity=max_mult,
-        modulus_multiplicities=modulus_multiplicity(system),
     )
 
 

@@ -2,18 +2,22 @@
 
 A prime p is a primitive divisor of 2^n - 1 when it divides 2^n - 1 but no
 2^m - 1 with 0 < m < n; equivalently the multiplicative order of 2 mod p is
-exactly n.  All order and valuation work here runs modulo p, p^2, ... --
-2^n - 1 itself is never materialized for large n.
+exactly n, i.e. `arith.order_dividing(2, p, n) == n`.  `is_primitive_divisor`
+applies that rule; the table audit's row check applies the same rule and
+also names why a row fails, and an errata replacement must pass that row
+check.  All order and valuation work here runs modulo p, p^2, ... -- 2^n - 1
+itself is never materialized for large n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import combinations
 
 from . import codec
-from .arith import (FactorBudget, Factorization, factor, is_probable_prime,
-                    order_dividing)
+from .arith import (FactorBudget, factor, is_probable_prime, order_dividing,
+                    prime_divisors)
 from .covers import CoveringSystem, modulus_multiplicity
 
 
@@ -42,9 +46,14 @@ class PrimeTable:
 
 
 def load_prime_table(path) -> PrimeTable:
+    """Read a prime table; an exponent listed twice is a FormatError."""
     raw = codec.load(path)
-    entries = {e["n"].int(): [p.int() for p in e["primes"].list()]
-               for e in raw["entries"].list()}
+    entries: dict[int, list[int]] = {}
+    for e in raw["entries"].list():
+        n = e["n"].int()
+        if n in entries:
+            raise e["n"].error(f"duplicate exponent {n}")
+        entries[n] = [p.int() for p in e["primes"].list()]
     omitted = [n.int() for n in raw.get("omitted", []).list()]
     return PrimeTable(entries=entries, omitted=omitted)
 
@@ -54,25 +63,16 @@ def store_prime_table(table: PrimeTable, path) -> None:
                 "omitted": table.omitted}, path)
 
 
-@lru_cache(maxsize=None)
-def _factored_exponent(n: int) -> Factorization:
-    f = factor(n)
-    if not f.complete:
-        raise ValueError(f"could not fully factor exponent {n}")
-    return f
-
-
-def is_primitive_divisor(p: int, n: int, n_factors: Factorization | None = None) -> bool:
+def is_primitive_divisor(p: int, n: int) -> bool:
     """True iff the order of 2 mod p is exactly n (so p | 2^n - 1 primitively)."""
     if n < 2:
         raise ValueError(f"exponent must be >= 2, got {n}")
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    if n_factors is None:
-        n_factors = _factored_exponent(n)
+    # p = 2 divides no 2^n - 1, and order_dividing rejects the non-unit 2 mod 2
     if pow(2, n, p) != 1:
         return False
-    return order_dividing(2, p, n, n_factors) == n
+    return order_dividing(2, p, n) == n
 
 
 def wieferich_test(p: int) -> bool:
@@ -101,35 +101,29 @@ def mersenne_valuation(p: int, n: int) -> int:
     return a
 
 
-@lru_cache(maxsize=None)
-def _moebius(n: int) -> int:
-    f = _factored_exponent(n)
-    if any(e > 1 for _, e in f.factors):
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
 def cyclotomic_mersenne(n: int) -> int:
     """Value of the n-th cyclotomic polynomial at 2.
 
-    Computed as prod over d | n of (2^d - 1)^moebius(n/d); this carries
-    exactly the prime factors of 2^n - 1 whose order is n, plus possibly one
-    copy of the largest prime factor of n.
+    Computed as prod over d | n of (2^d - 1)^moebius(n/d); moebius(n/d) is
+    nonzero exactly when n/d is a product of a subset S of the distinct
+    primes of n, with sign (-1)^|S|.  This carries exactly the prime factors
+    of 2^n - 1 whose order is n, plus possibly one copy of the largest prime
+    factor of n.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:
         return 1
+    primes = prime_divisors(n)
     num = 1
     den = 1
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        mu = _moebius(n // d)
-        if mu == 1:
-            num *= (1 << d) - 1
-        elif mu == -1:
-            den *= (1 << d) - 1
+    for size in range(len(primes) + 1):
+        for subset in combinations(primes, size):
+            term = (1 << (n // math.prod(subset))) - 1
+            if size % 2:
+                den *= term
+            else:
+                num *= term
     q, r = divmod(num, den)
     if r:
         raise AssertionError("cyclotomic product did not divide exactly")
@@ -174,10 +168,9 @@ def find_primitive_divisors(
             found[p] = found.get(p, 0) + e
         rest = sub.cofactor
 
-    n_factors = _factored_exponent(n)
     witnesses = []
     for p in sorted(found):
-        if order_dividing(2, p, n, n_factors) == n:
+        if is_primitive_divisor(p, n):
             witnesses.append(
                 PrimitiveDivisorWitness(n=n, p=p, alpha=mersenne_valuation(p, n)))
     return witnesses, rest == 1
@@ -221,6 +214,20 @@ class PrimeTableReport:
         return all((r.n, r.p) in explained for r in self.failing_rows)
 
 
+def _row_reason(n: int, p: int) -> str:
+    """Why p cannot be a table prime for exponent n, or "" when it can."""
+    if not is_probable_prime(p):
+        return "not prime"
+    if p <= 5:
+        return "not greater than 5"
+    if pow(2, n, p) != 1:
+        return f"does not divide 2^{n}-1"
+    order = order_dividing(2, p, n)
+    if order != n:
+        return f"order of 2 is {order}, not {n}"
+    return ""
+
+
 def verify_prime_table(
     cover: CoveringSystem,
     table: PrimeTable,
@@ -235,8 +242,8 @@ def verify_prime_table(
     be pairwise distinct, and the omitted exponents must be exactly the
     moduli with no listed primes, each occurring once.  Failing entries are
     treated as transcription errata: for each one a replacement primitive
-    prime is searched within the errata budget and re-verified, never
-    silently substituted.
+    prime is searched within the errata budget and must pass the same row
+    check, never silently substituted.
     """
     if errata_budget is None:
         # The primitive parts behind errata rows are far beyond rho range;
@@ -252,20 +259,8 @@ def verify_prime_table(
         if len(primes) != expected:
             count_mismatches.append((n, len(primes), expected))
         for p in primes:
-            if not is_probable_prime(p):
-                rows.append(TableRow(n, p, False, "not prime"))
-                continue
-            if p <= 5:
-                rows.append(TableRow(n, p, False, "not greater than 5"))
-                continue
-            if pow(2, n, p) != 1:
-                rows.append(TableRow(n, p, False, f"does not divide 2^{n}-1"))
-                continue
-            order = order_dividing(2, p, n, _factored_exponent(n))
-            if order != n:
-                rows.append(TableRow(n, p, False, f"order of 2 is {order}, not {n}"))
-                continue
-            rows.append(TableRow(n, p, True))
+            reason = _row_reason(n, p)
+            rows.append(TableRow(n, p, not reason, reason))
 
     listed = table.all_primes()
     seen: set[int] = set()
@@ -292,9 +287,7 @@ def verify_prime_table(
             if w.p not in taken:
                 replacement = w.p
                 break
-        verified = (replacement is not None
-                    and replacement > 5
-                    and is_primitive_divisor(replacement, row.n))
+        verified = replacement is not None and not _row_reason(row.n, replacement)
         if replacement is not None:
             taken.add(replacement)
         errata.append(Erratum(n=row.n, bad_value=row.p, reason=row.reason,

@@ -3,26 +3,37 @@ import random
 
 import pytest
 
+from coverlab import arith
 from coverlab.arith import (FactorBudget, Factorization, crt_combine, factor,
-                            is_probable_prime, jacobi, order_dividing)
+                            is_probable_prime, jacobi, order_dividing,
+                            prime_divisors)
 from coverlab.covers import ResidueClass
 
 
 def test_order_dividing_examples():
-    assert order_dividing(2, 31, 5, Factorization.of_known({5: 1})) == 5
-    assert order_dividing(2, 19, 18, Factorization.of_known({2: 1, 3: 2})) == 18
-    assert order_dividing(2, 7, 6, Factorization.of_known({2: 1, 3: 1})) == 3
+    assert order_dividing(2, 31, 5) == 5
+    assert order_dividing(2, 19, 18) == 18
+    assert order_dividing(2, 7, 6) == 3
 
 
 def test_order_dividing_contract():
     with pytest.raises(ValueError):
-        order_dividing(6, 9, 4, Factorization.of_known({2: 2}))
-    with pytest.raises(ValueError):   # incomplete factorization
-        order_dividing(2, 7, 6, Factorization.of_known({2: 1}, cofactor=3))
-    with pytest.raises(ValueError):   # factorization of the wrong number
-        order_dividing(2, 7, 6, Factorization.of_known({5: 1}))
+        order_dividing(6, 9, 4)
+    with pytest.raises(ValueError):
+        order_dividing(2, 1, 4)
     # a^n != 1 reports None rather than raising
-    assert order_dividing(2, 9, 5, Factorization.of_known({5: 1})) is None
+    assert order_dividing(2, 9, 5) is None
+
+
+def test_prime_divisors(monkeypatch):
+    assert prime_divisors(1) == []
+    assert prime_divisors(1755) == [3, 5, 13]
+    assert prime_divisors(2**20) == [2]
+    # an exponent factor() gives up on must raise, not yield a partial list
+    monkeypatch.setattr(arith, "factor",
+                        lambda n: Factorization.of_known({3: 1}, cofactor=n // 3))
+    with pytest.raises(ValueError, match="could not fully factor exponent 1755"):
+        prime_divisors(1755)
 
 
 def test_order_dividing_property():
@@ -37,11 +48,25 @@ def test_order_dividing_property():
         while x != 1:
             x = x * a % m
             n += 1
-        d = order_dividing(a, m, n, factor(n))
+        d = order_dividing(a, m, n)
         assert d == n
         assert pow(a, d, m) == 1
         for ell in set(factor(d).primes()):
             assert pow(a, d // ell, m) != 1
+
+
+def test_order_dividing_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for _ in range(300):
+        m = rng.randrange(2, 10**6)
+        a = rng.randrange(1, m + 1)
+        if math.gcd(a, m) != 1:
+            continue
+        order = int(sympy.n_order(a, m))
+        assert order_dividing(a, m, order * rng.randrange(1, 60)) == order
+        n = rng.randrange(1, 10**4)
+        assert order_dividing(a, m, n) == (order if n % order == 0 else None)
 
 
 def test_crt_combine_examples():
@@ -147,7 +172,7 @@ def test_factor_budget_exhaustion_is_a_state():
     f = factor(semiprime, FactorBudget(trial_bound=100, rho_iterations=10,
                                        rho_attempts=1))
     assert not f.complete
-    assert f.value() == semiprime
+    assert math.prod(p**e for p, e in f.factors) * f.cofactor == semiprime
     assert not is_probable_prime(f.cofactor)
 
 
@@ -156,7 +181,7 @@ def test_factor_reassembly_exhaustive():
     for n in range(1, 10**6 + 1):
         f = factor(n)
         assert f.complete
-        assert f.value() == n
+        assert math.prod(p**e for p, e in f.factors) * f.cofactor == n
 
 
 def test_factor_reassembly_random_64bit():
@@ -164,7 +189,7 @@ def test_factor_reassembly_random_64bit():
     for _ in range(1000):
         n = rng.getrandbits(64) + 1
         f = factor(n)
-        assert f.value() == n
+        assert math.prod(p**e for p, e in f.factors) * f.cofactor == n
         for p, _ in f.factors:
             assert is_probable_prime(p)
 

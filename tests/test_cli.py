@@ -1,10 +1,13 @@
 import json
+import os
+import pathlib
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import coverlab
 from coverlab import assets, cli
 
 
@@ -79,6 +82,11 @@ def test_primitive_flag_validation():
     with pytest.raises(SystemExit) as err:
         cli.main(["primitive", "--base", "2", "--n", "1"])
     assert err.value.code == 2
+    for budget in ("0", "-5"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["primitive", "--base", "2", "--n", "67",
+                      "--factor-budget", budget])
+        assert err.value.code == 2
 
 
 def test_reproduce_thm11(capsys):
@@ -188,6 +196,19 @@ def test_reproduce_thm13_fails_on_corrupted_expectation(tmp_path, capsys):
     assert "a-digit-exact" in out
 
 
+def test_errata_file_written_when_there_are_none(tmp_path, capsys):
+    custom = _assets_copy(tmp_path)
+    table = custom / assets.PRIME_TABLE
+    table.write_text(table.read_text().replace('"196911"', '"1969111"'))
+    target = tmp_path / "errata.json"
+    target.write_text("stale")
+    code, out = run(["reproduce", "thm11", "--assets", str(custom),
+                     "--out-errata", str(target)], capsys)
+    assert code == 0
+    assert "erratum_n" not in out
+    assert json.loads(target.read_text()) == []
+
+
 def test_reproduce_thm11_fails_on_dropped_prime(tmp_path, capsys):
     custom = _assets_copy(tmp_path)
     target = custom / assets.PRIME_TABLE
@@ -210,9 +231,13 @@ def test_reports_deterministic_apart_from_timing(capsys):
 
 
 def test_console_entry_subprocess():
+    # the child imports the same coverlab as this process, installed or not
+    src = str(pathlib.Path(coverlab.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "coverlab.cli", "verify-cover",
          asset(assets.COVER_ERDOS)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "pass" in proc.stdout

@@ -51,6 +51,19 @@ def test_reproduce_rejects_malformed_asset(tmp_path, capsys, target, name, edit,
     assert f"{path}: {field}: " in capsys.readouterr().err
 
 
+def test_thm11_rejects_repeated_exponent(tmp_path, capsys):
+    # a dict built from the entries would keep only the last n=3 row and
+    # never check the extra prime 11
+    shutil.copytree(assets.asset_dir(), tmp_path, dirs_exist_ok=True)
+    path = tmp_path / assets.PRIME_TABLE
+    raw = json.loads(path.read_text())
+    assert raw["entries"][0]["n"] == "3"
+    raw["entries"].insert(0, {"n": "3", "primes": ["11"]})
+    path.write_text(json.dumps(raw))
+    assert cli.main(["reproduce", "thm11", "--assets", str(tmp_path)]) == 2
+    assert f"{path}: $.entries[1].n: duplicate exponent 3" in capsys.readouterr().err
+
+
 FORMATS = [
     (load_cover, assets.COVER_ODD24),
     (load_case, assets.SAMPLE_CASE),

@@ -35,6 +35,23 @@ def test_cyclotomic_values():
         assert prod == 2**n - 1
 
 
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 301):
+        assert cyclotomic_mersenne(n) == sympy.cyclotomic_poly(n, 2), n
+
+
+def test_is_primitive_divisor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for p in [2] + list(sympy.primerange(3, 2000)):
+        order = 0 if p == 2 else int(sympy.n_order(2, p))
+        for n in range(2, 80):
+            assert is_primitive_divisor(p, n) == (n == order), (p, n)
+        if order >= 80:
+            assert is_primitive_divisor(p, order)
+            assert not is_primitive_divisor(p, 2 * order)
+
+
 def test_find_primitive_divisors_examples():
     witnesses, complete = find_primitive_divisors(24)
     assert complete and [w.p for w in witnesses] == [241]
