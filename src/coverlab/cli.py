@@ -14,13 +14,13 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import assets, codec
-from .arith import FactorBudget, factor
-from .certify import CertificationError, certify_all_cases, check_exclusion, load_case
+from .arith import FactorBudget
+from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
+from .certify import certify_all_cases, check_exclusion, load_case
 from .construct import (ERDOS_EXPONENT_COVER, build_erdos_class,
                         build_two_prime_class, check_divisibility_mechanics)
 from .covers import load_cover, verify_cover
-from .lucas import (LucasSpec, check_rank_periodicity, is_primitive_divisor_u,
-                    u_term)
+from .lucas import LucasSpec, check_rank_periodicity, find_primitive_divisors_u
 from .mersenne import find_primitive_divisors, verify_prime_table
 
 REPORT_SCHEMA = "coverlab.report/1"
@@ -52,8 +52,11 @@ class RunReport:
 
 
 def _note(report: RunReport, **kw) -> None:
-    report.detail.append({k: str(v) if isinstance(v, int) else v
-                          for k, v in kw.items()})
+    """Append a detail row: bools as "true"/"false", other ints as decimals."""
+    report.detail.append({
+        k: ("true" if v else "false") if isinstance(v, bool)
+        else str(v) if isinstance(v, int) else v
+        for k, v in kw.items()})
 
 
 def _cmd_verify_cover(args) -> RunReport:
@@ -62,7 +65,7 @@ def _cmd_verify_cover(args) -> RunReport:
     system = load_cover(args.path)
     result = verify_cover(system, enumeration_budget=args.budget)
     _note(report, label=system.label, classes=len(system.classes),
-          lcm=result.lcm, is_cover=str(result.is_cover).lower(),
+          lcm=result.lcm, is_cover=result.is_cover,
           min_multiplicity=result.min_multiplicity,
           max_multiplicity=result.max_multiplicity)
     if not result.is_cover:
@@ -77,14 +80,12 @@ def _cmd_primitive(args) -> RunReport:
     if args.lucas_c is not None:
         report = RunReport("primitive", {"lucas_c": str(args.lucas_c),
                                          "n": str(args.n)})
-        spec = LucasSpec(args.lucas_c)
-        value = u_term(spec, args.n)
-        fz = factor(value, budget)
-        for p in fz.primes():
-            if is_primitive_divisor_u(spec, p, args.n):
-                _note(report, p=p, rank=args.n)
-        if not fz.complete:
-            _note(report, unresolved_cofactor=fz.cofactor)
+        primes, cofactor = find_primitive_divisors_u(
+            LucasSpec(args.lucas_c), args.n, budget)
+        for p in primes:
+            _note(report, p=p, rank=args.n)
+        if cofactor != 1:
+            _note(report, unresolved_cofactor=cofactor)
             report.outcome = "partial"
         return report
     report = RunReport("primitive", {"base": "2", "n": str(args.n)})
@@ -108,7 +109,7 @@ def _reproduce_thm11(args, report: RunReport) -> None:
     cover = assets.odd_cover_173(args.assets)
     cover_result = verify_cover(cover, enumeration_budget=args.budget)
     _note(report, check="cover", classes=len(cover.classes),
-          lcm=cover_result.lcm, is_cover=str(cover_result.is_cover).lower())
+          lcm=cover_result.lcm, is_cover=cover_result.is_cover)
     if not (cover_result.is_cover and cover_result.lcm == 675675
             and len(cover.classes) == 173):
         report.outcome = "fail"
@@ -119,12 +120,12 @@ def _reproduce_thm11(args, report: RunReport) -> None:
           failing_rows=len(audit.failing_rows),
           duplicates=len(audit.duplicates),
           count_mismatches=len(audit.count_mismatches),
-          omitted_consistent=str(audit.omitted_consistent).lower())
+          omitted_consistent=audit.omitted_consistent)
     for erratum in audit.errata:
         _note(report, erratum_n=erratum.n, bad_value=erratum.bad_value,
               reason=erratum.reason,
               replacement=erratum.replacement,
-              replacement_verified=str(erratum.verified).lower())
+              replacement_verified=erratum.verified)
     if args.out_errata:
         codec.dump([asdict(e) for e in audit.errata], args.out_errata)
     if not audit.passed:
@@ -136,7 +137,7 @@ def _reproduce_thm13(args, report: RunReport) -> None:
     data = assets.two_prime_data(args.assets)
     combined, build_report = build_two_prime_class(data)
     for row in build_report.failures():
-        _note(report, check=row.name, ok="false", detail=row.detail)
+        _note(report, check=row.name, ok=row.ok, detail=row.detail)
     _note(report, checks=len(build_report.checks),
           failures=len(build_report.failures()))
     _note(report, a=combined.a, M=combined.n)
@@ -147,14 +148,12 @@ def _reproduce_thm13(args, report: RunReport) -> None:
 def _reproduce_cases(args, report: RunReport) -> None:
     report.asset_checksums = _checksums([assets.TWO_PRIME_CLASS], args.assets)
     data = assets.two_prime_data(args.assets)
-    try:
-        certificates = certify_all_cases(data)
-    except CertificationError as exc:
-        certificates = exc.reports
-        report.outcome = "fail"
+    certificates = certify_all_cases(data)
     valid = sum(1 for c in certificates if c.valid)
+    if valid < len(certificates):
+        report.outcome = "fail"
     for c in certificates:
-        _note(report, case=c.label, valid=str(c.valid).lower(),
+        _note(report, case=c.label, valid=c.valid,
               combinations=c.combinations)
     _note(report, valid_cases=f"{valid}/{len(certificates)}")
 
@@ -169,7 +168,7 @@ def _reproduce_erdos(args, report: RunReport) -> None:
                                         n_range=range(0, 2001))
     _note(report, mechanics_checked=mech.checked,
           mechanics_failures=len(mech.failures),
-          odd=str(cls.a % 2 == 1).lower(), mod31=cls.a % 31)
+          odd=cls.a % 2 == 1, mod31=cls.a % 31)
     if not (ok and mech.all_ok):
         report.outcome = "fail"
 
@@ -179,9 +178,7 @@ def _reproduce_lemma41(args, report: RunReport) -> None:
     for c in range(1, 7):
         spec = LucasSpec(c)
         for n in (2, 6, 10, 14):
-            value = u_term(spec, n)
-            primitive = [p for p in factor(value).primes()
-                         if is_primitive_divisor_u(spec, p, n)]
+            primitive, _ = find_primitive_divisors_u(spec, n)
             bad = [p for p in primitive
                    if not check_rank_periodicity(spec, n, p, k_max=5)]
             failures += len(bad)

@@ -73,48 +73,16 @@ def solve_b(m0: int, a_s: int, n_s: int) -> int:
     return a_s * pow(m0, -1, n_s) % n_s
 
 
-def _tonelli_sqrt(a: int, p: int) -> int | None:
-    """One square root of a mod an odd prime p, or None if a is a nonresidue."""
-    a %= p
-    if a == 0:
-        return 0
-    if jacobi(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r
-
-
 def pow_root_mod_prime_power(k: int, a: int, p: int, e: int) -> int:
     """Some x with x^k = a (mod p^e), for k a power of two and p an odd prime.
 
     Requires the solvability condition a^(phi/gcd(k, phi)) = 1 (mod p^e) with
-    phi = p^(e-1)(p-1).  When the order of a is odd the root is a plain
-    power of a; otherwise Tonelli-Shanks square roots are iterated (with the
-    sign corrected so each intermediate stays a suitable power residue) and
-    Hensel-lifted from p to p^e.
+    phi = p^(e-1)(p-1).  The units mod p^e form a cyclic group of order
+    phi = 2^s * w, w odd, so one Tonelli-Shanks pass (Adleman, Manders and
+    Miller 1977) solves it: x = a^(k^-1 mod w) leaves h = a * x^-k in the
+    2-Sylow subgroup, which y = z^w generates for the least quadratic
+    nonresidue z mod p.  The discrete log L of h to base y is read off bit by
+    bit, and x * y^(L >> log2 k) is the root.
     """
     if k < 1 or k & (k - 1):
         raise ValueError(f"root degree must be a power of two, got {k}")
@@ -134,34 +102,20 @@ def pow_root_mod_prime_power(k: int, a: int, p: int, e: int) -> int:
         raise ValueError(
             f"no {k}-th root of {a} modulo {p}^{e}: solvability condition fails")
 
-    # odd-order fast path: x = a^(k^-1 mod w) whenever a^w = 1 for w the odd
-    # part of phi
-    w = phi
-    while w % 2 == 0:
-        w //= 2
-    if pow(a, w, pe) == 1:
-        x = pow(a, pow(k, -1, w), pe)
-        return min(x, pe - x)
-
-    alpha = k.bit_length() - 1
-    cur = a % p
-    for level in range(alpha):
-        r = _tonelli_sqrt(cur, p)
-        if r is None:
-            raise ValueError(f"square-root chain failed for {a} modulo {p}")
-        remaining = 1 << (alpha - level - 1)
-        gr = math.gcd(remaining, p - 1)
-        if pow(r, (p - 1) // gr, p) != 1:
-            r = p - r
-        cur = r
-    x = cur
-    # Hensel: f(x) = x^k - a has f'(x) = k x^(k-1), a unit mod p here
-    prec = 1
-    while prec < e:
-        prec = min(2 * prec, e)
-        mod = p**prec
-        fx = (pow(x, k, mod) - a) % mod
-        x = (x - fx * pow(k * pow(x, k - 1, mod) % mod, -1, mod)) % mod
+    s = (phi & -phi).bit_length() - 1
+    w = phi >> s
+    x = pow(a, pow(k, -1, w), pe)
+    h = a * pow(x, -k, pe) % pe
+    z = 2
+    while jacobi(z, p) != -1:
+        z += 1
+    y = pow(z, w, pe)
+    # bit i of L is set iff h * y^-(L mod 2^i) has order exactly 2^(s-i)
+    L = 0
+    for i in range(s):
+        if pow(h * pow(y, -L, pe), 1 << (s - 1 - i), pe) != 1:
+            L |= 1 << i
+    x = x * pow(y, L >> (k.bit_length() - 1), pe) % pe
     if pow(x, k, pe) != a:
         raise ValueError(f"root verification failed for {a} modulo {p}^{e}")
     return min(x, pe - x)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_probable_prime
+from .arith import FactorBudget, factor, is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -20,17 +20,6 @@ class LucasSpec:
     def __post_init__(self):
         if self.c < 1:
             raise ValueError(f"recurrence parameter must be >= 1, got {self.c}")
-
-
-@dataclass(frozen=True)
-class SequencePeriod:
-    """Least pi > 0 with (U_pi, U_{pi+1}) = (0, 1) mod the modulus.
-
-    The whole sequence repeats mod the modulus with this period.
-    """
-
-    modulus: int
-    period: int
 
 
 def u_term(spec: LucasSpec, n: int) -> int:
@@ -82,21 +71,21 @@ def u_term_mod(spec: LucasSpec, n: int, m: int) -> int:
     return r01
 
 
-def period_mod(spec: LucasSpec, m: int) -> SequencePeriod:
-    """Cycle length of the pair state (U_n, U_{n+1}) mod m.
+def period_mod(spec: LucasSpec, m: int) -> int:
+    """Least pi > 0 with (U_pi, U_{pi+1}) = (0, 1) mod m, found by iteration.
 
-    Found by direct iteration; 6*m^2 is a defensive bound (the pair walk
-    lives on at most m^2 states and returns to (0, 1)).
+    The step (x, y) -> (y, c*y + x) is the matrix [[0, 1], [1, c]] of
+    determinant -1, a unit mod m, so it permutes the m^2 pair states; the
+    walk from (0, 1) therefore returns to (0, 1), and the whole sequence
+    repeats mod m with this period.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    bound = 6 * m * m
-    x, y = 0, 1 % m
-    for n in range(1, bound + 1):
+    x, y, n = 1, spec.c % m, 1
+    while x != 0 or y != 1:
         x, y = y, (spec.c * y + x) % m
-        if x == 0 and y == 1 % m:
-            return SequencePeriod(modulus=m, period=n)
-    raise RuntimeError(f"no period below {bound} for modulus {m}")
+        n += 1
+    return n
 
 
 def rank_of_apparition(spec: LucasSpec, p: int, search_bound: int = 10**6) -> int | None:
@@ -116,6 +105,21 @@ def is_primitive_divisor_u(spec: LucasSpec, p: int, n: int) -> bool:
     if n < 1:
         raise ValueError("index must be >= 1")
     return rank_of_apparition(spec, p, search_bound=n) == n
+
+
+def find_primitive_divisors_u(
+    spec: LucasSpec,
+    n: int,
+    budget: FactorBudget | None = None,
+) -> tuple[list[int], int]:
+    """Primitive prime divisors of U_n found within the factoring budget.
+
+    Returns the primes of U_n whose rank of apparition is exactly n, in
+    increasing order, and the cofactor of U_n left unfactored (1 when the
+    list is provably exhaustive).
+    """
+    fz = factor(u_term(spec, n), budget)
+    return [p for p in fz.primes() if is_primitive_divisor_u(spec, p, n)], fz.cofactor
 
 
 def fibonacci(n: int) -> int:
@@ -151,14 +155,12 @@ def check_rank_periodicity(spec: LucasSpec, n: int, p: int, k_max: int) -> bool:
     """
     if n <= 0 or n % 4 != 2:
         raise ValueError(f"index {n} is not = 2 (mod 4)")
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    head = iter_terms_mod(spec, p, n + 1)
-    if head[n] != 0:
+    rank = rank_of_apparition(spec, p, n)
+    # U is a divisibility sequence: p | U_n exactly when rank(p) | n
+    if rank is None or n % rank:
         raise ValueError(f"{p} does not divide U_{n}")
-    for i in range(1, n):
-        if head[i] == 0:
-            raise ValueError(f"{p} divides U_{i}, so it is not primitive at {n}")
+    if rank != n:
+        raise ValueError(f"{p} divides U_{rank}, so it is not primitive at {n}")
     terms = iter_terms_mod(spec, p, (k_max + 1) * n + 2)
     if terms[n + 1] != 1 % p:
         return False

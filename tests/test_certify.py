@@ -4,13 +4,14 @@ import pytest
 
 from coverlab.arith import jacobi
 from coverlab.assets import sample_case, two_prime_data
-from coverlab.certify import (DEFAULT_Q_POOL, AuxPrime, CertificationError,
-                              ExclusionCase, build_standard_cases,
+import coverlab.certify as certify
+from coverlab.certify import (DEFAULT_Q_POOL, AuxPrime, ExclusionCase,
+                              build_standard_cases,
                               certify_all_cases, check_exclusion, load_case,
                               store_case)
 from coverlab.construct import TwoPrimeData, build_two_prime_class
 from coverlab.covers import CoveringSystem, ResidueClass
-from coverlab.lucas import LucasSpec, iter_terms_mod
+from coverlab.lucas import LucasSpec, iter_terms_mod, period_mod
 
 U4 = LucasSpec(4)
 
@@ -112,11 +113,10 @@ def test_certify_all_cases_valid():
     assert all(r.valid for r in reports)
 
 
-def test_certify_all_cases_raises_on_weak_pool():
-    with pytest.raises(CertificationError) as err:
-        certify_all_cases(two_prime_data(), q_pool=(19,))
-    assert err.value.invalid_labels
-    assert len(err.value.reports) == 25
+def test_certify_all_cases_reports_invalid_on_weak_pool():
+    reports = certify_all_cases(two_prime_data(), q_pool=(19,))
+    assert len(reports) == 25
+    assert any(not r.valid for r in reports)
 
 
 def test_pool_primes_must_carry_residues():
@@ -161,12 +161,11 @@ def test_quoted_intermediates():
 def _verdict_by_direct_enumeration(case):
     """Literal triple loop over one full (n, sign, b) period."""
     import math
-    from coverlab.lucas import period_mod
 
     periods = {}
     orders = {}
     for a in case.aux:
-        periods[a.q] = period_mod(U4, a.q).period
+        periods[a.q] = period_mod(U4, a.q)
         d, x = 1, case.p % a.q
         while x != 1:
             x = x * (case.p % a.q) % a.q
@@ -185,6 +184,23 @@ def _verdict_by_direct_enumeration(case):
                        for a in case.aux):
                     return False
     return True
+
+
+def test_tables_span_one_period(tmp_path, monkeypatch):
+    # n = r (mod 2*10^7) meets a period of u mod 11 once: 10 combinations,
+    # but tables sized by the whole progression span would hold 2*10^7 terms
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"r": "19999999", "m": "20000000", "p": "3",
+                                "aux": [{"q": "11", "x_mod_q": "1"}]}))
+    real = certify.iter_terms_mod
+
+    def one_period(spec, q, count):
+        assert count <= period_mod(U4, q), (q, count)
+        return real(spec, q, count)
+
+    monkeypatch.setattr(certify, "iter_terms_mod", one_period)
+    report = check_exclusion(load_case(path))
+    assert report.valid and report.combinations == 10
 
 
 def test_check_exclusion_agrees_with_direct_enumeration():

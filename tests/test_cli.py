@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import coverlab
-from coverlab import assets, cli
+from coverlab import assets, certify, cli
 
 
 def run(argv, capsys):
@@ -106,6 +107,15 @@ def test_reproduce_cases(capsys):
     code, out = run(["reproduce", "cases"], capsys)
     assert code == 0
     assert "valid_cases=25/25" in out
+
+
+def test_reproduce_cases_fails_on_weak_pool(capsys, monkeypatch):
+    weak = functools.partial(certify.certify_all_cases, q_pool=(19,))
+    monkeypatch.setattr(cli, "certify_all_cases", weak)
+    code, out = run(["reproduce", "cases"], capsys)
+    assert code == 1
+    assert "reproduce: fail" in out
+    assert "valid=false" in out and "valid_cases=25/25" not in out
 
 
 def test_reproduce_erdos(capsys):

@@ -79,7 +79,7 @@ def test_pow_root_examples():
 
     x = pow_root_mod_prime_power(2, 2, 17, 3)
     assert pow(x, 2, 17**3) == 2
-    assert 6 * 6 % 17 == 2     # the mod-17 seed the lift starts from
+    assert 6 * 6 % 17 == 2     # a square root of 2 mod 17 exists, so mod 17^3 too
 
 
 def test_pow_root_unsolvable():
@@ -109,7 +109,7 @@ def test_pow_root_random_repowering():
 
 
 def test_pow_root_property():
-    # the solver has no search fallback: Tonelli-Shanks and Hensel lifting
+    # the solver has no search fallback: the one Tonelli-Shanks pass mod p^e
     # alone must solve every solvable instance
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -152,6 +152,30 @@ def test_pow_root_exhaustive_equivalence():
                         assert pow(x, k, pe) == a, (k, a, p, e)
                     else:
                         with pytest.raises(ValueError):
+                            pow_root_mod_prime_power(k, a, p, e)
+
+
+def test_pow_root_deep_two_sylow():
+    # p - 1 = 2^16 and 2^23 * 119: the 2-part of the group order far exceeds
+    # the degree, so the discrete log runs over many bits
+    rng = random.Random(65537)
+    for p in (65537, 998244353):
+        for e in (1, 2):
+            pe = p**e
+            phi = pe // p * (p - 1)
+            for k in (1, 2, 4, 8, 16, 32, 64):
+                g = math.gcd(k, phi)
+                for i in range(40):
+                    a = rng.randrange(1, pe)
+                    while a % p == 0:
+                        a = rng.randrange(1, pe)
+                    if i % 2:
+                        a = pow(a, k, pe)       # half the bases are k-th powers
+                    if pow(a, phi // g, pe) == 1:
+                        x = pow_root_mod_prime_power(k, a, p, e)
+                        assert pow(x, k, pe) == a, (k, a, p, e)
+                    else:
+                        with pytest.raises(ValueError, match="solvability"):
                             pow_root_mod_prime_power(k, a, p, e)
 
 

@@ -1,9 +1,10 @@
 import pytest
 
-from coverlab.arith import factor
+from coverlab.arith import FactorBudget, factor
 from coverlab.lucas import (LucasSpec, check_rank_periodicity, check_u_identity,
-                            fibonacci, is_primitive_divisor_u, iter_terms_mod,
-                            period_mod, rank_of_apparition, u_term, u_term_mod)
+                            fibonacci, find_primitive_divisors_u,
+                            is_primitive_divisor_u, iter_terms_mod, period_mod,
+                            rank_of_apparition, u_term, u_term_mod)
 
 U4 = LucasSpec(4)
 FIB = LucasSpec(1)
@@ -44,9 +45,9 @@ def test_iter_terms_mod_matches_u_term_mod():
 
 
 def test_period_examples():
-    assert period_mod(FIB, 10).period == 60     # the classical period mod 10
-    assert period_mod(U4, 2).period == 2
-    pi31 = period_mod(U4, 31).period
+    assert period_mod(FIB, 10) == 60     # the classical period mod 10
+    assert period_mod(U4, 2) == 2
+    pi31 = period_mod(U4, 31)
     assert pi31 % 10 == 0
     assert rank_of_apparition(U4, 31, 100) == 10
 
@@ -56,14 +57,14 @@ def test_fibonacci_periods_match_classical_table():
     classical = [3, 8, 6, 20, 24, 16, 12, 24, 60, 10,
                  24, 28, 48, 40, 24, 36, 24, 18, 60]
     for m, pi in zip(range(2, 21), classical):
-        assert period_mod(FIB, m).period == pi, m
+        assert period_mod(FIB, m) == pi, m
 
 
 def test_periodicity_property():
     for c in (1, 4):
         spec = LucasSpec(c)
         for m in range(2, 201):
-            pi = period_mod(spec, m).period
+            pi = period_mod(spec, m)
             terms = iter_terms_mod(spec, m, 4 * pi + 1)
             for n in range(3 * pi):
                 assert terms[n + pi] == terms[n], (c, m, n)
@@ -140,3 +141,20 @@ def test_rank_periodicity_suite():
                     continue
                 if rank_of_apparition(spec, p, n) == n:
                     assert check_rank_periodicity(spec, n, p, k_max=5), (c, n, p)
+
+
+def test_find_primitive_divisors_u_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for c in range(1, 5):
+        spec = LucasSpec(c)
+        terms = [u_term(spec, i) for i in range(41)]
+        for n in range(2, 41):
+            # oracle: primes of U_n dividing no earlier term
+            want = [p for p in sympy.primefactors(terms[n])
+                    if all(terms[i] % p for i in range(1, n))]
+            assert find_primitive_divisors_u(spec, n) == (want, 1), (c, n)
+    # U_38 has six prime factors above 100; trial division to 10 and a
+    # single rho step leave them in the cofactor
+    primes, cofactor = find_primitive_divisors_u(
+        U4, 38, FactorBudget(trial_bound=10, rho_iterations=1, rho_attempts=1))
+    assert primes == [] and cofactor == u_term(U4, 38) // 4
