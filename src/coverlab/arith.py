@@ -7,6 +7,7 @@ types.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -49,11 +50,20 @@ class Factorization:
 
 @dataclass(frozen=True)
 class FactorBudget:
-    """Effort limits for factor(): trial division bound and rho caps."""
+    """Effort limits for factor().
 
-    trial_bound: int = 10**6
+    trial_bound is the largest number trial division tries: every prime up
+    to it is divided out before rho starts.  rho_iterations caps the steps
+    of one Brent-Pollard rho attempt and rho_attempts the number of
+    attempts (one polynomial offset each) on every composite cofactor.
+    """
+
+    trial_bound: int = 1 << 12
     rho_iterations: int = 10**7
     rho_attempts: int = 8
+
+
+_DEFAULT_BUDGET = FactorBudget()   # built once: factor() is called per small n in tight loops
 
 
 def is_probable_prime(n: int, rounds: int = 40) -> bool:
@@ -152,23 +162,31 @@ def _conflict_message(classes: list[ResidueClass], bad_index: int) -> str:
 def factor(n: int, budget: FactorBudget | None = None) -> Factorization:
     """Factor n by trial division then Pollard rho, within the given budget.
 
-    Every extracted factor is certified by is_probable_prime.  When the
-    budget runs out the remaining (composite) cofactor is reported and
-    complete is False; incompleteness is a result state, not an error.
+    Trial division tries the primes up to budget.trial_bound.  A remainder
+    with no prime factor below s and smaller than s^2 is itself prime, so it
+    is recorded without a primality test; any other remainder goes to
+    is_probable_prime and rho.  Every extracted factor is therefore proven
+    by trial division or passes is_probable_prime.  When the budget runs out
+    the remaining (composite) cofactor is reported and complete is False;
+    incompleteness is a result state, not an error.
     """
     if n < 1:
         raise ValueError(f"factor() needs n >= 1, got {n}")
     if budget is None:
-        budget = FactorBudget()
+        budget = _DEFAULT_BUDGET
     found: dict[int, int] = {}
     rest = n
-    for d in _trial_divisors(budget.trial_bound):
-        if d * d > rest:
+    least = budget.trial_bound + 1   # least prime factor rest can still have
+    for p in _primes_up_to(budget.trial_bound):
+        if p * p > rest:
+            least = p
             break
-        while rest % d == 0:
-            found[d] = found.get(d, 0) + 1
-            rest //= d
-    if rest == 1:
+        while rest % p == 0:
+            found[p] = found.get(p, 0) + 1
+            rest //= p
+    if rest < least * least:
+        if rest > 1:
+            found[rest] = 1
         return Factorization.of_known(found)
 
     pending = [rest]
@@ -189,14 +207,17 @@ def factor(n: int, budget: FactorBudget | None = None) -> Factorization:
     return Factorization.of_known(found, cofactor=leftover)
 
 
-def _trial_divisors(bound: int):
-    yield 2
-    yield 3
-    d = 5
-    while d <= bound:
-        yield d
-        yield d + 2
-        d += 6
+@functools.lru_cache(maxsize=8)   # a few bounds are in use; a one-off one is not pinned
+def _primes_up_to(bound: int) -> tuple[int, ...]:
+    """The primes <= bound, ascending, by the sieve of Eratosthenes."""
+    if bound < 2:
+        return ()
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, math.isqrt(bound) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, bound + 1, i)))
+    return tuple(i for i, is_prime in enumerate(sieve) if is_prime)
 
 
 def _rho_split(n: int, budget: FactorBudget) -> int | None:

@@ -98,11 +98,19 @@ def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> Cer
             counterexample=(case.r % case.m, 1, 0),
             aux_evidence=())
 
+    # every period divides n_span = n_count * m, and combinations >= 2 * n_count,
+    # so a period above combination_budget * m / 2 already breaks the budget
+    step_cap = combination_budget * case.m // 2
     periods = {}
     orders = {}
     for aux in case.aux:
         q = aux.q
-        periods[q] = period_mod(_U4, q)
+        try:
+            periods[q] = period_mod(_U4, q, max_steps=step_cap)
+        except ValueError:
+            raise ValueError(
+                f"the period of u_n mod {q} exceeds {step_cap}, so the combinations "
+                f"exceed the budget {combination_budget}") from None
         orders[q] = order_dividing(case.p % q, q, q - 1)
 
     n_span = math.lcm(case.m, *periods.values())

@@ -75,8 +75,10 @@ def _cmd_verify_cover(args) -> RunReport:
 
 
 def _cmd_primitive(args) -> RunReport:
-    budget = FactorBudget(trial_bound=args.factor_budget,
-                          rho_iterations=10 * args.factor_budget)
+    budget = FactorBudget()
+    if args.factor_budget is not None:
+        budget = FactorBudget(trial_bound=args.factor_budget,
+                              rho_iterations=10 * args.factor_budget)
     if args.lucas_c is not None:
         report = RunReport("primitive", {"lucas_c": str(args.lucas_c),
                                          "n": str(args.n)})
@@ -250,9 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_prim.add_argument("--lucas-c", type=int, default=None,
                         help="search primitive divisors of U_n for this c")
     p_prim.add_argument("--n", type=int, required=True)
-    p_prim.add_argument("--factor-budget", type=int, default=10**6,
-                        help="trial-division bound for the factoring step "
-                             "(at least 1); the rho iteration cap scales with it")
+    p_prim.add_argument("--factor-budget", type=int, default=None,
+                        help="largest trial divisor of the factoring step (at "
+                             "least 1); rho then runs up to 10 times this many "
+                             "iterations per attempt (default: the FactorBudget "
+                             "defaults, 4096 and 10^7)")
     p_prim.add_argument("--json", action="store_true")
     p_prim.add_argument("--out")
 
@@ -286,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("pass exactly one of --base 2 or --lucas-c C")
         if args.n < 2:
             parser.error("--n must be at least 2")
-        if args.factor_budget < 1:
+        if args.factor_budget is not None and args.factor_budget < 1:
             parser.error("--factor-budget must be at least 1")
     handlers = {
         "verify-cover": _cmd_verify_cover,

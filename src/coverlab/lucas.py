@@ -71,18 +71,21 @@ def u_term_mod(spec: LucasSpec, n: int, m: int) -> int:
     return r01
 
 
-def period_mod(spec: LucasSpec, m: int) -> int:
+def period_mod(spec: LucasSpec, m: int, max_steps: int | None = None) -> int:
     """Least pi > 0 with (U_pi, U_{pi+1}) = (0, 1) mod m, found by iteration.
 
     The step (x, y) -> (y, c*y + x) is the matrix [[0, 1], [1, c]] of
     determinant -1, a unit mod m, so it permutes the m^2 pair states; the
     walk from (0, 1) therefore returns to (0, 1), and the whole sequence
-    repeats mod m with this period.
+    repeats mod m with this period.  With max_steps set, the walk raises
+    ValueError as soon as the period is known to exceed it.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     x, y, n = 1, spec.c % m, 1
     while x != 0 or y != 1:
+        if max_steps is not None and n >= max_steps:
+            raise ValueError(f"period of U mod {m} exceeds {max_steps}")
         x, y = y, (spec.c * y + x) % m
         n += 1
     return n

@@ -161,10 +161,45 @@ def test_factor_examples():
 
 
 def test_factor_rho_splits_beyond_trial_range():
-    p, q = 1000003, 1000033        # both just above the default trial bound
-    f = factor(p * q)
-    assert f.complete
-    assert dict(f.factors) == {p: 1, q: 1}
+    # 4099 and 4111 are the first primes above the default trial bound 4096
+    for p, q in ((4099, 4111), (1000003, 1000033)):
+        f = factor(p * q)
+        assert f.complete
+        assert dict(f.factors) == {p: 1, q: 1}
+
+
+def test_factor_matches_sympy_at_the_trial_bound():
+    sympy = pytest.importorskip("sympy")
+    # p and q are the first primes above the bound: trial division misses
+    # them, so the remainder must not be taken for prime unchecked
+    for bound in (0, 1, 2, 3, 10, 4096, 10**5):
+        p = sympy.nextprime(bound)
+        q = sympy.nextprime(p)
+        for n in (p * p, p * q, p**3, 2 * p * q, p):
+            f = factor(n, FactorBudget(trial_bound=bound))
+            assert f.complete and dict(f.factors) == sympy.factorint(n), (bound, n)
+
+
+def test_factor_matches_sympy_random_128bit():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(128)
+    for _ in range(300):
+        # a few primes below 2^20 (rho's reach) times one up to 2^64
+        n = sympy.randprime(2, 2**rng.randrange(2, 65))
+        while n.bit_length() < 108 and rng.random() < 0.8:
+            n *= sympy.randprime(2, 2**rng.randrange(2, 21))
+        f = factor(n)
+        assert f.complete and dict(f.factors) == sympy.factorint(n), n
+    # uniform draws under a starved rho: whatever is listed is exact
+    budget = FactorBudget(rho_iterations=2000, rho_attempts=2)
+    for _ in range(300):
+        n = rng.getrandbits(rng.randrange(1, 129)) + 1
+        f = factor(n, budget)
+        assert math.prod(p**e for p, e in f.factors) * f.cofactor == n
+        for p, e in f.factors:
+            assert sympy.isprime(p) and (n // p**e) % p != 0, (n, p)
+            assert f.cofactor % p != 0, (n, p)
+        assert f.cofactor == 1 or not sympy.isprime(f.cofactor), n
 
 
 def test_factor_budget_exhaustion_is_a_state():

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -71,6 +75,22 @@ def test_combination_budget():
                          aux=(AuxPrime(31, 14),))
     with pytest.raises(ValueError, match="exceed"):
         check_exclusion(case, combination_budget=5)
+
+
+def test_combination_budget_caps_the_period_walk(tmp_path):
+    # for a large q the budget must stop the period walk, not only the
+    # enumeration after it (uncapped, the walk runs for minutes)
+    path = tmp_path / "large_q.json"
+    path.write_text(json.dumps({"r": "1", "m": "2", "p": "3",
+                                "aux": [{"q": "1000000007", "x_mod_q": "1"}]}))
+    src = str(pathlib.Path(certify.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coverlab.cli", "certify", str(path), "--budget", "1000"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert "exceed the budget 1000" in proc.stderr
 
 
 def test_monotonicity_of_aux_sets():

@@ -10,6 +10,7 @@ import pytest
 
 import coverlab
 from coverlab import assets, certify, cli
+from coverlab.arith import FactorBudget
 
 
 def run(argv, capsys):
@@ -71,6 +72,21 @@ def test_primitive_incomplete_budget(capsys):
                      "--factor-budget", "1000"], capsys)
     assert code == 1
     assert "incomplete" in out
+
+
+def test_primitive_factor_budget_default(monkeypatch):
+    seen = []
+
+    def spy(n, budget):
+        seen.append(budget)
+        return [], True
+
+    monkeypatch.setattr(cli, "find_primitive_divisors", spy)
+    assert cli.main(["primitive", "--base", "2", "--n", "11"]) == 0
+    assert cli.main(["primitive", "--base", "2", "--n", "11",
+                     "--factor-budget", "1000"]) == 0
+    assert seen == [FactorBudget(),
+                    FactorBudget(trial_bound=1000, rho_iterations=10000)]
 
 
 def test_primitive_flag_validation():

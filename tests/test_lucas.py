@@ -52,6 +52,16 @@ def test_period_examples():
     assert rank_of_apparition(U4, 31, 100) == 10
 
 
+def test_period_step_cap():
+    pi31 = period_mod(U4, 31)
+    assert period_mod(U4, 31, max_steps=pi31) == pi31
+    with pytest.raises(ValueError, match="exceeds"):
+        period_mod(U4, 31, max_steps=pi31 - 1)
+    # the walk stops at the cap instead of running through a long period
+    with pytest.raises(ValueError, match="exceeds 1000"):
+        period_mod(U4, 1000000007, max_steps=1000)
+
+
 def test_fibonacci_periods_match_classical_table():
     # frozen from the classical period table for F mod m, m = 2..20
     classical = [3, 8, 6, 20, 24, 16, 12, 24, 60, 10,
