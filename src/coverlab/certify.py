@@ -19,6 +19,7 @@ from . import codec
 from .arith import is_probable_prime, order_dividing
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
 from .construct import TwoPrimeData
+from .covers import build_doubled_cover
 from .lucas import LucasSpec, iter_terms_mod, period_mod
 
 DEFAULT_Q_POOL: tuple[int, ...] = (11, 19, 29, 31, 71, 181)
@@ -164,8 +165,9 @@ def build_standard_cases(
 ) -> list[ExclusionCase]:
     """One exclusion case per class of the doubled cover.
 
-    Case 0 is the odd progression n = 1 (mod 2) with target 2; case t >= 1
-    is n = 2*b_t (mod 2*m_t) with target p_t.  Auxiliary residues x mod q
+    Case t is class t of `build_doubled_cover(data.cover)`, read as a
+    progression of n, with target p_t: n = 1 (mod 2) with target 2, then
+    n = 2*b_t (mod 2*m_t) with target p_t.  Auxiliary residues x mod q
     come from the construction data itself (each pool prime is one of the 25
     moduli); a pool prime equal to the case target is dropped, since powers
     of p tell nothing mod p.
@@ -175,15 +177,11 @@ def build_standard_cases(
     if unknown:
         raise ValueError(f"pool primes {unknown} carry no residue in the data")
     cases = []
-    for t, p in enumerate(data.primes):
-        if t == 0:
-            r, m = 1, 2
-        else:
-            c = data.cover.classes[t - 1]
-            r, m = 2 * c.a, 2 * c.n
+    doubled = build_doubled_cover(data.cover)
+    for t, (p, c) in enumerate(zip(data.primes, doubled.classes, strict=True)):
         aux = tuple(AuxPrime(q, residue_of[q]) for q in q_pool if q != p)
         cases.append(ExclusionCase(
-            label=f"t{t:02d} p={p} n={r}(mod {m})", r=r, m=m, p=p, aux=aux))
+            label=f"t{t:02d} p={p} n={c.a}(mod {c.n})", r=c.a, m=c.n, p=p, aux=aux))
     return cases
 
 

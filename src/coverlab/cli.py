@@ -17,8 +17,8 @@ from . import assets, codec
 from .arith import FactorBudget
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
 from .certify import certify_all_cases, check_exclusion, load_case
-from .construct import (ERDOS_EXPONENT_COVER, build_erdos_class,
-                        build_two_prime_class, check_divisibility_mechanics)
+from .construct import (build_erdos_class, build_two_prime_class,
+                        check_divisibility_mechanics, erdos_witness_primes)
 from .covers import load_cover, verify_cover
 from .lucas import LucasSpec, check_rank_periodicity, find_primitive_divisors_u
 from .mersenne import find_primitive_divisors, verify_prime_table
@@ -161,13 +161,13 @@ def _reproduce_cases(args, report: RunReport) -> None:
 
 
 def _reproduce_erdos(args, report: RunReport) -> None:
-    cls = build_erdos_class()
+    report.asset_checksums = _checksums([assets.COVER_ERDOS], args.assets)
+    cover = assets.erdos_cover(args.assets)
+    cls = build_erdos_class(cover)
     _note(report, a=cls.a, M=cls.n)
     ok = cls.a % 2 == 1 and cls.a % 31 == 3
-    cover = [(a, n) for a, n, _ in ERDOS_EXPONENT_COVER]
-    primes = [p for _, _, p in ERDOS_EXPONENT_COVER]
-    mech = check_divisibility_mechanics(cls, cover, primes, m=1,
-                                        n_range=range(0, 2001))
+    mech = check_divisibility_mechanics(cls, cover, erdos_witness_primes(cover),
+                                        m=1, n_range=range(0, 2001))
     _note(report, mechanics_checked=mech.checked,
           mechanics_failures=len(mech.failures),
           odd=cls.a % 2 == 1, mod31=cls.a % 31)

@@ -24,20 +24,13 @@ from dataclasses import dataclass, field
 from . import codec
 from .arith import crt_combine, is_probable_prime, jacobi
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
-from .covers import CoveringSystem, ResidueClass, read_classes
+from .covers import CoveringSystem, ResidueClass, build_doubled_cover, read_classes
 from .lucas import LucasSpec, u_term_mod
 from .mersenne import is_primitive_divisor, mersenne_valuation
 
-# The classical exponent cover with its primitive primes: class a(n) of the
-# exponent pairs with the (unique) prime of order exactly n.
-ERDOS_EXPONENT_COVER: tuple[tuple[int, int, int], ...] = (
-    (0, 2, 3),
-    (0, 3, 7),
-    (1, 4, 5),
-    (3, 8, 17),
-    (7, 12, 13),
-    (23, 24, 241),
-)
+# The witness prime of each modulus n of the classical exponent cover: the
+# (unique) prime of order exactly n, so it divides 2^a - 2^n on all of a(n).
+ERDOS_WITNESS_PRIMES: dict[int, int] = {2: 3, 3: 7, 4: 5, 8: 17, 12: 13, 24: 241}
 
 
 class MissingCompanionError(ValueError):
@@ -50,15 +43,25 @@ class MissingCompanionError(ValueError):
             + ", ".join(str(p) for p in missing))
 
 
-def build_erdos_class() -> ResidueClass:
+def erdos_witness_primes(cover: CoveringSystem) -> list[int]:
+    """The witness prime of each class of an exponent cover, in class order."""
+    unknown = sorted({c.n for c in cover.classes} - ERDOS_WITNESS_PRIMES.keys())
+    if unknown:
+        raise ValueError(f"no witness prime for exponent moduli {unknown}")
+    return [ERDOS_WITNESS_PRIMES[c.n] for c in cover.classes]
+
+
+def build_erdos_class(cover: CoveringSystem) -> ResidueClass:
     """The classical class: x = 1 (mod 2), x = 3 (mod 31), x = 2^a (mod p).
 
     Any member x has p | x - 2^n for some cover prime p at every n >= 0,
     while x - 2^n = 3 - 2^n (mod 31) avoids every cover prime mod 31, so
-    x - 2^n is never prime itself.
+    x - 2^n is never prime itself.  One class a(n) of `cover` gives one
+    congruence, with p the witness prime of n.
     """
     classes = [ResidueClass(1, 2), ResidueClass(3, 31)]
-    classes += [ResidueClass(pow(2, a, p), p) for a, _, p in ERDOS_EXPONENT_COVER]
+    classes += [ResidueClass(pow(2, c.a, p), p)
+                for c, p in zip(cover.classes, erdos_witness_primes(cover))]
     return crt_combine(classes)
 
 
@@ -183,7 +186,8 @@ def build_two_prime_class(data: TwoPrimeData) -> tuple[ResidueClass, TwoPrimeRep
     every member has absolute value > 2, so x^2 = u_n is impossible (the
     only squares with 2x^2 in the Fibonacci sequence are x = 0, 1, 2).
     """
-    if len(data.primes) != len(data.cover.classes) + 1:
+    doubled = build_doubled_cover(data.cover)
+    if len(data.primes) != len(doubled.classes):
         raise ValueError("need exactly one prime per cover class plus one for parity")
     if len(data.residues) != len(data.primes):
         raise ValueError("need exactly one residue class per prime")
@@ -209,14 +213,13 @@ def build_two_prime_class(data: TwoPrimeData) -> tuple[ResidueClass, TwoPrimeRep
         "a-odd", combined.a % 2 == 1,
         "x^2 = u_1 = 1 (mod 2) needs odd members"))
     spec = LucasSpec(4)
-    for t in range(1, len(data.primes)):
-        p = data.primes[t]
-        b_t = data.cover.classes[t - 1].a
-        want = u_term_mod(spec, 2 * b_t, p)
+    pairs = list(zip(data.primes, doubled.classes))
+    for t, (p, c) in enumerate(pairs[1:], start=1):
+        want = u_term_mod(spec, c.a, p)
         got = combined.a * combined.a % p
         report.checks.append(CheckRow(
             f"square-residue t={t}", got == want,
-            f"a^2 = {got}, u_{2 * b_t} = {want} (mod {p})"))
+            f"a^2 = {got}, u_{c.a} = {want} (mod {p})"))
     smallest = min(combined.a % combined.n, combined.n - combined.a % combined.n)
     report.checks.append(CheckRow(
         "members-exceed-2", smallest > 2,
@@ -355,7 +358,7 @@ class MechanicsReport:
 
 def check_divisibility_mechanics(
     x_class: ResidueClass,
-    cover: list[tuple[int, int]],
+    cover: CoveringSystem,
     primes: list[int],
     m: int,
     n_range: range,
@@ -368,9 +371,9 @@ def check_divisibility_mechanics(
     additionally compared exactly against 0 and +-p_s, ruling out the
     borderline cases where divisibility alone would not force compositeness.
     """
-    if len(cover) != len(primes):
+    if len(cover.classes) != len(primes):
         raise ValueError("need exactly one prime per cover class")
-    alphas = [mersenne_valuation(p, n_s) for (_, n_s), p in zip(cover, primes)]
+    alphas = [mersenne_valuation(p, c.n) for c, p in zip(cover.classes, primes)]
     if any(a == 0 for a in alphas):
         bad = [p for p, a in zip(primes, alphas) if a == 0]
         raise ValueError(f"primes {bad} do not divide their 2^n - 1")
@@ -378,8 +381,7 @@ def check_divisibility_mechanics(
     report = MechanicsReport(checked=0)
     for n in n_range:
         report.checked += 1
-        s = next((i for i, (a_s, n_s) in enumerate(cover) if (n - a_s) % n_s == 0),
-                 None)
+        s = next((i for i, c in enumerate(cover.classes) if c.contains(n)), None)
         if s is None:
             report.failures.append(MechanicsRow(
                 n, None, None, False, None, "not covered by any class"))

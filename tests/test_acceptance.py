@@ -14,10 +14,10 @@ from coverlab.arith import factor, is_probable_prime, jacobi
 from coverlab.assets import (erdos_cover, generalized_demo, odd_cover_24,
                              odd_cover_173, prime_table, two_prime_data)
 from coverlab.certify import certify_all_cases
-from coverlab.construct import (ERDOS_EXPONENT_COVER, build_erdos_class,
+from coverlab.construct import (ERDOS_WITNESS_PRIMES, build_erdos_class,
                                 build_generalized_erdos, build_two_prime_class,
                                 check_divisibility_mechanics,
-                                pow_root_mod_prime_power)
+                                erdos_witness_primes, pow_root_mod_prime_power)
 from coverlab.covers import build_doubled_cover, verify_cover
 from coverlab.lucas import (LucasSpec, check_rank_periodicity, check_u_identity,
                             iter_terms_mod, rank_of_apparition, u_term)
@@ -170,19 +170,19 @@ def test_criterion_08_brute_force_window():
 def test_criterion_09_erdos_construction():
     with criterion("9: witness primes divide x - 2^n for all n <= 2000, < 5 s"):
         started = time.perf_counter()
-        cls = build_erdos_class()
+        cover = erdos_cover()
+        cls = build_erdos_class(cover)
         assert cls.a % 2 == 1
         assert cls.a % 31 == 3
-        cover = [(a, n) for a, n, _ in ERDOS_EXPONENT_COVER]
-        primes = [p for _, _, p in ERDOS_EXPONENT_COVER]
+        primes = erdos_witness_primes(cover)
         assert sorted(primes) == [3, 5, 7, 13, 17, 241]
         report = check_divisibility_mechanics(cls, cover, primes, m=1,
                                               n_range=range(0, 2001))
         elapsed = time.perf_counter() - started
         assert report.checked == 2001 and report.all_ok
         assert elapsed < 5.0, f"mechanics took {elapsed:.2f}s"
-        # cross-check via the cover asset: the exponent classes really cover Z
-        assert verify_cover(erdos_cover()).is_cover
+        # the exponent classes really cover Z
+        assert verify_cover(cover).is_cover
 
 
 def test_criterion_10_wieferich_scan():
@@ -244,8 +244,8 @@ def test_criterion_12_generalized_construction_surrogates():
 
         # (a) the shipped power-1 instance degenerates to the classical class
         demo = generalized_demo()
-        erdos = build_erdos_class()
+        erdos = build_erdos_class(erdos_cover())
         built = build_generalized_erdos(demo)
         assert built.a % 2 == 1 == erdos.a % 2
-        for _, _, p in ERDOS_EXPONENT_COVER:
+        for p in ERDOS_WITNESS_PRIMES.values():
             assert built.a % p == erdos.a % p, p

@@ -127,6 +127,42 @@ def test_standard_cases_shape():
         assert sizes[q] == len(DEFAULT_Q_POOL) - 1
 
 
+# (label, r, m, p) of the 25 standard cases, as the hand-written doubling
+# 1(2), 2b_t(2m_t) produced them before the cases came from the cover layer
+STANDARD_CASES = [
+    ("t00 p=2 n=1(mod 2)", 1, 2, 2),
+    ("t01 p=19 n=2(mod 6)", 2, 6, 19),
+    ("t02 p=31 n=4(mod 10)", 4, 10, 31),
+    ("t03 p=11 n=6(mod 10)", 6, 10, 11),
+    ("t04 p=211 n=8(mod 14)", 8, 14, 211),
+    ("t05 p=29 n=12(mod 14)", 12, 14, 29),
+    ("t06 p=5779 n=0(mod 18)", 0, 18, 5779),
+    ("t07 p=541 n=10(mod 30)", 10, 30, 541),
+    ("t08 p=181 n=22(mod 30)", 22, 30, 181),
+    ("t09 p=31249 n=18(mod 42)", 18, 42, 31249),
+    ("t10 p=1009 n=24(mod 42)", 24, 42, 1009),
+    ("t11 p=767131 n=2(mod 70)", 2, 70, 767131),
+    ("t12 p=21211 n=28(mod 70)", 28, 70, 21211),
+    ("t13 p=911 n=48(mod 70)", 48, 70, 911),
+    ("t14 p=71 n=58(mod 70)", 58, 70, 71),
+    ("t15 p=119611 n=12(mod 90)", 12, 90, 119611),
+    ("t16 p=42391 n=30(mod 90)", 30, 90, 42391),
+    ("t17 p=271 n=58(mod 90)", 58, 90, 271),
+    ("t18 p=811 n=60(mod 90)", 60, 90, 811),
+    ("t19 p=379 n=10(mod 126)", 10, 126, 379),
+    ("t20 p=912871 n=46(mod 126)", 46, 126, 912871),
+    ("t21 p=85429 n=88(mod 126)", 88, 126, 85429),
+    ("t22 p=631 n=132(mod 210)", 132, 210, 631),
+    ("t23 p=69931 n=42(mod 630)", 42, 630, 69931),
+    ("t24 p=17011 n=178(mod 630)", 178, 630, 17011),
+]
+
+
+def test_standard_cases_golden():
+    cases = build_standard_cases(two_prime_data())
+    assert [(c.label, c.r, c.m, c.p) for c in cases] == STANDARD_CASES
+
+
 def test_certify_all_cases_valid():
     reports = certify_all_cases(two_prime_data())
     assert len(reports) == 25

@@ -4,20 +4,21 @@ import random
 import pytest
 
 from coverlab.arith import FactorBudget, factor, is_probable_prime
-from coverlab.assets import generalized_demo, two_prime_data
-from coverlab.construct import (ERDOS_EXPONENT_COVER, GeneralizedErdosClass,
+from coverlab.assets import erdos_cover, generalized_demo, two_prime_data
+from coverlab.construct import (ERDOS_WITNESS_PRIMES, GeneralizedErdosClass,
                                 GeneralizedErdosInstance, MissingCompanionError,
                                 build_erdos_class, build_generalized_erdos,
                                 build_two_prime_class,
                                 check_divisibility_mechanics,
+                                erdos_witness_primes,
                                 pow_root_mod_prime_power, solve_b)
-from coverlab.covers import ResidueClass
+from coverlab.covers import CoveringSystem, ResidueClass
 from coverlab.lucas import LucasSpec, u_term_mod
 from coverlab.mersenne import find_primitive_divisors
 
 
 def test_build_erdos_class_residues():
-    cls = build_erdos_class()
+    cls = build_erdos_class(erdos_cover())
     assert cls.n == 2 * 3 * 5 * 7 * 13 * 17 * 31 * 241
     assert cls.a % 2 == 1
     assert cls.a % 31 == 3
@@ -30,9 +31,9 @@ def test_build_erdos_class_residues():
 
 
 def test_erdos_mechanics_window():
-    cls = build_erdos_class()
-    cover = [(a, n) for a, n, _ in ERDOS_EXPONENT_COVER]
-    primes = [p for _, _, p in ERDOS_EXPONENT_COVER]
+    cover = erdos_cover()
+    cls = build_erdos_class(cover)
+    primes = erdos_witness_primes(cover)
     report = check_divisibility_mechanics(cls, cover, primes, m=1,
                                           n_range=range(0, 2001))
     assert report.checked == 2001
@@ -43,8 +44,8 @@ def test_erdos_mechanics_window():
 
 
 def test_mechanics_flags_uncovered():
-    cls = build_erdos_class()
-    cover = [(0, 2)]       # evens only
+    cls = build_erdos_class(erdos_cover())
+    cover = CoveringSystem([ResidueClass(0, 2)])       # evens only
     report = check_divisibility_mechanics(cls, cover, [3], m=1,
                                           n_range=range(0, 10))
     bad = [row for row in report.failures if row.note == "not covered by any class"]
@@ -299,10 +300,10 @@ def test_generalized_validation():
 def test_generalized_demo_asset_matches_erdos():
     """The shipped m=1 instance degenerates to the classical congruences."""
     instance = generalized_demo()
-    erdos = build_erdos_class()
+    erdos = build_erdos_class(erdos_cover())
     cls = build_generalized_erdos(instance)
     assert cls.a % 2 == erdos.a % 2 == 1
-    for _, _, p in ERDOS_EXPONENT_COVER:
+    for p in ERDOS_WITNESS_PRIMES.values():
         assert cls.a % p == erdos.a % p
 
 
