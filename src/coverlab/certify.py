@@ -194,13 +194,25 @@ def certify_all_cases(
 
 
 def load_case(path) -> ExclusionCase:
-    """Read a case file: {"label", "r", "m", "p", "aux": [{"q", "x_mod_q"}]}."""
+    """Read a case file: {"label", "r", "m", "p", "aux": [{"q", "x_mod_q"}]}.
+
+    The modulus m is at least 1 and the auxiliary primes are distinct: two
+    residues for one q would pin x to no class at all, and a claim about no x
+    is vacuously true.
+    """
     raw = codec.load(path)
-    aux = tuple(AuxPrime(q=e["q"].int(), x_mod_q=e["x_mod_q"].int())
-                for e in raw.get("aux", []).list())
+    m = raw["m"].int()
+    if m < 1:
+        raise raw["m"].error(f"progression modulus {m} < 1")
+    aux = []
+    for e in raw.get("aux", []).list():
+        q = e["q"].int()
+        if any(a.q == q for a in aux):
+            raise e["q"].error(f"duplicate auxiliary prime {q}")
+        aux.append(AuxPrime(q=q, x_mod_q=e["x_mod_q"].int()))
     return ExclusionCase(
-        label=raw.get("label", "").str(), r=raw["r"].int(), m=raw["m"].int(),
-        p=raw["p"].int(), aux=aux)
+        label=raw.get("label", "").str(), r=raw["r"].int(), m=m,
+        p=raw["p"].int(), aux=tuple(aux))
 
 
 def store_case(case: ExclusionCase, path) -> None:

@@ -137,19 +137,27 @@ def _reproduce_thm11(args, report: RunReport) -> None:
 def _reproduce_thm13(args, report: RunReport) -> None:
     report.asset_checksums = _checksums([assets.TWO_PRIME_CLASS], args.assets)
     data = assets.two_prime_data(args.assets)
-    combined, build_report = build_two_prime_class(data)
-    for row in build_report.failures():
-        _note(report, check=row.name, ok=row.ok, detail=row.detail)
+    combined, build_report = _two_prime_class(args, report, data)
     _note(report, checks=len(build_report.checks),
           failures=len(build_report.failures()))
     _note(report, a=combined.a, M=combined.n)
+
+
+def _two_prime_class(args, report: RunReport, data):
+    """Build the two-prime class; note each failed check and fail the run."""
+    combined, build_report = build_two_prime_class(
+        data, enumeration_budget=args.budget)
+    for row in build_report.failures():
+        _note(report, check=row.name, ok=row.ok, detail=row.detail)
     if not build_report.passed:
         report.outcome = "fail"
+    return combined, build_report
 
 
 def _reproduce_cases(args, report: RunReport) -> None:
     report.asset_checksums = _checksums([assets.TWO_PRIME_CLASS], args.assets)
     data = assets.two_prime_data(args.assets)
+    _two_prime_class(args, report, data)
     certificates = certify_all_cases(data)
     valid = sum(1 for c in certificates if c.valid)
     if valid < len(certificates):
@@ -163,6 +171,9 @@ def _reproduce_cases(args, report: RunReport) -> None:
 def _reproduce_erdos(args, report: RunReport) -> None:
     report.asset_checksums = _checksums([assets.COVER_ERDOS], args.assets)
     cover = assets.erdos_cover(args.assets)
+    cover_result = verify_cover(cover, enumeration_budget=args.budget)
+    _note(report, check="cover", classes=len(cover.classes),
+          lcm=cover_result.lcm, is_cover=cover_result.is_cover)
     cls = build_erdos_class(cover)
     _note(report, a=cls.a, M=cls.n)
     ok = cls.a % 2 == 1 and cls.a % 31 == 3
@@ -171,7 +182,7 @@ def _reproduce_erdos(args, report: RunReport) -> None:
     _note(report, mechanics_checked=mech.checked,
           mechanics_failures=len(mech.failures),
           odd=cls.a % 2 == 1, mod31=cls.a % 31)
-    if not (ok and mech.all_ok):
+    if not (ok and mech.all_ok and cover_result.is_cover):
         report.outcome = "fail"
 
 

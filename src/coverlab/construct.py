@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 from . import codec
 from .arith import crt_combine, is_probable_prime, jacobi
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
-from .covers import CoveringSystem, ResidueClass, build_doubled_cover, read_classes
-from .lucas import LucasSpec, u_term_mod
+from .covers import (CoveringSystem, ResidueClass, build_doubled_cover,
+                     read_classes, verify_cover)
+from .lucas import LucasSpec, period_mod, u_term_mod
 from .mersenne import is_primitive_divisor, mersenne_valuation
 
 # The witness prime of each modulus n of the classical exponent cover: the
@@ -177,14 +178,29 @@ class TwoPrimeReport:
         return [c for c in self.checks if not c.ok]
 
 
-def build_two_prime_class(data: TwoPrimeData) -> tuple[ResidueClass, TwoPrimeReport]:
+def _cover_row(name: str, system: CoveringSystem, budget: int) -> CheckRow:
+    result = verify_cover(system, enumeration_budget=budget)
+    detail = f"lcm {result.lcm}"
+    if not result.is_cover:
+        detail += f", {result.uncovered_witness} is uncovered"
+    return CheckRow(name, result.is_cover, detail)
+
+
+def build_two_prime_class(
+    data: TwoPrimeData,
+    enumeration_budget: int = 10**8,
+) -> tuple[ResidueClass, TwoPrimeReport]:
     """Intersect the 25 residue classes and verify the construction.
 
-    The report asserts: the computed class matches the expected a and M
-    digit for digit; M is the product of the 25 primes; a is odd (so
-    a^2 = u_1 = 1 mod 2); a^2 = u_{2b_t} (mod p_t) for every t >= 1; and
-    every member has absolute value > 2, so x^2 = u_n is impossible (the
-    only squares with 2x^2 in the Fibonacci sequence are x = 0, 1, 2).
+    The report asserts the links of the proof: the odd classes cover Z, and
+    so does their doubling {1(2)} + {2b_t(2m_t)} (`enumeration_budget` bounds
+    both sieves); the period of u_n mod p_t divides the modulus of doubled
+    class t, so u_n mod p_t is constant along that progression.  Then: the
+    computed class matches the expected a and M digit for digit; M is the
+    product of the 25 primes; a is odd (so a^2 = u_1 = 1 mod 2);
+    a^2 = u_{2b_t} (mod p_t) for every t >= 1; and every member has absolute
+    value > 2, so x^2 = u_n is impossible (the only squares with 2x^2 in the
+    Fibonacci sequence are x = 0, 1, 2).
     """
     doubled = build_doubled_cover(data.cover)
     if len(data.primes) != len(doubled.classes):
@@ -199,8 +215,21 @@ def build_two_prime_class(data: TwoPrimeData) -> tuple[ResidueClass, TwoPrimeRep
         if not is_probable_prime(p):
             raise ValueError(f"modulus {p} at position {t} is not prime")
 
-    combined = crt_combine(data.residues)
+    spec = LucasSpec(4)
+    pairs = list(zip(data.primes, doubled.classes))
     report = TwoPrimeReport()
+    report.checks.append(_cover_row("odd-cover", data.cover, enumeration_budget))
+    report.checks.append(_cover_row("doubled-cover", doubled, enumeration_budget))
+    for t, (p, c) in enumerate(pairs):
+        try:    # a period above c.n cannot divide it, so the walk stops there
+            period = period_mod(spec, p, max_steps=c.n)
+        except ValueError:
+            period = None
+        report.checks.append(CheckRow(
+            f"period t={t}", period is not None and c.n % period == 0,
+            f"u_n mod {p} has period {period or f'> {c.n}'}, modulus {c.n}"))
+
+    combined = crt_combine(data.residues)
     report.checks.append(CheckRow(
         "a-digit-exact", combined.a == data.expected_a,
         f"computed {combined.a}"))
@@ -212,8 +241,6 @@ def build_two_prime_class(data: TwoPrimeData) -> tuple[ResidueClass, TwoPrimeRep
     report.checks.append(CheckRow(
         "a-odd", combined.a % 2 == 1,
         "x^2 = u_1 = 1 (mod 2) needs odd members"))
-    spec = LucasSpec(4)
-    pairs = list(zip(data.primes, doubled.classes))
     for t, (p, c) in enumerate(pairs[1:], start=1):
         want = u_term_mod(spec, c.a, p)
         got = combined.a * combined.a % p

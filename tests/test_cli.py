@@ -246,6 +246,103 @@ def test_reproduce_thm11_fails_on_dropped_prime(tmp_path, capsys):
     assert code == 1
 
 
+def _edited_assets(tmp_path, name, edit):
+    custom = _assets_copy(tmp_path)
+    path = custom / name
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+    return custom
+
+
+def test_reproduce_names_a_broken_odd_cover(tmp_path, capsys):
+    # 2(5) moved to 3(5): n = 2 is left uncovered, and 4 in the doubled cover
+    def move(raw):
+        assert raw["odd_cover"][1] == {"a": "2", "n": "5"}
+        raw["odd_cover"][1]["a"] = "3"
+
+    custom = _edited_assets(tmp_path, assets.TWO_PRIME_CLASS, move)
+    for target in ("thm13", "cases"):
+        code, out = run(["reproduce", target, "--assets", str(custom)], capsys)
+        assert code == 1, target
+        assert "check=odd-cover  ok=false  detail=lcm 315, 2 is uncovered" in out
+        assert "check=doubled-cover  ok=false  detail=lcm 630, 4 is uncovered" in out
+
+
+def test_reproduce_names_a_period_that_does_not_divide(tmp_path, capsys):
+    # over the cover {0(1)} doubled class 1 is 0(2), but u_n mod 5 has period
+    # 20: x^2 = u_0 (mod 5) says nothing about u_2, u_4, ...
+    def one_class(raw):
+        raw.update({"odd_cover": [{"a": "0", "n": "1"}], "primes": ["2", "5"],
+                    "residues": [{"a": "1", "n": "2"}, {"a": "0", "n": "5"}],
+                    "expected_a": "5", "expected_m": "10"})
+
+    custom = _edited_assets(tmp_path, assets.TWO_PRIME_CLASS, one_class)
+    code, out = run(["reproduce", "thm13", "--assets", str(custom)], capsys)
+    assert code == 1
+    assert "check=period t=1  ok=false  detail=u_n mod 5 has period > 2, modulus 2" in out
+    assert "failures=1" in out
+
+
+def test_reproduce_names_a_wrong_residue(tmp_path, capsys):
+    # x = 15 instead of 14 (mod 31): 15^2 = 8, but u_4 = 10 (mod 31)
+    def shift(raw):
+        assert raw["residues"][2] == {"a": "14", "n": "31"}
+        raw["residues"][2]["a"] = "15"
+
+    custom = _edited_assets(tmp_path, assets.TWO_PRIME_CLASS, shift)
+    for target in ("thm13", "cases"):
+        code, out = run(["reproduce", target, "--assets", str(custom)], capsys)
+        assert code == 1, target
+        assert "check=square-residue t=2  ok=false  detail=a^2 = 8, u_4 = 10 (mod 31)" in out
+
+
+def test_reproduce_erdos_names_a_broken_cover(tmp_path, capsys):
+    def drop(raw):
+        assert raw["classes"].pop() == {"a": "23", "n": "24"}
+
+    custom = _edited_assets(tmp_path, assets.COVER_ERDOS, drop)
+    code, out = run(["reproduce", "erdos", "--assets", str(custom)], capsys)
+    assert code == 1
+    assert "check=cover  classes=5  lcm=24  is_cover=false" in out
+
+
+def test_reproduce_erdos_reads_the_cover_asset(capsys):
+    code, out = run(["reproduce", "erdos", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload["asset_checksums"]) == [assets.COVER_ERDOS]
+    assert payload["detail"][0] == {"check": "cover", "classes": "6",
+                                    "lcm": "24", "is_cover": "true"}
+
+
+def test_reproduce_rejects_unknown_erdos_modulus(tmp_path, capsys):
+    def add(raw):
+        raw["classes"].append({"a": "0", "n": "5"})
+
+    custom = _edited_assets(tmp_path, assets.COVER_ERDOS, add)
+    assert cli.main(["reproduce", "erdos", "--assets", str(custom)]) == 2
+    assert "no witness prime for exponent moduli [5]" in capsys.readouterr().err
+
+
+def test_reproduce_rejects_even_two_prime_modulus(tmp_path, capsys):
+    # doubling 1(6) would give 2(12), which is not the odd-cover construction
+    def even(raw):
+        raw["odd_cover"][0] = {"a": "1", "n": "6"}
+
+    custom = _edited_assets(tmp_path, assets.TWO_PRIME_CLASS, even)
+    for target in ("thm13", "cases"):
+        assert cli.main(["reproduce", target, "--assets", str(custom)]) == 2
+        assert "modulus 6 is even" in capsys.readouterr().err
+
+
+def test_reproduce_budget_bounds_the_link_sieves(capsys):
+    # the odd cover has lcm 315 and the Erdos cover lcm 24
+    for target, budget in (("thm13", "314"), ("cases", "314"), ("erdos", "23")):
+        assert cli.main(["reproduce", target, "--budget", budget]) == 2
+        assert "above the enumeration budget" in capsys.readouterr().err
+
+
 def test_reports_deterministic_apart_from_timing(capsys):
     code1, out1 = run(["certify", asset(assets.SAMPLE_CASE), "--json"], capsys)
     code2, out2 = run(["certify", asset(assets.SAMPLE_CASE), "--json"], capsys)

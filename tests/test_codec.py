@@ -21,7 +21,11 @@ CASE = {"label": "x", "r": "12", "m": "14", "p": "29",
     ([CASE], "$"),
     ({**CASE, "r": True}, "$.r"),
     ({**CASE, "r": "1.5"}, "$.r"),
-], ids=["aux-not-object", "top-level-list", "r-bool", "r-not-decimal"])
+    ({**CASE, "m": "0"}, "$.m"),
+    ({"r": "1", "m": "2", "p": "3",
+      "aux": [{"q": "11", "x_mod_q": "1"}, {"q": "11", "x_mod_q": "2"}]}, "$.aux[1].q"),
+], ids=["aux-not-object", "top-level-list", "r-bool", "r-not-decimal",
+        "m-below-1", "aux-prime-repeated"])
 def test_certify_rejects_malformed_case(tmp_path, capsys, doc, field):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(doc))

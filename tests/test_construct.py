@@ -212,6 +212,29 @@ def test_two_prime_square_residues_and_members():
     assert a % 31 == 14 and 14 * 14 % 31 == 10 == u_term_mod(spec, 4, 31)
 
 
+def test_build_two_prime_class_link_rows():
+    _, report = build_two_prime_class(two_prime_data())
+    rows = {c.name: c for c in report.checks}
+    assert len(report.checks) == 56
+    assert rows["odd-cover"].ok and rows["odd-cover"].detail == "lcm 315"
+    assert rows["doubled-cover"].ok and rows["doubled-cover"].detail == "lcm 630"
+    periods = [c for c in report.checks if c.name.startswith("period t=")]
+    assert [c.name for c in periods] == [f"period t={t}" for t in range(25)]
+    assert all(c.ok for c in periods)
+    assert periods[0].detail == "u_n mod 2 has period 2, modulus 2"
+    assert periods[24].detail == "u_n mod 17011 has period 630, modulus 630"
+
+
+def test_erdos_witness_primes_have_exact_order():
+    for n, p in ERDOS_WITNESS_PRIMES.items():
+        assert pow(2, n, p) == 1
+        assert all(pow(2, d, p) != 1 for d in range(1, n))
+    assert erdos_witness_primes(erdos_cover()) == [3, 7, 5, 17, 13, 241]
+    with pytest.raises(ValueError, match=r"moduli \[5, 7\]"):
+        erdos_witness_primes(CoveringSystem([ResidueClass(0, 7), ResidueClass(0, 5),
+                                             ResidueClass(0, 2)]))
+
+
 def test_build_two_prime_class_validation():
     data = two_prime_data()
     data.primes = data.primes[:-1]
