@@ -7,8 +7,8 @@ import pytest
 from coverlab.assets import erdos_cover, odd_cover_173, odd_cover_24
 from coverlab.codec import FormatError
 from coverlab.covers import (CoveringSystem, ResidueClass, build_doubled_cover,
-                             load_cover, modulus_multiplicity, store_cover,
-                             verify_cover)
+                             load_cover, modulus_multiplicity, refine,
+                             store_cover, verify_cover)
 
 
 def test_normalize_examples():
@@ -78,6 +78,94 @@ def test_verify_cover_matches_direct_membership():
             assert report.uncovered_witness == counts.index(0)
 
 
+def test_verify_cover_counts_past_255():
+    # cell 0 is hit 256 times and its byte wraps to 0; it must not read as
+    # uncovered, and its count must not read as 0
+    report = verify_cover(CoveringSystem([ResidueClass(0, 2)] * 256))
+    assert not report.is_cover
+    assert report.uncovered_witness == 1
+    assert (report.min_multiplicity, report.max_multiplicity) == (0, 256)
+
+    # every cell wraps
+    report = verify_cover(CoveringSystem([ResidueClass(0, 1)] * 300 + [ResidueClass(1, 2)]))
+    assert report.is_cover and report.uncovered_witness is None
+    assert (report.min_multiplicity, report.max_multiplicity) == (300, 301)
+
+
+def test_verify_cover_matches_direct_counts_at_any_multiplicity():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    stacks = st.lists(st.tuples(st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 12]),
+                                st.integers(1, 300)), min_size=1, max_size=8)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(stacks, st.randoms(use_true_random=False))
+    def check(stack, rng):
+        classes = [ResidueClass(a, n) for a, n, copies in stack for _ in range(copies)][:600]
+        rng.shuffle(classes)
+        system = CoveringSystem(classes)
+        report = verify_cover(system)
+        counts = [sum(c.contains(x) for c in classes) for x in range(system.lcm())]
+        assert report.is_cover == all(counts)
+        assert report.min_multiplicity == min(counts)
+        assert report.max_multiplicity == max(counts)
+        assert report.uncovered_witness == (counts.index(0) if 0 in counts else None)
+
+    check()
+
+
+def test_verify_cover_refined_erdos_cover_at_scale():
+    erdos, odd = erdos_cover(), odd_cover_173()
+    for target, lcm, max_mult in ((ResidueClass(0, 3), 16_216_200, 7),
+                                  (ResidueClass(0, 2), 5_405_400, 6)):
+        cover = refine(erdos, target, odd)
+        report = verify_cover(cover)
+        assert report.is_cover and report.uncovered_witness is None
+        assert (report.lcm, report.min_multiplicity, report.max_multiplicity) == (lcm, 1, max_mult)
+
+        twin = CoveringSystem([c for c in cover.classes if c != ResidueClass(23, 24)])
+        report = verify_cover(twin)
+        assert not report.is_cover and report.lcm == lcm
+        assert report.uncovered_witness == 23 and report.min_multiplicity == 0
+
+
+def test_refine_examples():
+    system = CoveringSystem([ResidueClass(0, 2), ResidueClass(1, 4), ResidueClass(3, 4)],
+                            label="base")
+    thirds = CoveringSystem([ResidueClass(0, 3), ResidueClass(4, 3), ResidueClass(2, 3)])
+    refined = refine(system, ResidueClass(1, 4), thirds)
+    assert refined.label == "base"
+    assert refined.classes == [ResidueClass(0, 2), ResidueClass(3, 4), ResidueClass(1, 12),
+                               ResidueClass(5, 12), ResidueClass(9, 12)]
+    assert system.classes[1] == ResidueClass(1, 4)   # the input is left as it was
+
+    twice = CoveringSystem([ResidueClass(0, 2), ResidueClass(0, 2), ResidueClass(1, 2)])
+    halves = CoveringSystem([ResidueClass(0, 2), ResidueClass(1, 2)])
+    assert refine(twice, ResidueClass(0, 2), halves).classes == [
+        ResidueClass(0, 2), ResidueClass(1, 2), ResidueClass(0, 4), ResidueClass(2, 4)]
+
+    with pytest.raises(ValueError, match=r"2\(3\) is not a class"):
+        refine(system, ResidueClass(2, 3), thirds)
+
+
+def test_refine_membership_property():
+    rng = random.Random(33)
+    for _ in range(30):
+        system = CoveringSystem([ResidueClass(rng.randrange(-5, 12), rng.choice([1, 2, 3, 4, 6]))
+                                 for _ in range(rng.randrange(1, 5))])
+        cls = rng.choice(system.classes)
+        sub = CoveringSystem([ResidueClass(rng.randrange(-5, 12), rng.choice([1, 2, 3, 5]))
+                              for _ in range(rng.randrange(1, 4))])
+        refined = refine(system, cls, sub)
+        rest = list(system.classes)
+        rest.remove(cls)
+        for x in range(-60, 60):
+            expected = (any(c.contains(x) for c in rest)
+                        or (cls.contains(x) and any(b.contains((x - cls.a) // cls.n)
+                                                    for b in sub.classes)))
+            assert any(c.contains(x) for c in refined.classes) == expected
+
+
 def test_modulus_multiplicity():
     a1 = odd_cover_173()
     mult = modulus_multiplicity(a1)
@@ -88,9 +176,12 @@ def test_modulus_multiplicity():
 
 
 def test_build_doubled_cover():
-    doubled = build_doubled_cover(odd_cover_24())
+    odd = odd_cover_24()
+    doubled = build_doubled_cover(odd)
     assert len(doubled.classes) == 25
-    assert doubled.classes[0] == ResidueClass(1, 2)
+    assert doubled.classes == [ResidueClass(1, 2)] + [
+        ResidueClass(2 * c.a % (2 * c.n), 2 * c.n) for c in odd.classes]
+    assert doubled.label == f"{odd.label}-doubled"
     for c in doubled.classes[1:]:
         assert c.n % 4 == 2
     folded = 1
