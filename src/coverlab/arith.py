@@ -18,6 +18,7 @@ from .covers import ResidueClass
 # n < 3.317e24 (Sorenson-Webster), which comfortably includes all of 2^64.
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DETERMINISTIC_LIMIT = 1 << 64
+_MR_ROUNDS = 40   # Miller-Rabin bases in all at and above 2^64
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -66,14 +67,14 @@ class FactorBudget:
 _DEFAULT_BUDGET = FactorBudget()   # built once: factor() is called per small n in tight loops
 
 
-def is_probable_prime(n: int, rounds: int = 40) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Primality test: deterministic below 2^64, strong-pseudoprime above.
 
     Below 2^64 the fixed 12-prime witness set decides exactly.  Above, the
     witnesses are the same 12 primes plus pseudorandom bases drawn from an
-    RNG seeded by n itself, `rounds` bases in total, so results are
-    reproducible.  No prime is ever rejected; a composite slips through with
-    probability at most 4**-rounds.
+    RNG seeded by n itself, 40 bases in total, so results are reproducible.
+    No prime is ever rejected; a composite slips through with probability at
+    most 4**-40.
     """
     if n < 2:
         return False
@@ -86,9 +87,9 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         d //= 2
         r += 1
     witnesses: list[int] = list(_SMALL_WITNESSES)
-    if n >= _DETERMINISTIC_LIMIT and rounds > len(witnesses):
+    if n >= _DETERMINISTIC_LIMIT:
         rng = random.Random(n)
-        while len(witnesses) < rounds:
+        while len(witnesses) < _MR_ROUNDS:
             witnesses.append(rng.randrange(2, n - 1))
     for a in witnesses:
         x = pow(a, d, n)

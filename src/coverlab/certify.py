@@ -92,13 +92,6 @@ def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> Cer
         if case.p % aux.q == 0:
             raise ValueError(f"auxiliary {aux.q} divides the target {case.p}")
 
-    if not case.aux:
-        # no evidence: the very first combination survives vacuously
-        return CertificateReport(
-            label=case.label, valid=False, combinations=2,
-            counterexample=(case.r % case.m, 1, 0),
-            aux_evidence=())
-
     # every period divides n_span = n_count * m, and combinations >= 2 * n_count,
     # so a period above combination_budget * m / 2 already breaks the budget
     step_cap = combination_budget * case.m // 2
@@ -159,38 +152,32 @@ def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> Cer
     )
 
 
-def build_standard_cases(
-    data: TwoPrimeData,
-    q_pool: tuple[int, ...] = DEFAULT_Q_POOL,
-) -> list[ExclusionCase]:
+def build_standard_cases(data: TwoPrimeData) -> list[ExclusionCase]:
     """One exclusion case per class of the doubled cover.
 
     Case t is class t of `build_doubled_cover(data.cover)`, read as a
     progression of n, with target p_t: n = 1 (mod 2) with target 2, then
     n = 2*b_t (mod 2*m_t) with target p_t.  Auxiliary residues x mod q
-    come from the construction data itself (each pool prime is one of the 25
-    moduli); a pool prime equal to the case target is dropped, since powers
-    of p tell nothing mod p.
+    come from the construction data itself (each prime of DEFAULT_Q_POOL is
+    one of the 25 moduli); a pool prime equal to the case target is dropped,
+    since powers of p tell nothing mod p.
     """
     residue_of = {r.n: r.a for r in data.residues}
-    unknown = [q for q in q_pool if q not in residue_of]
+    unknown = [q for q in DEFAULT_Q_POOL if q not in residue_of]
     if unknown:
         raise ValueError(f"pool primes {unknown} carry no residue in the data")
     cases = []
     doubled = build_doubled_cover(data.cover)
     for t, (p, c) in enumerate(zip(data.primes, doubled.classes, strict=True)):
-        aux = tuple(AuxPrime(q, residue_of[q]) for q in q_pool if q != p)
+        aux = tuple(AuxPrime(q, residue_of[q]) for q in DEFAULT_Q_POOL if q != p)
         cases.append(ExclusionCase(
             label=f"t{t:02d} p={p} n={c.a}(mod {c.n})", r=c.a, m=c.n, p=p, aux=aux))
     return cases
 
 
-def certify_all_cases(
-    data: TwoPrimeData,
-    q_pool: tuple[int, ...] = DEFAULT_Q_POOL,
-) -> list[CertificateReport]:
+def certify_all_cases(data: TwoPrimeData) -> list[CertificateReport]:
     """Run every standard case and return its report, valid or not."""
-    return [check_exclusion(case) for case in build_standard_cases(data, q_pool)]
+    return [check_exclusion(case) for case in build_standard_cases(data)]
 
 
 def load_case(path) -> ExclusionCase:

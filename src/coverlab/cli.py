@@ -178,7 +178,7 @@ def _reproduce_erdos(args, report: RunReport) -> None:
     _note(report, a=cls.a, M=cls.n)
     ok = cls.a % 2 == 1 and cls.a % 31 == 3
     mech = check_divisibility_mechanics(cls, cover, erdos_witness_primes(cover),
-                                        m=1, n_range=range(0, 2001))
+                                        n_range=range(0, 2001))
     _note(report, mechanics_checked=mech.checked,
           mechanics_failures=len(mech.failures),
           odd=cls.a % 2 == 1, mod31=cls.a % 31)
@@ -192,8 +192,7 @@ def _reproduce_lemma41(args, report: RunReport) -> None:
         spec = LucasSpec(c)
         for n in (2, 6, 10, 14):
             primitive, _ = find_primitive_divisors_u(spec, n)
-            bad = [p for p in primitive
-                   if not check_rank_periodicity(spec, n, p, k_max=5)]
+            bad = [p for p in primitive if not check_rank_periodicity(spec, n, p)]
             failures += len(bad)
             _note(report, c=c, n=n, primitive_primes=len(primitive),
                   failures=len(bad))
@@ -227,16 +226,15 @@ def _cmd_certify(args) -> RunReport:
 
 def _emit(report: RunReport, args) -> None:
     payload = report.to_dict()
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(f"{report.command}: {report.outcome}")
         for row in report.detail:
             print("  " + "  ".join(f"{k}={v}" for k, v in row.items()))
         print(f"  ({report.wall_time_s:.2f}s)")
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 
@@ -247,15 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Covering systems with odd moduli and their prime-divisor "
                     "certificates: verification and reproduction runs.")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--out", help="also write the JSON report here")
 
-    p_cover = sub.add_parser("verify-cover", help="sieve a cover file over one period")
+    p_cover = sub.add_parser("verify-cover", parents=[output],
+                             help="sieve a cover file over one period")
     p_cover.add_argument("path")
     p_cover.add_argument("--budget", type=int, default=10**8,
                          help="largest lcm the sieve will enumerate")
-    p_cover.add_argument("--json", action="store_true")
-    p_cover.add_argument("--out", help="also write the JSON report here")
 
-    p_prim = sub.add_parser("primitive",
+    p_prim = sub.add_parser("primitive", parents=[output],
                             help="primitive prime divisors of 2^n-1 or of a "
                                  "Lucas sequence term")
     p_prim.add_argument("--base", type=int, choices=[2], default=None,
@@ -268,10 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "least 1); rho then runs up to 10 times this many "
                              "iterations per attempt (default: the FactorBudget "
                              "defaults, 4096 and 10^7)")
-    p_prim.add_argument("--json", action="store_true")
-    p_prim.add_argument("--out")
 
-    p_rep = sub.add_parser("reproduce", help="run a full verification target")
+    p_rep = sub.add_parser("reproduce", parents=[output],
+                           help="run a full verification target")
     p_rep.add_argument("target",
                        choices=["thm11", "thm13", "cases", "erdos", "lemma41"])
     p_rep.add_argument("--assets", default=None,
@@ -281,15 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out-errata", default=None,
                        help="write discovered prime-table errata to this file "
                             "(always written, [] when there are none)")
-    p_rep.add_argument("--json", action="store_true")
-    p_rep.add_argument("--out")
 
-    p_cert = sub.add_parser("certify", help="check one exclusion-case file")
+    p_cert = sub.add_parser("certify", parents=[output],
+                            help="check one exclusion-case file")
     p_cert.add_argument("case_file")
     p_cert.add_argument("--budget", type=int, default=10**9,
                         help="largest (n, sign, b) combination count")
-    p_cert.add_argument("--json", action="store_true")
-    p_cert.add_argument("--out")
     return parser
 
 

@@ -369,7 +369,7 @@ class MechanicsRow:
     class_index: int | None
     prime: int | None
     congruence_ok: bool
-    exact_ok: bool | None
+    exact_ok: bool
     note: str = ""
 
 
@@ -387,15 +387,13 @@ def check_divisibility_mechanics(
     x_class: ResidueClass,
     cover: CoveringSystem,
     primes: list[int],
-    m: int,
     n_range: range,
 ) -> MechanicsReport:
-    """Confirm, per exponent n, a witness prime dividing x^m - 2^n.
+    """Confirm, per exponent n, a witness prime dividing x - 2^n.
 
     For each n the first cover class a_s(n_s) containing n supplies its
-    prime p_s; the check is x^m = 2^n (mod p_s^(alpha_s)) -- pure modular
-    arithmetic, x^m is never materialized.  For m = 1 the representative is
-    additionally compared exactly against 0 and +-p_s, ruling out the
+    prime p_s; the check is x = 2^n (mod p_s^(alpha_s)).  The representative's
+    x - 2^n is also compared exactly against 0 and +-p_s, ruling out the
     borderline cases where divisibility alone would not force compositeness.
     """
     if len(cover.classes) != len(primes):
@@ -411,15 +409,12 @@ def check_divisibility_mechanics(
         s = next((i for i, c in enumerate(cover.classes) if c.contains(n)), None)
         if s is None:
             report.failures.append(MechanicsRow(
-                n, None, None, False, None, "not covered by any class"))
+                n, None, None, False, False, "not covered by any class"))
             continue
         pa = moduli[s]
-        cong = pow(x_class.a, m, pa) == pow(2, n, pa)
-        exact: bool | None = None
-        if m == 1:
-            diff = x_class.a - (1 << n)
-            exact = diff not in (0, primes[s], -primes[s])
-        if not cong or exact is False:
+        cong = x_class.a % pa == pow(2, n, pa)
+        exact = x_class.a - (1 << n) not in (0, primes[s], -primes[s])
+        if not cong or not exact:
             report.failures.append(MechanicsRow(
                 n, s, primes[s], cong, exact,
                 "congruence failed" if not cong else "difference equals the witness"))

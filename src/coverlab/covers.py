@@ -123,14 +123,6 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
     )
 
 
-def modulus_multiplicity(system: CoveringSystem) -> dict[int, int]:
-    """Occurrence count of each distinct (normalized) modulus."""
-    counts: dict[int, int] = {}
-    for c in system.classes:
-        counts[c.n] = counts.get(c.n, 0) + 1
-    return counts
-
-
 def refine(system: CoveringSystem, cls: ResidueClass,
            subcover: CoveringSystem) -> CoveringSystem:
     """Replace the class a(n) of `system` by (a + n*b) mod n*m (n*m) for

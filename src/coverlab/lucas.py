@@ -91,7 +91,7 @@ def period_mod(spec: LucasSpec, m: int, max_steps: int | None = None) -> int:
     return n
 
 
-def rank_of_apparition(spec: LucasSpec, p: int, search_bound: int = 10**6) -> int | None:
+def rank_of_apparition(spec: LucasSpec, p: int, search_bound: int) -> int | None:
     """Least n > 0 with p | U_n, or None if none occurs up to the bound."""
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -148,13 +148,13 @@ def check_u_identity(n: int) -> bool:
     return 2 * u_term(LucasSpec(4), n) == fibonacci(3 * n)
 
 
-def check_rank_periodicity(spec: LucasSpec, n: int, p: int, k_max: int) -> bool:
-    """Verify that U is purely periodic mod p with period n.
+def check_rank_periodicity(spec: LucasSpec, n: int, p: int) -> bool:
+    """Verify that U is purely periodic mod p with period exactly n.
 
     Preconditions (checked, violations raise): n = 2 (mod 4), p prime, and p
-    divides U_n but none of U_1..U_{n-1}.  Under these, U_{n+1} = 1 (mod p)
-    and hence U_{kn+r} = U_r (mod p) for every k and r; both facts are
-    verified by brute iteration for all r < n and k <= k_max.
+    divides U_n but none of U_1..U_{n-1}.  Then rank(p) = n divides the
+    period of U mod p, so the claim U_{kn+r} = U_r (mod p) for every k and r
+    holds exactly when the period, computed by period_mod, is n.
     """
     if n <= 0 or n % 4 != 2:
         raise ValueError(f"index {n} is not = 2 (mod 4)")
@@ -164,12 +164,7 @@ def check_rank_periodicity(spec: LucasSpec, n: int, p: int, k_max: int) -> bool:
         raise ValueError(f"{p} does not divide U_{n}")
     if rank != n:
         raise ValueError(f"{p} divides U_{rank}, so it is not primitive at {n}")
-    terms = iter_terms_mod(spec, p, (k_max + 1) * n + 2)
-    if terms[n + 1] != 1 % p:
+    try:
+        return period_mod(spec, p, max_steps=n) == n
+    except ValueError:   # the period exceeds n
         return False
-    for k in range(1, k_max + 1):
-        base = k * n
-        for r in range(n):
-            if terms[base + r] != terms[r]:
-                return False
-    return True

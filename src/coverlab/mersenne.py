@@ -12,13 +12,18 @@ itself is never materialized for large n.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from . import codec
 from .arith import (FactorBudget, factor, is_probable_prime, order_dividing,
                     prime_divisors)
-from .covers import CoveringSystem, modulus_multiplicity
+from .covers import CoveringSystem
+
+# The primitive parts behind errata rows are far beyond rho range; the
+# progression scan is what actually finds replacements.
+_ERRATA_BUDGET = FactorBudget(trial_bound=10**5, rho_iterations=0, rho_attempts=0)
 
 
 @dataclass(frozen=True)
@@ -146,8 +151,6 @@ def find_primitive_divisors(
     """
     if n < 2:
         raise ValueError(f"exponent must be >= 2, got {n}")
-    if budget is None:
-        budget = FactorBudget()
     value = cyclotomic_mersenne(n)
     found: dict[int, int] = {}
     rest = value
@@ -228,12 +231,7 @@ def _row_reason(n: int, p: int) -> str:
     return ""
 
 
-def verify_prime_table(
-    cover: CoveringSystem,
-    table: PrimeTable,
-    errata_budget: FactorBudget | None = None,
-    candidate_bound: int = 10_000,
-) -> PrimeTableReport:
+def verify_prime_table(cover: CoveringSystem, table: PrimeTable) -> PrimeTableReport:
     """Audit a claimed prime table against a cover with odd moduli.
 
     Checks, per exponent n occurring among the cover moduli: the table lists
@@ -245,17 +243,12 @@ def verify_prime_table(
     prime is searched within the errata budget and must pass the same row
     check, never silently substituted.
     """
-    if errata_budget is None:
-        # The primitive parts behind errata rows are far beyond rho range;
-        # the progression scan is what actually finds replacements.
-        errata_budget = FactorBudget(trial_bound=10**5, rho_iterations=0,
-                                     rho_attempts=0)
-    multiplicity = modulus_multiplicity(cover)
+    multiplicity = Counter(c.n for c in cover.classes)
 
     rows: list[TableRow] = []
     count_mismatches: list[tuple[int, int, int]] = []
     for n, primes in table.entries.items():
-        expected = multiplicity.get(n, 0)
+        expected = multiplicity[n]
         if len(primes) != expected:
             count_mismatches.append((n, len(primes), expected))
         for p in primes:
@@ -280,8 +273,7 @@ def verify_prime_table(
     for row in rows:
         if row.ok:
             continue
-        witnesses, _ = find_primitive_divisors(
-            row.n, budget=errata_budget, candidate_bound=candidate_bound)
+        witnesses, _ = find_primitive_divisors(row.n, budget=_ERRATA_BUDGET)
         replacement = None
         for w in witnesses:
             if w.p not in taken:

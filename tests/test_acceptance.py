@@ -176,8 +176,7 @@ def test_criterion_09_erdos_construction():
         assert cls.a % 31 == 3
         primes = erdos_witness_primes(cover)
         assert sorted(primes) == [3, 5, 7, 13, 17, 241]
-        report = check_divisibility_mechanics(cls, cover, primes, m=1,
-                                              n_range=range(0, 2001))
+        report = check_divisibility_mechanics(cls, cover, primes, n_range=range(0, 2001))
         elapsed = time.perf_counter() - started
         assert report.checked == 2001 and report.all_ok
         assert elapsed < 5.0, f"mechanics took {elapsed:.2f}s"
@@ -211,7 +210,7 @@ def test_criterion_11_periodicity_suite():
                     continue
                 for p in factor(value).primes():
                     if p < 10**6 and rank_of_apparition(spec, p, n) == n:
-                        assert check_rank_periodicity(spec, n, p, k_max=5), (c, n, p)
+                        assert check_rank_periodicity(spec, n, p), (c, n, p)
         for n in range(201):
             assert check_u_identity(n)
 

@@ -143,7 +143,7 @@ def test_is_probable_prime_notorious_composites():
 def test_is_probable_prime_large_primes():
     assert is_probable_prime(2**127 - 1)
     assert is_probable_prime(2**521 - 1)
-    assert is_probable_prime(2**521 - 1, rounds=64)
+    assert is_probable_prime(2**607 - 1)
 
 
 def test_factor_examples():

@@ -61,6 +61,8 @@ def test_empty_aux_is_invalid():
     report = check_exclusion(case)
     assert not report.valid
     assert report.counterexample == (5, 1, 0)
+    assert report.combinations == 2
+    assert report.aux_evidence == ()
 
 
 def test_aux_dividing_target_rejected():
@@ -169,15 +171,17 @@ def test_certify_all_cases_valid():
     assert all(r.valid for r in reports)
 
 
-def test_certify_all_cases_reports_invalid_on_weak_pool():
-    reports = certify_all_cases(two_prime_data(), q_pool=(19,))
+def test_certify_all_cases_reports_invalid_on_weak_pool(monkeypatch):
+    monkeypatch.setattr(certify, "DEFAULT_Q_POOL", (19,))
+    reports = certify_all_cases(two_prime_data())
     assert len(reports) == 25
     assert any(not r.valid for r in reports)
 
 
-def test_pool_primes_must_carry_residues():
+def test_pool_primes_must_carry_residues(monkeypatch):
+    monkeypatch.setattr(certify, "DEFAULT_Q_POOL", (11, 23))
     with pytest.raises(ValueError, match="no residue"):
-        build_standard_cases(two_prime_data(), q_pool=(11, 23))
+        build_standard_cases(two_prime_data())
 
 
 def members_exceed_2(data):

@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import pathlib
@@ -126,8 +125,7 @@ def test_reproduce_cases(capsys):
 
 
 def test_reproduce_cases_fails_on_weak_pool(capsys, monkeypatch):
-    weak = functools.partial(certify.certify_all_cases, q_pool=(19,))
-    monkeypatch.setattr(cli, "certify_all_cases", weak)
+    monkeypatch.setattr(certify, "DEFAULT_Q_POOL", (19,))
     code, out = run(["reproduce", "cases"], capsys)
     assert code == 1
     assert "reproduce: fail" in out

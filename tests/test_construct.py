@@ -34,8 +34,7 @@ def test_erdos_mechanics_window():
     cover = erdos_cover()
     cls = build_erdos_class(cover)
     primes = erdos_witness_primes(cover)
-    report = check_divisibility_mechanics(cls, cover, primes, m=1,
-                                          n_range=range(0, 2001))
+    report = check_divisibility_mechanics(cls, cover, primes, n_range=range(0, 2001))
     assert report.checked == 2001
     assert report.all_ok
     # independent spot check: the witness really divides x - 2^n
@@ -46,8 +45,7 @@ def test_erdos_mechanics_window():
 def test_mechanics_flags_uncovered():
     cls = build_erdos_class(erdos_cover())
     cover = CoveringSystem([ResidueClass(0, 2)])       # evens only
-    report = check_divisibility_mechanics(cls, cover, [3], m=1,
-                                          n_range=range(0, 10))
+    report = check_divisibility_mechanics(cls, cover, [3], n_range=range(0, 10))
     bad = [row for row in report.failures if row.note == "not covered by any class"]
     assert [row.n for row in bad] == [1, 3, 5, 7, 9]
 

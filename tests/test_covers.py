@@ -7,7 +7,7 @@ import pytest
 from coverlab.assets import erdos_cover, odd_cover_173, odd_cover_24
 from coverlab.codec import FormatError
 from coverlab.covers import (CoveringSystem, ResidueClass, build_doubled_cover,
-                             load_cover, modulus_multiplicity, refine,
+                             load_cover, refine,
                              store_cover, verify_cover)
 
 
@@ -164,15 +164,6 @@ def test_refine_membership_property():
                         or (cls.contains(x) and any(b.contains((x - cls.a) // cls.n)
                                                     for b in sub.classes)))
             assert any(c.contains(x) for c in refined.classes) == expected
-
-
-def test_modulus_multiplicity():
-    a1 = odd_cover_173()
-    mult = modulus_multiplicity(a1)
-    assert mult[11] == 2
-    assert mult[675675] == 1
-    tiny = CoveringSystem([ResidueClass(0, 2), ResidueClass(1, 2)])
-    assert modulus_multiplicity(tiny) == {2: 2}
 
 
 def test_build_doubled_cover():

@@ -1,6 +1,6 @@
 import pytest
 
-from coverlab.arith import FactorBudget, factor
+from coverlab.arith import FactorBudget, factor, is_probable_prime
 from coverlab.lucas import (LucasSpec, check_rank_periodicity, check_u_identity,
                             fibonacci, find_primitive_divisors_u,
                             is_primitive_divisor_u, iter_terms_mod, period_mod,
@@ -125,17 +125,17 @@ def test_u_identity():
 
 
 def test_rank_periodicity_examples():
-    assert check_rank_periodicity(FIB, 10, 11, k_max=5)
+    assert check_rank_periodicity(FIB, 10, 11)
     assert (fibonacci(12) - fibonacci(2)) % 11 == 0
-    assert check_rank_periodicity(U4, 10, 31, k_max=5)
+    assert check_rank_periodicity(U4, 10, 31)
     with pytest.raises(ValueError, match="mod 4"):
-        check_rank_periodicity(U4, 4, 5, k_max=2)
+        check_rank_periodicity(U4, 4, 5)
     with pytest.raises(ValueError, match="not prime"):
-        check_rank_periodicity(U4, 10, 341, k_max=2)
+        check_rank_periodicity(U4, 10, 341)
     with pytest.raises(ValueError, match="does not divide"):
-        check_rank_periodicity(U4, 10, 19, k_max=2)
+        check_rank_periodicity(U4, 10, 19)
     with pytest.raises(ValueError, match="not primitive"):
-        check_rank_periodicity(U4, 6, 2, k_max=2)   # 2 | u_2 already
+        check_rank_periodicity(U4, 6, 2)   # 2 | u_2 already
 
 
 def test_rank_periodicity_suite():
@@ -150,7 +150,28 @@ def test_rank_periodicity_suite():
                 if p >= 10**6:
                     continue
                 if rank_of_apparition(spec, p, n) == n:
-                    assert check_rank_periodicity(spec, n, p, k_max=5), (c, n, p)
+                    assert check_rank_periodicity(spec, n, p), (c, n, p)
+
+
+def _window_periodic(spec, n, p, k_max=5):
+    """U_{n+1} = 1 and U_{kn+r} = U_r (mod p) for all r < n, k <= k_max, by iteration."""
+    terms = iter_terms_mod(spec, p, (k_max + 1) * n + 2)
+    return terms[n + 1] == 1 % p and all(
+        terms[k * n + r] == terms[r] for k in range(1, k_max + 1) for r in range(n))
+
+
+def test_rank_periodicity_matches_brute_window():
+    primes = [p for p in range(2, 10**4) if is_probable_prime(p)]
+    checked = 0
+    for c in range(1, 7):
+        spec = LucasSpec(c)
+        for p in primes:
+            n = rank_of_apparition(spec, p, 58)
+            if n is not None and n % 4 == 2:
+                checked += 1
+                assert check_rank_periodicity(spec, n, p) == _window_periodic(spec, n, p), \
+                    (c, n, p)
+    assert checked > 50
 
 
 def test_find_primitive_divisors_u_matches_sympy():
