@@ -224,6 +224,11 @@ def _cmd_certify(args) -> RunReport:
     return report
 
 
+def _text(value) -> str:
+    """A detail value for text output: strings as is, anything else as compact JSON."""
+    return value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
+
+
 def _emit(report: RunReport, args) -> None:
     payload = report.to_dict()
     if args.json:
@@ -231,7 +236,7 @@ def _emit(report: RunReport, args) -> None:
     else:
         print(f"{report.command}: {report.outcome}")
         for row in report.detail:
-            print("  " + "  ".join(f"{k}={v}" for k, v in row.items()))
+            print("  " + "  ".join(f"{k}={_text(v)}" for k, v in row.items()))
         print(f"  ({report.wall_time_s:.2f}s)")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

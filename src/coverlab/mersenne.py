@@ -145,9 +145,11 @@ def find_primitive_divisors(
     Strategy: factor the cyclotomic value at 2 (the primitive part).  Any
     prime of order n is = 1 (mod 2n when n is odd, mod n otherwise), so an
     arithmetic-progression scan up to `candidate_bound` steps strips medium
-    primes cheaply before trial division and rho take over.  The boolean is
-    True when the primitive part was factored completely, i.e. the witness
-    list is provably exhaustive.
+    primes cheaply before trial division and rho take over.  Rho is told
+    the same step, so it walks x^step + c and finds a prime p of the
+    cofactor in about sqrt(p/step) steps.  The boolean is True when the
+    primitive part was factored completely, i.e. the witness list is
+    provably exhaustive.
     """
     if n < 2:
         raise ValueError(f"exponent must be >= 2, got {n}")
@@ -166,7 +168,7 @@ def find_primitive_divisors(
                 rest //= q
 
     if rest > 1:
-        sub = factor(rest, budget)
+        sub = factor(rest, budget, step)
         for p, e in sub.factors:
             found[p] = found.get(p, 0) + e
         rest = sub.cofactor

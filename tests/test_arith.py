@@ -8,6 +8,7 @@ from coverlab.arith import (FactorBudget, Factorization, crt_combine, factor,
                             is_probable_prime, jacobi, order_dividing,
                             prime_divisors)
 from coverlab.covers import ResidueClass
+from coverlab.mersenne import cyclotomic_mersenne
 
 
 def test_order_dividing_examples():
@@ -200,6 +201,36 @@ def test_factor_matches_sympy_random_128bit():
             assert sympy.isprime(p) and (n // p**e) % p != 0, (n, p)
             assert f.cofactor % p != 0, (n, p)
         assert f.cofactor == 1 or not sympy.isprime(f.cofactor), n
+
+
+def test_factor_step_never_changes_the_result():
+    # a step that the primes do not satisfy only changes the rho walk
+    rng = random.Random(50)
+    for _ in range(200):
+        m = rng.randrange(1, 2**50)
+        expected = factor(m)
+        for s in (4, 6, 10, 202):
+            assert factor(m, None, s) == expected, (m, s)
+
+
+def test_factor_step_with_a_prime_off_the_progression():
+    # 11 divides Phi_110(2) but is not = 1 (mod 110); with trial division
+    # stopping at 10 it reaches rho, which must still split it out
+    value = cyclotomic_mersenne(110)
+    budget = FactorBudget(trial_bound=10)
+    f = factor(value, budget, step=110)
+    assert f.complete and 11 in f.primes()
+    assert f == factor(value, budget)
+
+
+def test_factor_step_fixed_point_attempts():
+    # 2^67 - 1 = 193707721 * 761838257287, both = 1 (mod 134).  From y = 2
+    # the walk y^134 + 1 stays on 2, so attempt c = 1 dies at once and only
+    # c = 2 can split
+    m = 2**67 - 1
+    f = factor(m, FactorBudget(rho_attempts=2), step=134)
+    assert f.complete and dict(f.factors) == {193707721: 1, 761838257287: 1}
+    assert not factor(m, FactorBudget(rho_attempts=1), step=134).complete
 
 
 def test_factor_budget_exhaustion_is_a_state():

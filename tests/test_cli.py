@@ -148,6 +148,14 @@ def test_certify_sample(capsys):
     assert code == 0
 
 
+def test_certify_text_output_is_json_valued(capsys):
+    code, out = run(["certify", asset(assets.SAMPLE_CASE)], capsys)
+    assert code == 0
+    assert "valid=true" in out
+    assert 'aux=[{"q":"31","period":"10","order":"10"}]' in out
+    assert "True" not in out and "None" not in out and "'" not in out
+
+
 def test_certify_invalid_case(tmp_path, capsys):
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(

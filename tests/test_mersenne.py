@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from coverlab.arith import FactorBudget, is_probable_prime
+from coverlab.arith import FactorBudget, factor, is_probable_prime
 from coverlab.assets import odd_cover_173, prime_table
 from coverlab.covers import CoveringSystem, ResidueClass
 from coverlab.mersenne import (PrimeTable, cyclotomic_mersenne,
@@ -86,6 +86,30 @@ def test_find_primitive_divisors_progression_hit():
     assert 3511 in ps and 1969111 in ps
     w3511 = next(w for w in witnesses if w.p == 3511)
     assert w3511.alpha == 2
+
+
+def test_factor_with_step_matches_sympy_on_cyclotomic_values():
+    sympy = pytest.importorskip("sympy")
+    # every prime of Phi_n(2) above n is = 1 (mod 2n) for odd n, (mod n) for
+    # even n; the intrinsic prime (at most n) falls to trial division
+    for n in range(2, 137):
+        value = cyclotomic_mersenne(n)
+        f = factor(value, step=2 * n if n % 2 else n)
+        assert f.complete and dict(f.factors) == sympy.factorint(value), n
+
+
+def test_find_primitive_divisors_rho_walks_the_step():
+    # the cofactor of Phi_125(2) left after the progression scan and trial
+    # division; its two primes are = 1 (mod 250)
+    p, q = 269089806001, 4710883168879506001
+    budget = FactorBudget(rho_iterations=50_000)
+    witnesses, complete = find_primitive_divisors(125, budget)
+    assert complete and [w.p for w in witnesses] == [p, q]
+    # x^250 + c splits it on attempt c = 2 after 33,279 batched steps; with
+    # x^2 + c the best of the 8 attempts needs 199,935, over this budget
+    f = factor(p * q, budget)
+    assert not f.complete and f.cofactor == p * q
+    assert factor(p * q, budget, step=250).complete
 
 
 def test_wieferich_examples():
