@@ -54,9 +54,10 @@ class FactorBudget:
     """Effort limits for factor().
 
     trial_bound is the largest number trial division tries: every prime up
-    to it is divided out before rho starts.  rho_iterations caps the steps
-    of one Brent-Pollard rho attempt and rho_attempts the number of
-    attempts (one polynomial offset each) on every composite cofactor.
+    to it is divided out before rho starts.  rho_iterations caps the work
+    of one Brent-Pollard rho attempt, counted in modular squarings (an
+    x^2 + c step is one), and rho_attempts the number of attempts (one
+    polynomial offset each) on every composite cofactor.
     """
 
     trial_bound: int = 1 << 12
@@ -176,12 +177,15 @@ def factor(n: int, budget: FactorBudget | None = None,
     trial division is = 1 (mod step).  The default 2 holds for every odd
     prime.  It only changes the rho walk, to y -> y^step + c, which finds
     such a prime p in about sqrt(p/step) steps instead of sqrt(p).  A wrong
-    step can cost time but never changes the result: every split is still a
-    gcd divisor of n, every factor still passes the same checks, and the
-    factorization is unique.
+    step never yields a wrong factor: every split is still a gcd divisor of
+    n and every factor still passes the same checks.  It can cost time, and
+    under a finite budget it can change how much of n is factored before
+    the budget runs out.
     """
     if n < 1:
         raise ValueError(f"factor() needs n >= 1, got {n}")
+    if step < 2:
+        raise ValueError(f"factor() needs step >= 2, got {step}")
     if budget is None:
         budget = _DEFAULT_BUDGET
     found: dict[int, int] = {}
@@ -233,33 +237,38 @@ def _primes_up_to(bound: int) -> tuple[int, ...]:
 def _rho_split(n: int, budget: FactorBudget, e: int) -> int | None:
     """Brent-cycle Pollard rho with batched gcds; deterministic offsets.
 
-    The walk is y -> y^e + c from y = 2.  When every prime p of n is
-    = 1 (mod e), the image of x^e mod p has about p/e elements, so a cycle
-    closes in about sqrt(p/e) steps (Brent and Pollard 1981, Math. Comp. 36).
-    On a divisor of Phi_m(2) with e a multiple of m, 2^e = 1, so the offsets
-    c = 1, 3 and 7 fall onto the fixed points 2, 4 and 8: each such attempt
-    stops within a few steps with g = n, and 5 of the 8 default attempts
-    remain.
+    The walk is y -> y^e + c.  When every prime p of n is = 1 (mod e), the
+    image of x^e mod p has about p/e elements, so a cycle closes in about
+    sqrt(p/e) steps (Brent and Pollard 1981, Math. Comp. 36).  The x^2 + c
+    walk starts at y = 2; any other starts at y = 3, because on a divisor
+    of Phi_m(2) with e a multiple of m, 2^e = 1 and the offsets c = 1, 3
+    and 7 would land on the fixed points 2, 4 and 8.
+
+    budget.rho_iterations counts squarings: an x^e + c step costs about
+    e.bit_length() - 1 of them (one for x^2 + c), so an attempt that finds
+    nothing takes about as long whatever e is.
 
     https://en.wikipedia.org/wiki/Pollard%27s_rho_algorithm
     """
     if n % 2 == 0:
         return 2
+    square = e == 2
+    limit = budget.rho_iterations // (e.bit_length() - 1)
     for attempt in range(1, budget.rho_attempts + 1):
         c = attempt  # polynomial x^e + c, a distinct offset per attempt
-        y, r, q = 2, 1, 1
+        y, r, q = 2 if square else 3, 1, 1
         g = 1
         x = ys = y
         count = 0
-        while g == 1 and count < budget.rho_iterations:
+        while g == 1 and count < limit:
             x = y
             for _ in range(r):
-                y = (y * y + c) % n if e == 2 else pow(y, e, n) + c
+                y = (y * y + c) % n if square else pow(y, e, n) + c
             k = 0
             while k < r and g == 1:
                 ys = y
                 for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n if e == 2 else pow(y, e, n) + c
+                    y = (y * y + c) % n if square else pow(y, e, n) + c
                     q = q * abs(x - y) % n
                 count += min(128, r - k)
                 g = math.gcd(q, n)
@@ -269,7 +278,7 @@ def _rho_split(n: int, budget: FactorBudget, e: int) -> int | None:
             # backtrack one step at a time from the last saved point
             g = 1
             while g == 1:
-                ys = (ys * ys + c) % n if e == 2 else pow(ys, e, n) + c
+                ys = (ys * ys + c) % n if square else pow(ys, e, n) + c
                 g = math.gcd(abs(x - ys), n)
         if 1 < g < n:
             return g

@@ -223,14 +223,27 @@ def test_factor_step_with_a_prime_off_the_progression():
     assert f == factor(value, budget)
 
 
-def test_factor_step_fixed_point_attempts():
+def test_factor_step_walk_has_no_dead_attempts():
     # 2^67 - 1 = 193707721 * 761838257287, both = 1 (mod 134).  From y = 2
-    # the walk y^134 + 1 stays on 2, so attempt c = 1 dies at once and only
-    # c = 2 can split
+    # the walk y^134 + 1 would stay on 2, since 2^134 = 1; the walk starts
+    # at 3, so the first attempt alone splits it
     m = 2**67 - 1
-    f = factor(m, FactorBudget(rho_attempts=2), step=134)
+    f = factor(m, FactorBudget(rho_attempts=1), step=134)
     assert f.complete and dict(f.factors) == {193707721: 1, 761838257287: 1}
-    assert not factor(m, FactorBudget(rho_attempts=1), step=134).complete
+
+
+def test_factor_step_budget_counts_squarings():
+    # a cofactor of Phi_125(2), both primes = 1 (mod 250).  An x^250 + c
+    # step is charged 7 squarings: attempt c = 4 splits after 7,807 steps,
+    # which a budget of 10,000 squarings (1,428 steps) does not reach
+    pq = 269089806001 * 4710883168879506001
+    assert not factor(pq, FactorBudget(rho_iterations=10_000), step=250).complete
+    assert factor(pq, FactorBudget(rho_iterations=50_000), step=250).complete
+
+
+def test_factor_rejects_step_below_2():
+    with pytest.raises(ValueError, match="step >= 2"):
+        factor(15, None, 1)
 
 
 def test_factor_budget_exhaustion_is_a_state():

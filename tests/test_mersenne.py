@@ -105,8 +105,9 @@ def test_find_primitive_divisors_rho_walks_the_step():
     budget = FactorBudget(rho_iterations=50_000)
     witnesses, complete = find_primitive_divisors(125, budget)
     assert complete and [w.p for w in witnesses] == [p, q]
-    # x^250 + c splits it on attempt c = 2 after 33,279 batched steps; with
-    # x^2 + c the best of the 8 attempts needs 199,935, over this budget
+    # x^250 + c splits it on attempt c = 4 after 7,807 batched steps, 7
+    # squarings each; with x^2 + c the best of the 8 attempts needs
+    # 199,935 steps, over this budget
     f = factor(p * q, budget)
     assert not f.complete and f.cofactor == p * q
     assert factor(p * q, budget, step=250).complete
