@@ -8,6 +8,7 @@ types.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -57,7 +58,10 @@ class FactorBudget:
     to it is divided out before rho starts.  rho_iterations caps the work
     of one Brent-Pollard rho attempt, counted in modular squarings (an
     x^2 + c step is one), and rho_attempts the number of attempts (one
-    polynomial offset each) on every composite cofactor.
+    polynomial offset each) on every composite cofactor.  When factor() is
+    given a step above 2 and rho_iterations is at least P-1's fixed cost,
+    about 2.5 * 10^5 squarings, one P-1 run comes before rho on every
+    composite cofactor; that run is not charged to any attempt.
     """
 
     trial_bound: int = 1 << 12
@@ -66,6 +70,14 @@ class FactorBudget:
 
 
 _DEFAULT_BUDGET = FactorBudget()   # built once: factor() is called per small n in tight loops
+
+# Pollard P-1 bounds.  Stage 1's exponent has about 1.44 * B1 bits and
+# stage 2 takes two multiplications per prime in (B1, B2], 75,483 of them,
+# so one call costs about 2.5 * 10^5 squarings, split or not.
+_PM1_B1 = 1 << 16
+_PM1_B2 = 1 << 20
+_PM1_SQUARINGS = 250_000
+_SIEVE_SEGMENT = 1 << 14     # odd numbers per segment of the P-1 prime sieve
 
 
 def is_probable_prime(n: int) -> bool:
@@ -163,7 +175,7 @@ def _conflict_message(classes: list[ResidueClass], bad_index: int) -> str:
 
 def factor(n: int, budget: FactorBudget | None = None,
            step: int = 2) -> Factorization:
-    """Factor n by trial division then Pollard rho, within the given budget.
+    """Factor n by trial division, then Pollard P-1 and rho, within the budget.
 
     Trial division tries the primes up to budget.trial_bound.  A remainder
     with no prime factor below s and smaller than s^2 is itself prime, so it
@@ -175,12 +187,17 @@ def factor(n: int, budget: FactorBudget | None = None,
 
     `step` is a fact the caller states: every prime factor of n left after
     trial division is = 1 (mod step).  The default 2 holds for every odd
-    prime.  It only changes the rho walk, to y -> y^step + c, which finds
-    such a prime p in about sqrt(p/step) steps instead of sqrt(p).  A wrong
-    step never yields a wrong factor: every split is still a gcd divisor of
-    n and every factor still passes the same checks.  It can cost time, and
-    under a finite budget it can change how much of n is factored before
-    the budget runs out.
+    prime.  A larger step changes the rho walk, to y -> y^step + c, which
+    finds such a prime p in about sqrt(p/step) steps instead of sqrt(p).
+    It also runs Pollard's P-1 method on each composite cofactor before
+    rho, when budget.rho_iterations is at least its fixed cost of about
+    2.5 * 10^5 squarings (tens of milliseconds): P-1 finds p when
+    (p - 1)/step is 2^16-smooth apart from at most one prime up to 2^20,
+    and otherwise leaves the cofactor to rho.  A wrong step never yields a
+    wrong factor: every split is still a gcd divisor of n and every factor
+    still passes the same checks.  It can cost time, and under a finite
+    budget it can change how much of n is factored before the budget runs
+    out.
     """
     if n < 1:
         raise ValueError(f"factor() needs n >= 1, got {n}")
@@ -205,6 +222,7 @@ def factor(n: int, budget: FactorBudget | None = None,
 
     pending = [rest]
     leftover = 1
+    pm1 = step > 2 and budget.rho_iterations >= _PM1_SQUARINGS
     while pending:
         c = pending.pop()
         if c == 1:
@@ -212,7 +230,9 @@ def factor(n: int, budget: FactorBudget | None = None,
         if is_probable_prime(c):
             found[c] = found.get(c, 0) + 1
             continue
-        d = _rho_split(c, budget, step)
+        d = _pm1_split(c, step) if pm1 else None
+        if d is None:
+            d = _rho_split(c, budget, step)
         if d is None:
             leftover *= c
             continue
@@ -234,6 +254,84 @@ def _primes_up_to(bound: int) -> tuple[int, ...]:
     return tuple(i for i, is_prime in enumerate(sieve) if is_prime)
 
 
+def _odd_prime_segments(lo: int, hi: int):
+    """The odd primes p with lo < p <= hi, ascending, one sieve segment at a
+    time.
+
+    Each segment is an iterator over its primes.  The sieve holds one byte
+    per odd number, _SIEVE_SEGMENT of them at a time, so the 82,025 primes
+    below 2^20 are never all held at once.
+    """
+    small = _primes_up_to(math.isqrt(hi))[1:]
+    start = (lo + 1) | 1                 # the least odd number above lo
+    while start <= hi:
+        size = min(_SIEVE_SEGMENT, (hi - start) // 2 + 1)
+        cells = bytearray([1]) * size    # cell i stands for start + 2*i
+        for p in small:
+            m = max(p * p, -(-start // p) * p)
+            if m % 2 == 0:
+                m += p                   # the first odd multiple to strike
+            i = (m - start) // 2
+            cells[i::p] = bytes(len(range(i, size, p)))
+        if start == 1:
+            cells[0] = 0                 # 1 is not prime
+        yield itertools.compress(range(start, start + 2 * size, 2), cells)
+        start += 2 * size
+
+
+@functools.lru_cache(maxsize=1)
+def _pm1_exponent() -> int:
+    """The product of q^floor(log_q B1) over the primes q <= B1, a number of
+    about 1.44 * B1 bits."""
+    exponent = _PM1_B1                   # B1 is a power of 2
+    for segment in _odd_prime_segments(2, _PM1_B1):
+        for q in segment:
+            power = q
+            while power * q <= _PM1_B1:
+                power *= q
+            exponent *= power
+    return exponent
+
+
+def _pm1_split(n: int, step: int) -> int | None:
+    """Pollard's P-1 method with the factor `step` of p - 1 known; a proper
+    divisor of the odd composite n, or None.
+
+    Stage 1 takes a = 3^(step * _pm1_exponent()) and gcd(a - 1, n): it finds
+    each prime p of n = 1 (mod step) whose (p - 1)/step has no prime power
+    above B1.  Stage 2 adds the p whose (p - 1)/step has one more prime q
+    with B1 < q <= B2: it walks a^q from prime to prime by a table of a^gap
+    for the even gaps and takes one gcd of the product of the a^q - 1 per
+    sieve segment (Pollard 1974, Proc. Cambridge Philos. Soc. 76).  A gcd
+    of n, where every prime of n is found in the same stage or segment,
+    gives None, and rho takes over.  The base is 3 because 2 has order
+    dividing step modulo every prime of Phi_m(2) for m | step, so base 2
+    would always give n.
+
+    The cost is about _PM1_SQUARINGS modular squarings, whether it splits
+    n or not.
+    """
+    a = pow(3, step * _pm1_exponent(), n)
+    g = math.gcd(a - 1, n)
+    if g != 1:
+        return g if g != n else None
+    gaps = [1, a * a % n]                # gaps[k] = a^(2k)
+    for _ in range(63):                  # every gap below 2^20 is at most 114
+        gaps.append(gaps[-1] * gaps[1] % n)
+    prev = _PM1_B1 - 1                   # odd, so every gap to a prime is even
+    aq = pow(a, prev, n)
+    acc = 1
+    for segment in _odd_prime_segments(_PM1_B1, _PM1_B2):
+        for q in segment:
+            aq = aq * gaps[(q - prev) >> 1] % n
+            acc = acc * (aq - 1) % n
+            prev = q
+        g = math.gcd(acc, n)
+        if g != 1:
+            return g if g != n else None
+    return None
+
+
 def _rho_split(n: int, budget: FactorBudget, e: int) -> int | None:
     """Brent-cycle Pollard rho with batched gcds; deterministic offsets.
 
@@ -246,7 +344,11 @@ def _rho_split(n: int, budget: FactorBudget, e: int) -> int | None:
 
     budget.rho_iterations counts squarings: an x^e + c step costs about
     e.bit_length() - 1 of them (one for x^2 + c), so an attempt that finds
-    nothing takes about as long whatever e is.
+    nothing takes about as long whatever e is.  Every step is counted, the
+    ones that move y ahead of the saved point x as well as the batched
+    ones, in batches of at most 128 that end at the limit, so an attempt
+    stops inside a doubling round.  A batch whose gcd is n is replayed one
+    step at a time, at most one batch more.
 
     https://en.wikipedia.org/wiki/Pollard%27s_rho_algorithm
     """
@@ -259,27 +361,34 @@ def _rho_split(n: int, budget: FactorBudget, e: int) -> int | None:
         y, r, q = 2 if square else 3, 1, 1
         g = 1
         x = ys = y
-        count = 0
+        count = batch = 0
         while g == 1 and count < limit:
             x = y
-            for _ in range(r):
-                y = (y * y + c) % n if square else pow(y, e, n) + c
             k = 0
-            while k < r and g == 1:
+            while k < r and count < limit:          # move y r steps past x
+                batch = min(128, r - k, limit - count)
+                for _ in range(batch):
+                    y = (y * y + c) % n if square else pow(y, e, n) + c
+                k += batch
+                count += batch
+            k = 0
+            while k < r and g == 1 and count < limit:
                 ys = y
-                for _ in range(min(128, r - k)):
+                batch = min(128, r - k, limit - count)
+                for _ in range(batch):
                     y = (y * y + c) % n if square else pow(y, e, n) + c
                     q = q * abs(x - y) % n
-                count += min(128, r - k)
+                k += batch
+                count += batch
                 g = math.gcd(q, n)
-                k += 128
             r *= 2
         if g == n:
-            # backtrack one step at a time from the last saved point
-            g = 1
-            while g == 1:
+            # replay the last batch one step at a time from its start
+            for _ in range(batch):
                 ys = (ys * ys + c) % n if square else pow(ys, e, n) + c
                 g = math.gcd(abs(x - ys), n)
+                if g != 1:
+                    break
         if 1 < g < n:
             return g
     return None

@@ -6,8 +6,8 @@ period.  No inclusion-exclusion shortcut is used: every system this package
 ships has a small lcm (24, 630, 675675) and the sieve is the transparent
 check.  The sieve holds one byte per period cell and keeps counts past 255
 exact by detecting wraps.  At the default budget, lcm 10^8, one check takes
-0.4-0.9 s and peaks at 205-301 MiB of RSS (2 vCPU Xeon, Python 3.11.7); the
-top end is a modulus-1 class, whose slice of cells is the whole period.
+0.4-0.9 s and peaks at about 205 MiB of RSS (2 vCPU Xeon, Python 3.11.7):
+the period, and a class of modulus 2 copied twice while it is counted.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
     cells with one `translate`.  A cell hit for the 256th time reads 0 again;
     such wraps are found in the slice just updated and kept in a dict, so
     every count, witness and extreme is exact at any multiplicity.  Each
-    wrapped cell costs one dict entry.
+    wrapped cell costs one dict entry.  A class of modulus 1 holds every
+    cell, so it is not sieved: it adds 1 to both extremes at the end.
 
     `enumeration_budget` bounds the lcm of the moduli; a larger lcm raises
     instead of silently grinding.
@@ -92,7 +93,11 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
     counts = bytearray(period)
     wrapped: dict[int, int] = {}    # cell -> 256 per wrap, then its true count
     top = 0                         # the largest count while no cell has wrapped
+    whole = 0                       # classes of modulus 1, which hold every cell
     for c in system.classes:
+        if c.n == 1:
+            whole += 1
+            continue
         s = c.a % c.n
         cells = counts[s::c.n].translate(_INC)
         counts[s::c.n] = cells
@@ -113,13 +118,13 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
         while min_mult not in counts:
             min_mult += 1
     max_mult = max(wrapped.values()) if wrapped else top
-    witness = counts.find(0)
+    witness = counts.find(0) if whole == 0 else -1
     return CoverReport(
-        is_cover=min_mult >= 1,
+        is_cover=min_mult + whole >= 1,
         lcm=period,
         uncovered_witness=witness if witness >= 0 else None,
-        min_multiplicity=min_mult,
-        max_multiplicity=max_mult,
+        min_multiplicity=min_mult + whole,
+        max_multiplicity=max_mult + whole,
     )
 
 

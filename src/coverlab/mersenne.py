@@ -145,11 +145,15 @@ def find_primitive_divisors(
     Strategy: factor the cyclotomic value at 2 (the primitive part).  Any
     prime of order n is = 1 (mod 2n when n is odd, mod n otherwise), so an
     arithmetic-progression scan up to `candidate_bound` steps strips medium
-    primes cheaply before trial division and rho take over.  Rho is told
-    the same step, so it walks x^step + c and finds a prime p of the
-    cofactor in about sqrt(p/step) steps.  The boolean is True when the
-    primitive part was factored completely, i.e. the witness list is
-    provably exhaustive.
+    primes cheaply before trial division, P-1 and rho take over.  Both are
+    told the same step.  At a budget of at least about 2.5 * 10^5 rho
+    squarings (the default is 10^7), P-1 runs first on each composite
+    cofactor, for tens of milliseconds, and finds a prime p when
+    (p - 1)/step is 2^16-smooth apart from one prime up to 2^20; this is
+    what splits the cofactors of n = 101 and 125.  Rho walks x^step + c
+    and finds a prime p in about sqrt(p/step) steps.
+    The boolean is True when the primitive part was factored completely,
+    i.e. the witness list is provably exhaustive.
     """
     if n < 2:
         raise ValueError(f"exponent must be >= 2, got {n}")

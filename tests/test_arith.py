@@ -234,11 +234,108 @@ def test_factor_step_walk_has_no_dead_attempts():
 
 def test_factor_step_budget_counts_squarings():
     # a cofactor of Phi_125(2), both primes = 1 (mod 250).  An x^250 + c
-    # step is charged 7 squarings: attempt c = 4 splits after 7,807 steps,
-    # which a budget of 10,000 squarings (1,428 steps) does not reach
+    # step is charged 7 squarings: attempt c = 5 splits after 7,366 steps,
+    # 51,562 squarings.  Budgets below P-1's cost leave the split to rho
     pq = 269089806001 * 4710883168879506001
-    assert not factor(pq, FactorBudget(rho_iterations=10_000), step=250).complete
-    assert factor(pq, FactorBudget(rho_iterations=50_000), step=250).complete
+    for budget in (10_000, 50_000):
+        assert not factor(pq, FactorBudget(rho_iterations=budget), step=250).complete
+    assert factor(pq, FactorBudget(rho_iterations=60_000), step=250).complete
+
+
+def test_rho_attempt_overruns_its_budget_by_at_most_one_batch(monkeypatch):
+    # count the x^250 + c steps of one attempt on the Phi_125(2) cofactor;
+    # a step is charged 7 squarings, and attempt c = 1 splits after 99,326
+    pq = 269089806001 * 4710883168879506001
+    steps = 0
+
+    def counting_pow(base, e, m=None):
+        nonlocal steps
+        if e == 250 and m == pq:
+            steps += 1
+        return pow(base, e, m)
+
+    monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
+    for budget in (7, 1000, 9_999, 100_000, 200_001, 695_282):
+        steps = 0
+        d = arith._rho_split(pq, FactorBudget(rho_iterations=budget, rho_attempts=1), 250)
+        limit = budget // 7
+        assert steps <= limit + 128, (budget, steps)
+        if d is None:
+            assert steps == limit, (budget, steps)   # the whole budget, no more
+        else:
+            assert d == 269089806001 and limit >= 99_326 - 128, (budget, steps)
+
+
+def test_pm1_splits_the_phi_101_cofactor():
+    # 2^101 - 1 = 7432339208719 * 341117531003194129, both = 1 (mod 202);
+    # (7432339208719 - 1)/202 = 3 * 44029 * 278557 needs stage 2
+    p, q = 7432339208719, 341117531003194129
+    assert p * q == 2**101 - 1
+    assert arith._pm1_split(p * q, 202) in (p, q)
+
+
+def test_pm1_puts_the_step_into_its_exponent():
+    # s = 2 * 1049603, a prime above B2 = 2^20.  p - 1 = s * 2 * 3 * 5 * 7 * 11
+    # is found only through the known factor s; (q - 1)/s = 2 * 3 * 2106173
+    # is out of reach
+    s, p, q = 2 * 1049603, 4849165861, 26527745991829
+    assert is_probable_prime(p) and is_probable_prime(q)
+    assert (p - 1) // s == 2 * 3 * 5 * 7 * 11 and (q - 1) // s == 2 * 3 * 2106173
+    assert arith._pm1_split(p * q, s) == p
+
+
+def test_factor_falls_back_to_rho_when_pm1_finds_every_prime():
+    # (p - 1)/134 is 2^16-smooth for both primes of 2^67 - 1, so stage 1's
+    # gcd is the whole number; rho splits it
+    m = 2**67 - 1
+    assert arith._pm1_split(m, 134) is None
+    f = factor(m, step=134)
+    assert f.complete and dict(f.factors) == {193707721: 1, 761838257287: 1}
+
+
+def test_pm1_matches_sympy_on_semiprimes_of_the_progression():
+    sympy = pytest.importorskip("sympy")
+    b1, b2 = arith._PM1_B1, arith._PM1_B2
+    exponent = 1
+    for q in sympy.primerange(2, b1 + 1):
+        power = q
+        while power * q <= b1:
+            power *= q
+        exponent *= power
+
+    def stage(p, s):
+        # 1 or 2 when stage 1 or 2 of P-1 at step s finds the prime p, else 0
+        a = pow(3, s * exponent, p)
+        if a == 1:
+            return 1
+        order = sympy.n_order(a, p)
+        return 2 if b1 < order <= b2 and sympy.isprime(order) else 0
+
+    rng = random.Random(40)
+    seen = {1: 0, 2: 0, None: 0}
+    for s in (6, 134, 250):
+        for _ in range(4):
+            p, q = (s * rng.randrange(2**39 // s, 2**40 // s) + 1 for _ in range(2))
+            while not sympy.isprime(p):
+                p += s
+            while not sympy.isprime(q) or q == p:
+                q += s
+            d = arith._pm1_split(p * q, s)
+            stages = {stage(p, s): p, stage(q, s): q}
+            if 1 in stages and len(stages) == 2:
+                assert d == stages[1], (p, q, s)
+                seen[1] += 1
+            elif 2 in stages and len(stages) == 2 and 1 not in stages:
+                assert d == stages[2], (p, q, s)
+                seen[2] += 1
+            elif stages.keys() == {2}:
+                assert d in (None, p, q), (p, q, s)   # None when one segment holds both
+            else:
+                assert d is None, (p, q, s)           # both in stage 1, or neither
+                seen[None] += 1
+            f = factor(p * q, step=s)
+            assert f.complete and dict(f.factors) == sympy.factorint(p * q), (p, q, s)
+    assert all(seen.values()), seen
 
 
 def test_factor_rejects_step_below_2():

@@ -92,6 +92,30 @@ def test_verify_cover_counts_past_255():
     assert (report.min_multiplicity, report.max_multiplicity) == (300, 301)
 
 
+def test_verify_cover_counts_modulus_1_classes_without_sieving_them():
+    def direct(classes):
+        counts = [sum(c.contains(x) for c in classes)
+                  for x in range(CoveringSystem(classes).lcm())]
+        return (all(counts), min(counts), max(counts),
+                counts.index(0) if 0 in counts else None)
+
+    rng = random.Random(1)
+    whole = ResidueClass(0, 1)
+    systems = [[whole] * k for k in (1, 2, 255, 256, 300)]           # only 0(1)
+    systems.append([whole] * 200 + [ResidueClass(0, 2)] * 100)        # 300 on evens
+    systems.append([ResidueClass(1, 3)] * 255 + [whole, ResidueClass(5, 1)])
+    for _ in range(30):
+        classes = [ResidueClass(rng.randrange(-9, 9), rng.choice([1, 2, 3, 4, 6]))
+                   for _ in range(rng.randrange(1, 6))]
+        classes *= rng.choice([1, 60, 130])
+        rng.shuffle(classes)
+        systems.append(classes)
+    for classes in systems:
+        report = verify_cover(CoveringSystem(classes))
+        assert (report.is_cover, report.min_multiplicity, report.max_multiplicity,
+                report.uncovered_witness) == direct(classes), classes
+
+
 def test_verify_cover_matches_direct_counts_at_any_multiplicity():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

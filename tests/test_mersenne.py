@@ -102,12 +102,12 @@ def test_find_primitive_divisors_rho_walks_the_step():
     # the cofactor of Phi_125(2) left after the progression scan and trial
     # division; its two primes are = 1 (mod 250)
     p, q = 269089806001, 4710883168879506001
-    budget = FactorBudget(rho_iterations=50_000)
+    budget = FactorBudget(rho_iterations=60_000)
     witnesses, complete = find_primitive_divisors(125, budget)
     assert complete and [w.p for w in witnesses] == [p, q]
-    # x^250 + c splits it on attempt c = 4 after 7,807 batched steps, 7
-    # squarings each; with x^2 + c the best of the 8 attempts needs
-    # 199,935 steps, over this budget
+    # x^250 + c splits it on attempt c = 5 after 7,366 steps, 7 squarings
+    # each; with x^2 + c the best of the 8 attempts needs 462,075 steps,
+    # over this budget.  The budget is below P-1's cost, so rho alone runs
     f = factor(p * q, budget)
     assert not f.complete and f.cofactor == p * q
     assert factor(p * q, budget, step=250).complete
