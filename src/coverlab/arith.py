@@ -77,7 +77,7 @@ _DEFAULT_BUDGET = FactorBudget()   # built once: factor() is called per small n 
 _PM1_B1 = 1 << 16
 _PM1_B2 = 1 << 20
 _PM1_SQUARINGS = 250_000
-_SIEVE_SEGMENT = 1 << 14     # odd numbers per segment of the P-1 prime sieve
+_SIEVE_SEGMENT = 1 << 14     # odd numbers per segment of the prime sieve
 
 
 def is_probable_prime(n: int) -> bool:
@@ -243,24 +243,19 @@ def factor(n: int, budget: FactorBudget | None = None,
 
 @functools.lru_cache(maxsize=8)   # a few bounds are in use; a one-off one is not pinned
 def _primes_up_to(bound: int) -> tuple[int, ...]:
-    """The primes <= bound, ascending, by the sieve of Eratosthenes."""
+    """The primes <= bound, ascending."""
     if bound < 2:
         return ()
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytes(len(range(i * i, bound + 1, i)))
-    return tuple(i for i, is_prime in enumerate(sieve) if is_prime)
+    return (2, *itertools.chain.from_iterable(_odd_prime_segments(2, bound)))
 
 
 def _odd_prime_segments(lo: int, hi: int):
-    """The odd primes p with lo < p <= hi, ascending, one sieve segment at a
-    time.
+    """The odd primes p with lo < p <= hi, ascending, one segment of the
+    sieve of Eratosthenes at a time.
 
     Each segment is an iterator over its primes.  The sieve holds one byte
-    per odd number, _SIEVE_SEGMENT of them at a time, so the 82,025 primes
-    below 2^20 are never all held at once.
+    per odd number, _SIEVE_SEGMENT of them at a time, so P-1 never holds
+    the 82,025 primes below 2^20 at once.
     """
     small = _primes_up_to(math.isqrt(hi))[1:]
     start = (lo + 1) | 1                 # the least odd number above lo
