@@ -290,7 +290,7 @@ def _pm1_exponent() -> int:
 
 def _pm1_split(n: int, step: int) -> int | None:
     """Pollard's P-1 method with the factor `step` of p - 1 known; a proper
-    divisor of the odd composite n, or None.
+    divisor of the composite n, or None.
 
     Stage 1 takes a = 3^(step * _pm1_exponent()) and gcd(a - 1, n): it finds
     each prime p of n = 1 (mod step) whose (p - 1)/step has no prime power

@@ -321,14 +321,15 @@ def test_pm1_matches_sympy_on_semiprimes_of_the_progression():
             while not sympy.isprime(q) or q == p:
                 q += s
             d = arith._pm1_split(p * q, s)
-            stages = {stage(p, s): p, stage(q, s): q}
-            if 1 in stages and len(stages) == 2:
-                assert d == stages[1], (p, q, s)
+            by_stage = {stage(p, s): p, stage(q, s): q}   # one entry when both agree
+            stages = set(by_stage)
+            if stages in ({0, 1}, {1, 2}):
+                assert d == by_stage[1], (p, q, s)
                 seen[1] += 1
-            elif 2 in stages and len(stages) == 2 and 1 not in stages:
-                assert d == stages[2], (p, q, s)
+            elif stages == {0, 2}:
+                assert d == by_stage[2], (p, q, s)
                 seen[2] += 1
-            elif stages.keys() == {2}:
+            elif stages == {2}:
                 assert d in (None, p, q), (p, q, s)   # None when one segment holds both
             else:
                 assert d is None, (p, q, s)           # both in stage 1, or neither
