@@ -388,27 +388,3 @@ def _rho_split(n: int, budget: FactorBudget, e: int) -> int | None:
             return g
     return None
 
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n >= 3; values in {-1, 0, 1}.
-
-    Negative a is handled through (-1|n) = (-1)^((n-1)/2).
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"Jacobi symbol needs odd n >= 3, got {n}")
-    result = 1
-    if a < 0:
-        a = -a
-        if n % 4 == 3:
-            result = -result
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0

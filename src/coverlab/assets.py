@@ -12,9 +12,7 @@ import hashlib
 import os
 from pathlib import Path
 
-from .certify import ExclusionCase, load_case
-from .construct import (GeneralizedErdosInstance, TwoPrimeData,
-                        load_generalized_erdos, load_two_prime_data)
+from .construct import TwoPrimeData, load_two_prime_data
 from .covers import CoveringSystem, load_cover
 from .mersenne import PrimeTable, load_prime_table
 
@@ -22,14 +20,12 @@ ENV_VAR = "COVERLAB_ASSETS"
 
 COVER_ERDOS = "cover_erdos.json"
 COVER_ODD173 = "cover_odd173.json"
-COVER_ODD24 = "cover_odd24.json"
 PRIME_TABLE = "prime_table_odd173.json"
 TWO_PRIME_CLASS = "two_prime_class.json"
-GENERALIZED_DEMO = "generalized_erdos_demo.json"
 SAMPLE_CASE = "sample_exclusion_case.json"
 
-ALL_ASSETS = (COVER_ERDOS, COVER_ODD173, COVER_ODD24, PRIME_TABLE,
-              TWO_PRIME_CLASS, GENERALIZED_DEMO, SAMPLE_CASE)
+ALL_ASSETS = (COVER_ERDOS, COVER_ODD173, PRIME_TABLE, TWO_PRIME_CLASS,
+              SAMPLE_CASE)
 
 
 def asset_dir(override: str | os.PathLike | None = None) -> Path:
@@ -63,21 +59,9 @@ def odd_cover_173(override=None) -> CoveringSystem:
     return load_cover(asset_path(COVER_ODD173, override))
 
 
-def odd_cover_24(override=None) -> CoveringSystem:
-    return load_cover(asset_path(COVER_ODD24, override))
-
-
 def prime_table(override=None) -> PrimeTable:
     return load_prime_table(asset_path(PRIME_TABLE, override))
 
 
 def two_prime_data(override=None) -> TwoPrimeData:
     return load_two_prime_data(asset_path(TWO_PRIME_CLASS, override))
-
-
-def generalized_demo(override=None) -> GeneralizedErdosInstance:
-    return load_generalized_erdos(asset_path(GENERALIZED_DEMO, override))
-
-
-def sample_case(override=None) -> ExclusionCase:
-    return load_case(asset_path(SAMPLE_CASE, override))

@@ -13,7 +13,7 @@ least one auxiliary prime.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import codec
 from .arith import is_probable_prime, order_dividing
@@ -200,7 +200,3 @@ def load_case(path) -> ExclusionCase:
     return ExclusionCase(
         label=raw.get("label", "").str(), r=raw["r"].int(), m=m,
         p=raw["p"].int(), aux=tuple(aux))
-
-
-def store_case(case: ExclusionCase, path) -> None:
-    codec.dump(asdict(case), path)

@@ -128,6 +128,8 @@ def _reproduce_thm11(args, report: RunReport) -> None:
               reason=erratum.reason,
               replacement=erratum.replacement,
               replacement_verified=erratum.verified)
+    for w in audit.wieferich:
+        _note(report, check="wieferich", n=w.n, p=w.p, alpha=w.alpha)
     if args.out_errata:
         codec.dump([asdict(e) for e in audit.errata], args.out_errata)
     if not audit.passed:
@@ -144,10 +146,10 @@ def _reproduce_thm13(args, report: RunReport) -> None:
 
 
 def _two_prime_class(args, report: RunReport, data):
-    """Build the two-prime class; note each failed check and fail the run."""
+    """Build the two-prime class; note every check, and fail the run on any."""
     combined, build_report = build_two_prime_class(
         data, enumeration_budget=args.budget)
-    for row in build_report.failures():
+    for row in build_report.checks:
         _note(report, check=row.name, ok=row.ok, detail=row.detail)
     if not build_report.passed:
         report.outcome = "fail"
@@ -230,7 +232,12 @@ def _text(value) -> str:
 
 
 def _emit(report: RunReport, args) -> None:
+    """Write the --out file, then print; an unwritable file prints nothing."""
     payload = report.to_dict()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -238,10 +245,6 @@ def _emit(report: RunReport, args) -> None:
         for row in report.detail:
             print("  " + "  ".join(f"{k}={_text(v)}" for k, v in row.items()))
         print(f"  ({report.wall_time_s:.2f}s)")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--n must be at least 2")
         if args.factor_budget is not None and args.factor_budget < 1:
             parser.error("--factor-budget must be at least 1")
+    elif args.budget < 1:
+        parser.error("--budget must be at least 1")
     handlers = {
         "verify-cover": _cmd_verify_cover,
         "primitive": _cmd_primitive,
@@ -313,14 +318,14 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = handlers[args.command](args)
+        report.wall_time_s = time.perf_counter() - started
+        _emit(report, args)
     except (codec.FormatError, OSError) as exc:
         print(f"coverlab: input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"coverlab: {exc}", file=sys.stderr)
         return 2
-    report.wall_time_s = time.perf_counter() - started
-    _emit(report, args)
     return report.exit_code
 
 

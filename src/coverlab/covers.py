@@ -13,7 +13,7 @@ the period, and a class of modulus 2 copied twice while it is counted.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import codec
 
@@ -31,9 +31,6 @@ class ResidueClass:
 
     def contains(self, x: int) -> bool:
         return (x - self.a) % self.n == 0
-
-    def normalized(self) -> "ResidueClass":
-        return ResidueClass(self.a % self.n, self.n)
 
     def __str__(self) -> str:
         return f"{self.a}({self.n})"
@@ -181,9 +178,3 @@ def load_cover(path) -> CoveringSystem:
     raw = codec.load(path)
     return CoveringSystem(read_classes(raw["classes"]),
                           label=raw.get("label", "").str())
-
-
-def store_cover(system: CoveringSystem, path) -> None:
-    """Write a cover file; class order is preserved, bigints go as decimals."""
-    codec.dump({"label": system.label,
-                "classes": [asdict(c) for c in system.classes]}, path)

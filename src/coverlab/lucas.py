@@ -125,29 +125,6 @@ def find_primitive_divisors_u(
     return [p for p in fz.primes() if is_primitive_divisor_u(spec, p, n)], fz.cofactor
 
 
-def fibonacci(n: int) -> int:
-    """Exact F_n by fast doubling."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-
-    def pair(k: int) -> tuple[int, int]:
-        if k == 0:
-            return 0, 1
-        a, b = pair(k >> 1)
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        if k & 1:
-            return d, c + d
-        return c, d
-
-    return pair(n)[0]
-
-
-def check_u_identity(n: int) -> bool:
-    """2 * U_n(c=4) == F_{3n}."""
-    return 2 * u_term(LucasSpec(4), n) == fibonacci(3 * n)
-
-
 def check_rank_periodicity(spec: LucasSpec, n: int, p: int) -> bool:
     """Verify that U is purely periodic mod p with period exactly n.
 

@@ -1,11 +1,12 @@
-"""Primitive prime divisors of 2^n - 1, Wieferich tests, prime-table audit.
+"""Primitive prime divisors of 2^n - 1 and the prime-table audit.
 
 A prime p is a primitive divisor of 2^n - 1 when it divides 2^n - 1 but no
 2^m - 1 with 0 < m < n; equivalently the multiplicative order of 2 mod p is
 exactly n, i.e. `arith.order_dividing(2, p, n) == n`.  `is_primitive_divisor`
 applies that rule; the table audit's row check applies the same rule and
 also names why a row fails, and an errata replacement must pass that row
-check.  All order and valuation work here runs modulo p, p^2, ... -- 2^n - 1
+check; the audit also names each table prime that is a Wieferich prime.
+All order and valuation work here runs modulo p, p^2, ... -- 2^n - 1
 itself is never materialized for large n.
 """
 
@@ -63,11 +64,6 @@ def load_prime_table(path) -> PrimeTable:
     return PrimeTable(entries=entries, omitted=omitted)
 
 
-def store_prime_table(table: PrimeTable, path) -> None:
-    codec.dump({"entries": [{"n": n, "primes": ps} for n, ps in table.entries.items()],
-                "omitted": table.omitted}, path)
-
-
 def is_primitive_divisor(p: int, n: int) -> bool:
     """True iff the order of 2 mod p is exactly n (so p | 2^n - 1 primitively)."""
     if n < 2:
@@ -78,13 +74,6 @@ def is_primitive_divisor(p: int, n: int) -> bool:
     if pow(2, n, p) != 1:
         return False
     return order_dividing(2, p, n) == n
-
-
-def wieferich_test(p: int) -> bool:
-    """2^(p-1) = 1 (mod p^2)?  Only 1093 and 3511 are known to satisfy this."""
-    if p < 3 or p % 2 == 0 or not is_probable_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    return pow(2, p - 1, p * p) == 1
 
 
 def mersenne_valuation(p: int, n: int) -> int:
@@ -210,6 +199,7 @@ class PrimeTableReport:
     omitted: list[int]
     omitted_consistent: bool
     errata: list[Erratum]
+    wieferich: list[PrimitiveDivisorWitness]   # passed rows with p^2 | 2^n - 1
 
     @property
     def failing_rows(self) -> list[TableRow]:
@@ -247,7 +237,10 @@ def verify_prime_table(cover: CoveringSystem, table: PrimeTable) -> PrimeTableRe
     moduli with no listed primes, each occurring once.  Failing entries are
     treated as transcription errata: for each one a replacement primitive
     prime is searched within the errata budget and must pass the same row
-    check, never silently substituted.
+    check, never silently substituted.  Each row that passed is also tested
+    for Wieferich's condition 2^(p-1) = 1 (mod p^2), in the cheaper form
+    p^2 | 2^n - 1: the order of 2 mod p^2 is n or n*p, and p does not divide
+    p - 1, so both say it is n.  A hit is recorded with its valuation.
     """
     multiplicity = Counter(c.n for c in cover.classes)
 
@@ -291,6 +284,9 @@ def verify_prime_table(cover: CoveringSystem, table: PrimeTable) -> PrimeTableRe
         errata.append(Erratum(n=row.n, bad_value=row.p, reason=row.reason,
                               replacement=replacement, verified=verified))
 
+    wieferich = [PrimitiveDivisorWitness(r.n, r.p, mersenne_valuation(r.p, r.n))
+                 for r in rows if r.ok and pow(2, r.n, r.p * r.p) == 1]
+
     return PrimeTableReport(
         rows=rows,
         count_mismatches=count_mismatches,
@@ -298,4 +294,5 @@ def verify_prime_table(cover: CoveringSystem, table: PrimeTable) -> PrimeTableRe
         omitted=sorted(table.omitted),
         omitted_consistent=omitted_consistent,
         errata=errata,
+        wieferich=wieferich,
     )

@@ -5,8 +5,7 @@ import pytest
 
 from coverlab import arith
 from coverlab.arith import (FactorBudget, Factorization, crt_combine, factor,
-                            is_probable_prime, jacobi, order_dividing,
-                            prime_divisors)
+                            is_probable_prime, order_dividing, prime_divisors)
 from coverlab.covers import ResidueClass
 from coverlab.mersenne import cyclotomic_mersenne
 
@@ -370,34 +369,3 @@ def test_factor_reassembly_random_64bit():
         for p, _ in f.factors:
             assert is_probable_prime(p)
 
-
-def test_jacobi_examples():
-    assert jacobi(-2, 71) == -1
-    for n in (3, 9, 15, 21, 675675):
-        assert jacobi(1, n) == 1
-    assert jacobi(2, 17) == 1
-    assert pow(6, 2, 17) == 2      # 2 really is a square mod 17
-    with pytest.raises(ValueError):
-        jacobi(5, 8)
-    with pytest.raises(ValueError):
-        jacobi(5, 1)
-
-
-def test_jacobi_euler_criterion():
-    for p in sieve_primes(1000):
-        if p == 2:
-            continue
-        for a in range(p):
-            euler = pow(a, (p - 1) // 2, p)
-            expected = 0 if euler == 0 else (1 if euler == 1 else -1)
-            assert jacobi(a, p) == expected, (a, p)
-
-
-def test_jacobi_multiplicativity():
-    rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randrange(1, 500) * 2 + 1
-        if n < 3:
-            continue
-        a, b = rng.randrange(-50, 50), rng.randrange(-50, 50)
-        assert jacobi(a * b, n) == jacobi(a, n) * jacobi(b, n)

@@ -6,13 +6,11 @@ import sys
 
 import pytest
 
-from coverlab.arith import jacobi
-from coverlab.assets import sample_case, two_prime_data
+from coverlab.assets import SAMPLE_CASE, asset_path, two_prime_data
 import coverlab.certify as certify
 from coverlab.certify import (DEFAULT_Q_POOL, AuxPrime, ExclusionCase,
                               build_standard_cases,
-                              certify_all_cases, check_exclusion, load_case,
-                              store_case)
+                              certify_all_cases, check_exclusion, load_case)
 from coverlab.construct import TwoPrimeData, build_two_prime_class
 from coverlab.covers import CoveringSystem, ResidueClass
 from coverlab.lucas import LucasSpec, iter_terms_mod, period_mod
@@ -21,7 +19,7 @@ U4 = LucasSpec(4)
 
 
 def test_sample_case_is_valid():
-    case = sample_case()
+    case = load_case(asset_path(SAMPLE_CASE))
     report = check_exclusion(case)
     assert report.valid
     assert report.counterexample is None
@@ -109,7 +107,7 @@ def test_monotonicity_of_aux_sets():
 
 
 def test_reports_are_deterministic():
-    case = sample_case()
+    case = load_case(asset_path(SAMPLE_CASE))
     first = json.dumps(check_exclusion(case).to_dict(), sort_keys=True)
     second = json.dumps(check_exclusion(case).to_dict(), sort_keys=True)
     assert first == second
@@ -209,13 +207,14 @@ def test_quoted_intermediates():
     # the hand-proof facts the engine generalizes
     assert pow(2, 5, 31) == 1
     assert pow(2, 5, 11) == 10                   # i.e. -1 (mod 11)
-    assert jacobi(-2, 71) == -1
     assert 211 % 31 == 5 * 5 % 31                # 211 = 5^2 (mod 31)
     assert pow(5, 3, 31) == 1
     # x^2 - u_n = -8 (mod 29) along n = 2 (mod 70), for x = 5 (mod 29)
     terms = iter_terms_mod(U4, 29, 3000)
     for n in range(2, 2002, 70):
         assert (5 * 5 - terms[n]) % 29 == (-8) % 29
+    sympy = pytest.importorskip("sympy")
+    assert sympy.jacobi_symbol(-2, 71) == -1     # -2 is not a square mod 71
 
 
 def _verdict_by_direct_enumeration(case):
@@ -284,10 +283,3 @@ def test_check_exclusion_agrees_with_direct_enumeration():
         checked_invalid += not verdict
     assert checked_valid and checked_invalid   # both outcomes were exercised
 
-
-def test_case_file_roundtrip(tmp_path):
-    case = ExclusionCase(label="rt", r=8, m=14, p=211,
-                         aux=(AuxPrime(29, 5), AuxPrime(31, 14)))
-    path = tmp_path / "case.json"
-    store_case(case, path)
-    assert load_case(path) == case

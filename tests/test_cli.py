@@ -184,6 +184,27 @@ def test_out_file(tmp_path, capsys):
     assert payload["outcome"] == "pass"
 
 
+def test_out_file_that_cannot_be_written_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert cli.main(["reproduce", "erdos", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("coverlab: input error: ")
+    assert str(target) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-cover", "COVER"], ["reproduce", "erdos"], ["certify", "CASE"]])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_1_is_rejected(capsys, argv, budget):
+    argv = [{"COVER": asset(assets.COVER_ERDOS), "CASE": asset(assets.SAMPLE_CASE)}
+            .get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--budget", budget])
+    assert err.value.code == 2
+    assert "--budget must be at least 1" in capsys.readouterr().err
+
+
 def test_errata_file(tmp_path, capsys):
     target = tmp_path / "errata.json"
     code, _ = run(["reproduce", "thm11", "--out-errata", str(target)], capsys)
@@ -287,7 +308,10 @@ def test_reproduce_names_a_period_that_does_not_divide(tmp_path, capsys):
     code, out = run(["reproduce", "thm13", "--assets", str(custom)], capsys)
     assert code == 1
     assert "check=period t=1  ok=false  detail=u_n mod 5 has period > 2, modulus 2" in out
-    assert "failures=1" in out
+    # 5 first divides u_5 = 305, and x = 5 has x^2 - u_3 = 25 - 17 = 2^3
+    assert "check=rank t=1  ok=false  detail=rank of 5 is > 2, modulus 2" in out
+    assert "check=brute-force-window  ok=false  detail=2 hits, first x^2 - u_3 = +-2^b" in out
+    assert "failures=3" in out
 
 
 def test_reproduce_names_a_wrong_residue(tmp_path, capsys):

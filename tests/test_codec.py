@@ -5,11 +5,11 @@ import shutil
 
 import pytest
 
-from coverlab import assets, cli
+from coverlab import assets, cli, codec
 from coverlab.certify import load_case
 from coverlab.codec import FormatError
-from coverlab.construct import load_generalized_erdos, load_two_prime_data
-from coverlab.covers import load_cover
+from coverlab.construct import load_two_prime_data
+from coverlab.covers import CoveringSystem, ResidueClass, load_cover
 from coverlab.mersenne import load_prime_table
 
 CASE = {"label": "x", "r": "12", "m": "14", "p": "29",
@@ -31,6 +31,20 @@ def test_certify_rejects_malformed_case(tmp_path, capsys, doc, field):
     path.write_text(json.dumps(doc))
     assert cli.main(["certify", str(path)]) == 2
     assert f"{path}: {field}: " in capsys.readouterr().err
+
+
+def test_cover_roundtrip(tmp_path):
+    # bigints leave as decimal strings and come back as ints, in class order
+    system = CoveringSystem(
+        [ResidueClass(583939, 675675), ResidueClass(0, 2),
+         ResidueClass(3**200, 5**100 * 7)], label="roundtrip")
+    path = tmp_path / "cover.json"
+    codec.dump({"label": system.label,
+                "classes": [{"a": c.a, "n": c.n} for c in system.classes]}, path)
+    assert json.loads(path.read_text())["classes"][2]["n"] == str(5**100 * 7)
+    back = load_cover(path)
+    assert back.label == system.label
+    assert back.classes == system.classes
 
 
 def _edit_prime_table(raw):
@@ -69,11 +83,10 @@ def test_thm11_rejects_repeated_exponent(tmp_path, capsys):
 
 
 FORMATS = [
-    (load_cover, assets.COVER_ODD24),
+    (load_cover, assets.COVER_ERDOS),
     (load_case, assets.SAMPLE_CASE),
     (load_prime_table, assets.PRIME_TABLE),
     (load_two_prime_data, assets.TWO_PRIME_CLASS),
-    (load_generalized_erdos, assets.GENERALIZED_DEMO),
 ]
 
 DROP = object()

@@ -1,8 +1,8 @@
 import pytest
 
 from coverlab.arith import FactorBudget, factor, is_probable_prime
-from coverlab.lucas import (LucasSpec, check_rank_periodicity, check_u_identity,
-                            fibonacci, find_primitive_divisors_u,
+from coverlab.lucas import (LucasSpec, check_rank_periodicity,
+                            find_primitive_divisors_u,
                             is_primitive_divisor_u, iter_terms_mod, period_mod,
                             rank_of_apparition, u_term, u_term_mod)
 
@@ -110,23 +110,26 @@ def test_divisibility_ladder():
 
 
 def test_fibonacci_examples():
-    assert fibonacci(12) == 144
-    assert fibonacci(6) == 8
-    assert fibonacci(0) == 0 and fibonacci(1) == 1
+    # c = 1 is the Fibonacci sequence itself
+    assert u_term(FIB, 12) == 144
+    assert u_term(FIB, 6) == 8
+    assert u_term(FIB, 0) == 0 and u_term(FIB, 1) == 1
     seq = [0, 1]
     for n in range(2, 60):
         seq.append(seq[-1] + seq[-2])
-        assert fibonacci(n) == seq[n]
+        assert u_term(FIB, n) == seq[n]
 
 
 def test_u_identity():
+    # 2 u_n = F_{3n}, against sympy's Fibonacci numbers
+    sympy = pytest.importorskip("sympy")
     for n in range(201):
-        assert check_u_identity(n)
+        assert 2 * u_term(U4, n) == sympy.fibonacci(3 * n), n
 
 
 def test_rank_periodicity_examples():
     assert check_rank_periodicity(FIB, 10, 11)
-    assert (fibonacci(12) - fibonacci(2)) % 11 == 0
+    assert (u_term(FIB, 12) - u_term(FIB, 2)) % 11 == 0
     assert check_rank_periodicity(U4, 10, 31)
     with pytest.raises(ValueError, match="mod 4"):
         check_rank_periodicity(U4, 4, 5)

@@ -5,11 +5,10 @@ import pytest
 from coverlab.arith import FactorBudget, factor, is_probable_prime
 from coverlab.assets import odd_cover_173, prime_table
 from coverlab.covers import CoveringSystem, ResidueClass
-from coverlab.mersenne import (PrimeTable, cyclotomic_mersenne,
-                               find_primitive_divisors, is_primitive_divisor,
-                               load_prime_table, mersenne_valuation,
-                               store_prime_table, verify_prime_table,
-                               wieferich_test)
+from coverlab.mersenne import (PrimeTable, PrimitiveDivisorWitness,
+                               cyclotomic_mersenne, find_primitive_divisors,
+                               is_primitive_divisor, mersenne_valuation,
+                               verify_prime_table)
 
 
 def test_is_primitive_divisor_examples():
@@ -114,19 +113,23 @@ def test_find_primitive_divisors_rho_walks_the_step():
 
 
 def test_wieferich_examples():
-    assert wieferich_test(1093)
-    assert wieferich_test(3511)
-    assert not wieferich_test(3)
-    assert not wieferich_test(1091)
+    # 1093 and 3511 are the two known Wieferich primes, of orders 364 and 1755
+    cover = CoveringSystem([ResidueClass(0, 3), ResidueClass(1, 364),
+                            ResidueClass(2, 1755)])
+    table = PrimeTable(entries={3: [7], 364: [1093], 1755: [3511]}, omitted=[])
+    report = verify_prime_table(cover, table)
+    assert report.passed
+    assert report.wieferich == [PrimitiveDivisorWitness(364, 1093, 2),
+                                PrimitiveDivisorWitness(1755, 3511, 2)]
+    assert pow(2, 1092, 1093**2) == 1 and pow(2, 6, 49) != 1
 
 
 def test_wieferich_contract():
-    with pytest.raises(ValueError):
-        wieferich_test(1099)
-    with pytest.raises(ValueError):
-        wieferich_test(2)
-    with pytest.raises(ValueError):
-        wieferich_test(561)
+    # only rows that passed are scanned: 1093 misplaced at n = 3 is not one
+    cover = CoveringSystem([ResidueClass(0, 3)])
+    report = verify_prime_table(cover, PrimeTable(entries={3: [1093]}, omitted=[]))
+    assert [(r.n, r.p) for r in report.failing_rows] == [(3, 1093)]
+    assert report.wieferich == []
 
 
 def test_mersenne_valuation_examples():
@@ -151,15 +154,6 @@ def test_mersenne_valuation_examples():
         a = mersenne_valuation(p, n)
         assert ((1 << n) - 1) % p**a == 0
         assert ((1 << n) - 1) % p**(a + 1) != 0
-
-
-def test_prime_table_roundtrip(tmp_path):
-    table = PrimeTable(entries={3: [7], 11: [23, 89]}, omitted=[675675])
-    path = tmp_path / "table.json"
-    store_prime_table(table, path)
-    back = load_prime_table(path)
-    assert back.entries == table.entries
-    assert back.omitted == table.omitted
 
 
 def _tiny_cover_and_table():
