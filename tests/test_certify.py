@@ -3,9 +3,11 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
+from coverlab import codec
 from coverlab.assets import SAMPLE_CASE, asset_path, two_prime_data
 import coverlab.certify as certify
 from coverlab.certify import (DEFAULT_Q_POOL, AuxPrime, ExclusionCase,
@@ -243,6 +245,15 @@ def _verdict_by_direct_enumeration(case):
                        for a in case.aux):
                     return False
     return True
+
+
+def test_case_file_roundtrip(tmp_path):
+    # a case written field for field as the case-file layout reads back equal
+    case = ExclusionCase(label="rt", r=8, m=14, p=211,
+                         aux=(AuxPrime(29, 5), AuxPrime(31, 14)))
+    path = tmp_path / "case.json"
+    codec.dump(asdict(case), path)
+    assert load_case(path) == case
 
 
 def test_tables_span_one_period(tmp_path, monkeypatch):

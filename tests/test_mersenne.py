@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from coverlab import codec
 from coverlab.arith import FactorBudget, factor, is_probable_prime
 from coverlab.assets import odd_cover_173, prime_table
 from coverlab.covers import CoveringSystem, ResidueClass
 from coverlab.mersenne import (PrimeTable, PrimitiveDivisorWitness,
                                cyclotomic_mersenne, find_primitive_divisors,
-                               is_primitive_divisor, mersenne_valuation,
-                               verify_prime_table)
+                               is_primitive_divisor, load_prime_table,
+                               mersenne_valuation, verify_prime_table)
 
 
 def test_is_primitive_divisor_examples():
@@ -154,6 +155,17 @@ def test_mersenne_valuation_examples():
         a = mersenne_valuation(p, n)
         assert ((1 << n) - 1) % p**a == 0
         assert ((1 << n) - 1) % p**(a + 1) != 0
+
+
+def test_prime_table_roundtrip(tmp_path):
+    # the prime-table file layout: entries in exponent order, then omitted
+    table = PrimeTable(entries={3: [7], 11: [23, 89]}, omitted=[675675])
+    path = tmp_path / "table.json"
+    codec.dump({"entries": [{"n": n, "primes": ps} for n, ps in table.entries.items()],
+                "omitted": table.omitted}, path)
+    back = load_prime_table(path)
+    assert back.entries == table.entries
+    assert back.omitted == table.omitted
 
 
 def _tiny_cover_and_table():
