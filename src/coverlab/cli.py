@@ -231,13 +231,15 @@ def _text(value) -> str:
     return value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
 
 
+def _write_out(report: RunReport, path: str) -> None:
+    """Write the JSON report to the --out file, before anything is printed."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report.to_dict(), fh, indent=2)
+        fh.write("\n")
+
+
 def _emit(report: RunReport, args) -> None:
-    """Write the --out file, then print; an unwritable file prints nothing."""
     payload = report.to_dict()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
@@ -319,13 +321,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = handlers[args.command](args)
         report.wall_time_s = time.perf_counter() - started
-        _emit(report, args)
+        if args.out:
+            _write_out(report, args.out)
     except (codec.FormatError, OSError) as exc:
         print(f"coverlab: input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"coverlab: {exc}", file=sys.stderr)
         return 2
+    _emit(report, args)
     return report.exit_code
 
 

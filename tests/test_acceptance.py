@@ -58,6 +58,13 @@ def test_criterion_01_odd_cover_verifies(tmp_path):
 def test_criterion_02_prime_table_audit(tmp_path):
     with criterion("2: prime table audit with explained errata, < 10 min"):
         report = reproduce("thm11", tmp_path)
+        # the audited files are the ones the README lists, so the omitted
+        # exponents are 1485, 3003, 3465, 3861, 5005, 5775, 6435, 10395, 675675
+        assert report["asset_checksums"] == {
+            "cover_odd173.json":
+                "ef5b95a7f9b30d253c5e10d20a9487527c73e38d1d1474778c65629e7abbd241",
+            "prime_table_odd173.json":
+                "37ee6ddce2f435dcd0ae858e45e12f8d3250e23a3ad7b8f81c39e556da68c481"}
         # 164 primes for 173 classes: the 9 omitted exponents occur once each
         row(report, check="prime-table", entries="164", failing_rows="1",
             duplicates="0", count_mismatches="0", omitted_consistent="true")

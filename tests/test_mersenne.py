@@ -227,6 +227,7 @@ def test_verify_prime_table_real_assets():
     assert not report.count_mismatches
     assert not report.duplicates
     assert report.omitted_consistent
+    assert report.omitted == [1485, 3003, 3465, 3861, 5005, 5775, 6435, 10395, 675675]
     assert len(report.failing_rows) == 1
     row = report.failing_rows[0]
     assert (row.n, row.p) == (1755, 196911)
