@@ -59,7 +59,7 @@ class FactorBudget:
     of one Brent-Pollard rho attempt, counted in modular squarings (an
     x^2 + c step is one), and rho_attempts the number of attempts (one
     polynomial offset each) on every composite cofactor.  When factor() is
-    given a step above 2 and rho_iterations is at least P-1's fixed cost,
+    given a step above 2 and rho_iterations is at least P-1's largest cost,
     about 2.5 * 10^5 squarings, one P-1 run comes before rho on every
     composite cofactor; that run is not charged to any attempt.
     """
@@ -73,7 +73,8 @@ _DEFAULT_BUDGET = FactorBudget()   # built once: factor() is called per small n 
 
 # Pollard P-1 bounds.  Stage 1's exponent has about 1.44 * B1 bits and
 # stage 2 takes two multiplications per prime in (B1, B2], 75,483 of them,
-# so one call costs about 2.5 * 10^5 squarings, split or not.
+# so a call that splits nothing costs about 2.5 * 10^5 squarings, its
+# largest cost; a call stops at its first split.
 _PM1_B1 = 1 << 16
 _PM1_B2 = 1 << 20
 _PM1_SQUARINGS = 250_000
@@ -190,14 +191,15 @@ def factor(n: int, budget: FactorBudget | None = None,
     prime.  A larger step changes the rho walk, to y -> y^step + c, which
     finds such a prime p in about sqrt(p/step) steps instead of sqrt(p).
     It also runs Pollard's P-1 method on each composite cofactor before
-    rho, when budget.rho_iterations is at least its fixed cost of about
-    2.5 * 10^5 squarings (tens of milliseconds): P-1 finds p when
-    (p - 1)/step is 2^16-smooth apart from at most one prime up to 2^20,
-    and otherwise leaves the cofactor to rho.  A wrong step never yields a
-    wrong factor: every split is still a gcd divisor of n and every factor
-    still passes the same checks.  It can cost time, and under a finite
-    budget it can change how much of n is factored before the budget runs
-    out.
+    rho, when budget.rho_iterations is at least its largest cost of about
+    2.5 * 10^5 squarings (tens of milliseconds, paid only when it splits
+    nothing): P-1 finds p when (p - 1)/step is 2^16-smooth apart from at
+    most one prime up to 2^20, stopping at the first block of primes that
+    splits n, and otherwise leaves the cofactor to rho.  A wrong step never
+    yields a wrong factor: every split is still a gcd divisor of n and
+    every factor still passes the same checks.  It can cost time, and under
+    a finite budget it can change how much of n is factored before the
+    budget runs out.
     """
     if n < 1:
         raise ValueError(f"factor() needs n >= 1, got {n}")
@@ -275,41 +277,63 @@ def _odd_prime_segments(lo: int, hi: int):
 
 
 @functools.lru_cache(maxsize=1)
-def _pm1_exponent() -> int:
-    """The product of q^floor(log_q B1) over the primes q <= B1, a number of
-    about 1.44 * B1 bits."""
-    exponent = _PM1_B1                   # B1 is a power of 2
-    for segment in _odd_prime_segments(2, _PM1_B1):
-        for q in segment:
+def _pm1_blocks() -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Stage 1's prime powers q^floor(log_q B1), one block per prime range
+    (2^(k-1), 2^k] for k = 1..16, each block with the product of its powers.
+
+    The block of q = 2 holds B1 = 2^16 itself.  All the products together
+    have about 1.44 * B1 bits.
+    """
+    blocks = [(_PM1_B1,)]                # B1 is a power of 2
+    primes = itertools.chain.from_iterable(_odd_prime_segments(2, _PM1_B1))
+    for _, group in itertools.groupby(primes, int.bit_length):
+        powers = []
+        for q in group:
             power = q
             while power * q <= _PM1_B1:
                 power *= q
-            exponent *= power
-    return exponent
+            powers.append(power)
+        blocks.append(tuple(powers))
+    return tuple((powers, math.prod(powers)) for powers in blocks)
 
 
 def _pm1_split(n: int, step: int) -> int | None:
     """Pollard's P-1 method with the factor `step` of p - 1 known; a proper
     divisor of the composite n, or None.
 
-    Stage 1 takes a = 3^(step * _pm1_exponent()) and gcd(a - 1, n): it finds
-    each prime p of n = 1 (mod step) whose (p - 1)/step has no prime power
-    above B1.  Stage 2 adds the p whose (p - 1)/step has one more prime q
-    with B1 < q <= B2: it walks a^q from prime to prime by a table of a^gap
-    for the even gaps and takes one gcd of the product of the a^q - 1 per
-    sieve segment (Pollard 1974, Proc. Cambridge Philos. Soc. 76).  A gcd
-    of n, where every prime of n is found in the same stage or segment,
-    gives None, and rho takes over.  The base is 3 because 2 has order
-    dividing step modulo every prime of Phi_m(2) for m | step, so base 2
-    would always give n.
+    Stage 1 starts from a = 3^step and raises a to the prime powers of
+    _pm1_blocks(), a block at a time, with gcd(a - 1, n) after each block:
+    it finds each prime p of n = 1 (mod step) whose (p - 1)/step has no
+    prime power above B1, in the first block that completes its order.  A
+    block whose gcd is n is replayed one prime power at a time from its
+    start, and the first gcd other than 1 is returned; it is None only when
+    one prime power brings in every prime of n.  Stage 2 adds the p whose
+    (p - 1)/step has one more prime q with B1 < q <= B2: it walks a^q from
+    prime to prime by a table of a^gap for the even gaps and takes one gcd
+    of the product of the a^q - 1 per sieve segment (Pollard 1974, Proc.
+    Cambridge Philos. Soc. 76).  A stage-2 gcd of n, where every prime of n
+    is found in the same segment, gives None, and rho takes over.  The base
+    is 3 because 2 has order dividing step modulo every prime of Phi_m(2)
+    for m | step, so base 2 would always give n.
 
-    The cost is about _PM1_SQUARINGS modular squarings, whether it splits
-    n or not.
+    The work stops at the first block that splits n, so its cost follows
+    the largest prime of (p - 1)/step, not B1.  A run that splits nothing
+    costs about _PM1_SQUARINGS modular squarings, P-1's largest cost.
     """
-    a = pow(3, step * _pm1_exponent(), n)
-    g = math.gcd(a - 1, n)
-    if g != 1:
-        return g if g != n else None
+    a = pow(3, step, n)
+    for powers, product in _pm1_blocks():
+        b = pow(a, product, n)
+        g = math.gcd(b - 1, n)
+        if g == 1:
+            a = b
+            continue
+        if g != n:
+            return g
+        for power in powers:             # replay the block from its start
+            a = pow(a, power, n)
+            g = math.gcd(a - 1, n)
+            if g != 1:
+                return g if g != n else None
     gaps = [1, a * a % n]                # gaps[k] = a^(2k)
     for _ in range(63):                  # every gap below 2^20 is at most 114
         gaps.append(gaps[-1] * gaps[1] % n)

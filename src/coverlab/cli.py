@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -329,7 +330,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"coverlab: {exc}", file=sys.stderr)
         return 2
-    _emit(report, args)
+    try:
+        _emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; that is not a failed check.  Point
+        # stdout at devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

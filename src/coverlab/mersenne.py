@@ -137,10 +137,12 @@ def find_primitive_divisors(
     primes cheaply before trial division, P-1 and rho take over.  Both are
     told the same step.  At a budget of at least about 2.5 * 10^5 rho
     squarings (the default is 10^7), P-1 runs first on each composite
-    cofactor, for tens of milliseconds, and finds a prime p when
-    (p - 1)/step is 2^16-smooth apart from one prime up to 2^20; this is
-    what splits the cofactors of n = 101 and 125.  Rho walks x^step + c
-    and finds a prime p in about sqrt(p/step) steps.
+    cofactor and finds a prime p when (p - 1)/step is 2^16-smooth apart
+    from one prime up to 2^20.  It stops at the first block of stage-1
+    primes that splits the cofactor, so it costs milliseconds when the
+    primes of (p - 1)/step are small and tens of milliseconds only when it
+    splits nothing; it splits every composite cofactor for n <= 136.  Rho
+    walks x^step + c and finds a prime p in about sqrt(p/step) steps.
     The boolean is True when the primitive part was factored completely,
     i.e. the witness list is provably exhaustive.
     """

@@ -283,58 +283,139 @@ def test_pm1_puts_the_step_into_its_exponent():
     assert arith._pm1_split(p * q, s) == p
 
 
-def test_factor_falls_back_to_rho_when_pm1_finds_every_prime():
-    # (p - 1)/134 is 2^16-smooth for both primes of 2^67 - 1, so stage 1's
-    # gcd is the whole number; rho splits it
-    m = 2**67 - 1
-    assert arith._pm1_split(m, 134) is None
-    f = factor(m, step=134)
-    assert f.complete and dict(f.factors) == {193707721: 1, 761838257287: 1}
+def test_pm1_splits_2_67_minus_1():
+    # 2^67 - 1 = 193707721 * 761838257287.  (p - 1)/134 is 2^2 * 3^3 * 5 * 2677
+    # and 3^2 * 29 * 2551 * 8539: stage 1 finds 193707721 in the block of
+    # (2048, 4096], two blocks before 761838257287 joins at 8539
+    assert arith._pm1_split(2**67 - 1, 134) == 193707721
+
+
+def test_pm1_replays_a_block_whose_gcd_is_n():
+    # (p - 1)/134 = 3^4 * 7 * 13 * 17 * 65519 and (q - 1)/134 = 2^10 * 3 * 41 * 65521:
+    # both primes enter in the last block, (2^15, 2^16], so its gcd is the
+    # whole number.  Replayed one prime power at a time, the block finds p at
+    # 65519, before q joins at 65521
+    s, p, q = 134, 1100138570623, 1105835132929
+    assert (p - 1) // s == 3**4 * 7 * 13 * 17 * 65519
+    assert (q - 1) // s == 2**10 * 3 * 41 * 65521
+    assert pow(3, (p - 1) // 65519, p) != 1 and pow(3, (q - 1) // 65521, q) != 1
+    assert arith._pm1_split(p * q, s) == p
+
+
+def test_factor_falls_back_to_rho_when_pm1_finds_every_prime(monkeypatch):
+    # (p - 1)/134 = 2^10 * 3 * 41 * 65521 and (q - 1)/134 = 2^4 * 7^3 * 23 * 65521.
+    # Neither 3^((p - 1)/65521) nor 3^((q - 1)/65521) is 1, so both primes
+    # enter at 65521, the last prime power of stage 1: its gcd is the whole
+    # number, and rho splits it
+    s, r, p, q = 134, 65521, 1105835132929, 1108223242337
+    assert (p - 1) // s == 2**10 * 3 * 41 * r and (q - 1) // s == 2**4 * 7**3 * 23 * r
+    assert pow(3, (p - 1) // r, p) != 1 and pow(3, (q - 1) // r, q) != 1
+    assert arith._pm1_split(p * q, s) is None
+    rho_calls = 0
+    rho_split = arith._rho_split
+
+    def counting_rho(*args):
+        nonlocal rho_calls
+        rho_calls += 1
+        return rho_split(*args)
+
+    monkeypatch.setattr(arith, "_rho_split", counting_rho)
+    f = factor(p * q, step=s)
+    assert f.complete and dict(f.factors) == {p: 1, q: 1}
+    assert rho_calls == 1
+
+
+def test_pm1_splits_the_cofactors_where_stage_1_used_to_find_every_prime():
+    # the cofactors of Phi_n(2) left after the progression prescan and trial
+    # division; all of stage 1 at once found both primes of each
+    sympy = pytest.importorskip("sympy")
+    cofactors = {
+        67: 147573952589676412927,
+        71: 10334355636337793,
+        91: 2612585917490982161,
+        111: 8388782398254169,
+        116: 57646075230342349,
+        119: 8257410955834335790279,
+    }
+    for n, c in cofactors.items():
+        step = 2 * n if n % 2 else n
+        assert cyclotomic_mersenne(n) % c == 0
+        d = arith._pm1_split(c, step)
+        assert d is not None and 1 < d < c and c % d == 0, n
+        assert dict(factor(c, step=step).factors) == sympy.factorint(c), n
 
 
 def test_pm1_matches_sympy_on_semiprimes_of_the_progression():
     sympy = pytest.importorskip("sympy")
     b1, b2 = arith._PM1_B1, arith._PM1_B2
-    exponent = 1
+    powers = {}                          # stage 1's prime powers, in order
     for q in sympy.primerange(2, b1 + 1):
         power = q
         while power * q <= b1:
             power *= q
-        exponent *= power
+        powers[q] = power
+    position = {q: i for i, q in enumerate(powers)}
+    exponent = math.prod(powers.values())
 
-    def stage(p, s):
-        # 1 or 2 when stage 1 or 2 of P-1 at step s finds the prime p, else 0
-        a = pow(3, s * exponent, p)
-        if a == 1:
-            return 1
-        order = sympy.n_order(a, p)
-        return 2 if b1 < order <= b2 and sympy.isprime(order) else 0
+    def entry(p, s):
+        # (1, i) when stage 1 of P-1 at step s finds the prime p at the i-th
+        # prime power, (2, j) when stage 2 finds it in its j-th sieve
+        # segment, None when neither does.  P-1 returns the prime with the
+        # earlier entry, and None when both enter together or not at all
+        order = sympy.n_order(pow(3, s, p), p)
+        primes = sympy.factorint(order)
+        if all(ell <= b1 and ell**k <= powers[ell] for ell, k in primes.items()):
+            return 1, max((position[ell] for ell in primes), default=0)
+        rest = order // math.gcd(order, exponent)
+        if b1 < rest <= b2 and sympy.isprime(rest):
+            return 2, (rest - b1 - 1) // (2 * arith._SIEVE_SEGMENT)
+        return None
+
+    def progression_prime(s, k, r=1):
+        # the least prime s * r * k' + 1 with k' >= k
+        while not sympy.isprime(s * r * k + 1):
+            k += 1
+        return s * r * k + 1
+
+    def planted_prime(s, r, rng):
+        # a prime that stage 1 finds at the prime power of r
+        while True:
+            p = progression_prime(s, rng.randrange(2**39 // (s * r), 2**40 // (s * r)), r)
+            if entry(p, s) == (1, position[r]):
+                return p
 
     rng = random.Random(40)
     seen = {1: 0, 2: 0, None: 0}
     for s in (6, 134, 250):
+        pairs = []
         for _ in range(4):
-            p, q = (s * rng.randrange(2**39 // s, 2**40 // s) + 1 for _ in range(2))
-            while not sympy.isprime(p):
-                p += s
-            while not sympy.isprime(q) or q == p:
-                q += s
-            d = arith._pm1_split(p * q, s)
-            by_stage = {stage(p, s): p, stage(q, s): q}   # one entry when both agree
-            stages = set(by_stage)
-            if stages in ({0, 1}, {1, 2}):
-                assert d == by_stage[1], (p, q, s)
-                seen[1] += 1
-            elif stages == {0, 2}:
-                assert d == by_stage[2], (p, q, s)
-                seen[2] += 1
-            elif stages == {2}:
-                assert d in (None, p, q), (p, q, s)   # None when one segment holds both
+            p = progression_prime(s, rng.randrange(2**39 // s, 2**40 // s))
+            q = p
+            while q == p:
+                q = progression_prime(s, rng.randrange(2**39 // s, 2**40 // s))
+            pairs.append((p, q))
+        # planted pairs in the last block, (2^15, 2^16]: one that enters
+        # together at 65521, the last prime power, and one that enters at
+        # 65519 and 65521, so that the block's gcd is n and its replay splits
+        for r1, r2 in ((65521, 65521), (65519, 65521)):
+            p = planted_prime(s, r1, rng)
+            q = p
+            while q == p:
+                q = planted_prime(s, r2, rng)
+            pairs.append((p, q))
+        for p, q in pairs:
+            ep, eq = entry(p, s), entry(q, s)
+            if ep == eq:
+                expected = None
+            elif eq is None or (ep is not None and ep < eq):
+                expected = p
             else:
-                assert d is None, (p, q, s)           # both in stage 1, or neither
-                seen[None] += 1
+                expected = q
+            assert arith._pm1_split(p * q, s) == expected, (p, q, s, ep, eq)
+            seen[None if expected is None else min(filter(None, (ep, eq)))[0]] += 1
             f = factor(p * q, step=s)
-            assert f.complete and dict(f.factors) == sympy.factorint(p * q), (p, q, s)
+            # p and q passed sympy.isprime, so this is sympy.factorint(p * q)
+            assert f.complete and dict(f.factors) == {p: 1, q: 1}, (p, q, s)
     assert all(seen.values()), seen
 
 

@@ -383,14 +383,33 @@ def test_reports_deterministic_apart_from_timing(capsys):
     assert p1 == p2
 
 
-def test_console_entry_subprocess():
+def _child_env():
     # the child imports the same coverlab as this process, installed or not
     src = str(pathlib.Path(coverlab.__file__).parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_entry_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "coverlab.cli", "verify-cover",
          asset(assets.COVER_ERDOS)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+def test_closed_stdout_keeps_the_report_exit_code():
+    # the reader of stdout is gone before the report is printed, as with
+    # `coverlab reproduce cases | head -n 1` once head has exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "coverlab.cli", "reproduce", "cases"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
