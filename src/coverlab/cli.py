@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -21,8 +22,9 @@ from .certify import certify_all_cases, check_exclusion, load_case
 from .construct import (build_erdos_class, build_two_prime_class,
                         check_divisibility_mechanics, erdos_witness_primes)
 from .covers import load_cover, verify_cover
-from .lucas import LucasSpec, check_rank_periodicity, find_primitive_divisors_u
-from .mersenne import find_primitive_divisors, verify_prime_table
+from .lucas import LucasSpec, check_rank_periodicity
+from .mersenne import (MERSENNE, cyclotomic_mersenne, find_primitive_divisors,
+                       verify_prime_table)
 
 REPORT_SCHEMA = "coverlab.report/1"
 
@@ -80,24 +82,21 @@ def _cmd_primitive(args) -> RunReport:
     if args.factor_budget is not None:
         budget = FactorBudget(trial_bound=args.factor_budget,
                               rho_iterations=10 * args.factor_budget)
-    if args.lucas_c is not None:
-        report = RunReport("primitive", {"lucas_c": str(args.lucas_c),
-                                         "n": str(args.n)})
-        primes, cofactor = find_primitive_divisors_u(
-            LucasSpec(args.lucas_c), args.n, budget)
-        for p in primes:
-            _note(report, p=p, rank=args.n)
-        if cofactor != 1:
-            _note(report, unresolved_cofactor=cofactor)
-            report.outcome = "partial"
-        return report
-    report = RunReport("primitive", {"base": "2", "n": str(args.n)})
-    witnesses, complete = find_primitive_divisors(args.n, budget=budget)
+    lucas = args.lucas_c is not None
+    spec = LucasSpec(args.lucas_c) if lucas else MERSENNE
+    report = RunReport("primitive", {"lucas_c": str(args.lucas_c)} if lucas
+                       else {"base": "2"})
+    report.inputs["n"] = str(args.n)
+    witnesses, complete = find_primitive_divisors(args.n, budget, spec)
     for w in witnesses:
-        _note(report, p=w.p, alpha=w.alpha)
+        _note(report, p=w.p, **({"rank": args.n} if lucas else {"alpha": w.alpha}))
     if not complete:
-        _note(report, note="factorization incomplete within budget")
         report.outcome = "partial"
+        if lucas:   # what the listed primes leave of the primitive part
+            _note(report, unresolved_cofactor=cyclotomic_mersenne(args.n, spec)
+                  // math.prod(w.p**w.alpha for w in witnesses))
+        else:
+            _note(report, note="factorization incomplete within budget")
     return report
 
 
@@ -194,7 +193,8 @@ def _reproduce_lemma41(args, report: RunReport) -> None:
     for c in range(1, 7):
         spec = LucasSpec(c)
         for n in (2, 6, 10, 14):
-            primitive, _ = find_primitive_divisors_u(spec, n)
+            witnesses, _ = find_primitive_divisors(n, spec=spec)
+            primitive = [w.p for w in witnesses]
             bad = [p for p in primitive if not check_rank_periodicity(spec, n, p)]
             failures += len(bad)
             _note(report, c=c, n=n, primitive_primes=len(primitive),

@@ -13,6 +13,7 @@ Two builders live here:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .arith import crt_combine, is_probable_prime
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
 from .covers import (CoveringSystem, ResidueClass, build_doubled_cover,
                      read_classes, verify_cover)
-from .lucas import LucasSpec, period_mod, rank_of_apparition, u_term_mod
+from .lucas import LucasSpec, period_mod, rank_of_apparition, u_term_mod, u_terms
 from .mersenne import mersenne_valuation
 
 # The witness prime of each modulus n of the classical exponent cover: the
@@ -200,9 +201,7 @@ def prime_power_hits(spec: LucasSpec, x: int, pairs: list[tuple[int, ResidueClas
     c.  U_0..U_{n_max} are computed exactly in one pass of the recurrence
     and shared by all pairs.
     """
-    terms = [0, 1]
-    for _ in range(n_max - 1):
-        terms.append(spec.c * terms[-1] + terms[-2])
+    terms = list(itertools.islice(u_terms(spec), n_max + 1))
     square = x * x
     hits = []
     for p, c in pairs:

@@ -1,13 +1,14 @@
-"""Primitive prime divisors of 2^n - 1 and the prime-table audit.
+"""Primitive prime divisors of Lucas sequences and the prime-table audit.
 
-A prime p is a primitive divisor of 2^n - 1 when it divides 2^n - 1 but no
-2^m - 1 with 0 < m < n; equivalently the multiplicative order of 2 mod p is
-exactly n, i.e. `arith.order_dividing(2, p, n) == n`.  `is_primitive_divisor`
-applies that rule; the table audit's row check applies the same rule and
-also names why a row fails, and an errata replacement must pass that row
-check; the audit also names each table prime that is a Wieferich prime.
-All order and valuation work here runs modulo p, p^2, ... -- 2^n - 1
-itself is never materialized for large n.
+A prime p is a primitive divisor of U_n when it divides U_n but no U_m
+with 0 < m < n, i.e. its rank of apparition is n.  2^n - 1 is the Lucas
+sequence U_n(3, 2), `MERSENNE`, and there the rank is the multiplicative
+order of 2 mod p.  `find_primitive_divisors` is the one finder for every
+spec: it factors the primitive part of U_n.  The table audit's row check
+applies the order rule on its own, with `arith.order_dividing`, and also
+names why a row fails; an errata replacement must pass that row check, and
+the audit also names each table prime that is a Wieferich prime.  The
+audit's order and valuation work runs modulo p, p^2, ...
 """
 
 from __future__ import annotations
@@ -15,12 +16,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import codec
 from .arith import (FactorBudget, factor, is_probable_prime, order_dividing,
                     prime_divisors)
 from .covers import CoveringSystem
+from .lucas import LucasSpec, rank_of_apparition, u_terms
+
+MERSENNE = LucasSpec(3, 2)   # U_n = 2^n - 1
+
+_CANDIDATE_BOUND = 10_000    # progression steps the finder's prescan walks
 
 # The primitive parts behind errata rows are far beyond rho range; the
 # progression scan is what actually finds replacements.
@@ -29,7 +35,7 @@ _ERRATA_BUDGET = FactorBudget(trial_bound=10**5, rho_iterations=0, rho_attempts=
 
 @dataclass(frozen=True)
 class PrimitiveDivisorWitness:
-    """(exponent n, prime p, valuation of p in 2^n - 1)."""
+    """(exponent n, prime p, valuation of p in U_n)."""
 
     n: int
     p: int
@@ -64,18 +70,6 @@ def load_prime_table(path) -> PrimeTable:
     return PrimeTable(entries=entries, omitted=omitted)
 
 
-def is_primitive_divisor(p: int, n: int) -> bool:
-    """True iff the order of 2 mod p is exactly n (so p | 2^n - 1 primitively)."""
-    if n < 2:
-        raise ValueError(f"exponent must be >= 2, got {n}")
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    # p = 2 divides no 2^n - 1, and order_dividing rejects the non-unit 2 mod 2
-    if pow(2, n, p) != 1:
-        return False
-    return order_dividing(2, p, n) == n
-
-
 def mersenne_valuation(p: int, n: int) -> int:
     """Largest a with p^a | 2^n - 1, by lifting the modulus p, p^2, ...
 
@@ -95,29 +89,29 @@ def mersenne_valuation(p: int, n: int) -> int:
     return a
 
 
-def cyclotomic_mersenne(n: int) -> int:
-    """Value of the n-th cyclotomic polynomial at 2.
+def cyclotomic_mersenne(n: int, spec: LucasSpec = MERSENNE) -> int:
+    """The primitive part Phi_n of U_n: Phi_n(2) for the default spec.
 
-    Computed as prod over d | n of (2^d - 1)^moebius(n/d); moebius(n/d) is
+    Computed as prod over d | n of U_d^moebius(n/d), in one pass of the
+    recurrence up to U_n that keeps only those terms; moebius(n/d) is
     nonzero exactly when n/d is a product of a subset S of the distinct
     primes of n, with sign (-1)^|S|.  This carries exactly the prime factors
-    of 2^n - 1 whose order is n, plus possibly one copy of the largest prime
-    factor of n.
+    of U_n whose rank of apparition is n, plus possibly primes that divide n.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n == 1:
-        return 1
     primes = prime_divisors(n)
+    odd = {n // math.prod(subset): size % 2   # index d -> is moebius(n/d) -1
+           for size in range(len(primes) + 1) for subset in combinations(primes, size)}
     num = 1
     den = 1
-    for size in range(len(primes) + 1):
-        for subset in combinations(primes, size):
-            term = (1 << (n // math.prod(subset))) - 1
-            if size % 2:
-                den *= term
-            else:
-                num *= term
+    for d, term in zip(range(n + 1), u_terms(spec)):
+        if d not in odd:
+            continue
+        if odd[d]:
+            den *= term
+        else:
+            num *= term
     q, r = divmod(num, den)
     if r:
         raise AssertionError("cyclotomic product did not divide exactly")
@@ -127,34 +121,44 @@ def cyclotomic_mersenne(n: int) -> int:
 def find_primitive_divisors(
     n: int,
     budget: FactorBudget | None = None,
-    candidate_bound: int = 10_000,
+    spec: LucasSpec = MERSENNE,
 ) -> tuple[list[PrimitiveDivisorWitness], bool]:
-    """All primitive prime divisors of 2^n - 1 reachable within the budget.
+    """All primitive prime divisors of U_n reachable within the budget.
 
-    Strategy: factor the cyclotomic value at 2 (the primitive part).  Any
-    prime of order n is = 1 (mod 2n when n is odd, mod n otherwise), so an
-    arithmetic-progression scan up to `candidate_bound` steps strips medium
-    primes cheaply before trial division, P-1 and rho take over.  Both are
-    told the same step.  At a budget of at least about 2.5 * 10^5 rho
-    squarings (the default is 10^7), P-1 runs first on each composite
-    cofactor and finds a prime p when (p - 1)/step is 2^16-smooth apart
-    from one prime up to 2^20.  It stops at the first block of stage-1
-    primes that splits the cofactor, so it costs milliseconds when the
-    primes of (p - 1)/step are small and tens of milliseconds only when it
-    splits nothing; it splits every composite cofactor for n <= 136.  Rho
-    walks x^step + c and finds a prime p in about sqrt(p/step) steps.
-    The boolean is True when the primitive part was factored completely,
-    i.e. the witness list is provably exhaustive.
+    Strategy: factor the primitive part Phi_n.  With D = c^2 - 4Q, an odd
+    prime q of rank n that does not divide D has n | q - (D/q), so
+    q = (D/q) (mod step), step = 2n for odd n and n otherwise: q = 1 when
+    D is a square, as for 2^n - 1, and q = +-1 otherwise.  (2 has rank at
+    most 3, and a prime of D has rank itself, so these few others are
+    small.)  A scan of those progressions up to _CANDIDATE_BOUND steps
+    strips medium primes cheaply before trial division, P-1 and rho take
+    over.  When D is a square, factor() is told the step: at the default
+    budget it then runs P-1 before rho on each composite cofactor (for
+    2^n - 1 with n <= 136, P-1 splits them all), and rho walks x^step + c,
+    finding a prime p in about sqrt(p/step) steps.  Otherwise factor()
+    gets step 2: no P-1, and rho walks x^2 + c.
+
+    A prime of Phi_n that does not divide n has rank exactly n (Carmichael
+    1913, Annals 15); one that divides n is kept when rank_of_apparition
+    says its rank is n.  Its alpha is its exponent in Phi_n, counted in the
+    factorization and in any unfactored cofactor; a primitive prime divides
+    no earlier term, so that is its valuation in U_n.  The boolean is True
+    when the primitive part was factored completely, i.e. the witness list
+    is provably exhaustive.
     """
     if n < 2:
         raise ValueError(f"exponent must be >= 2, got {n}")
-    value = cyclotomic_mersenne(n)
+    rest = cyclotomic_mersenne(n, spec)
     found: dict[int, int] = {}
-    rest = value
 
     step = 2 * n if n % 2 else n
-    for k in range(1, candidate_bound + 1):
-        q = step * k + 1
+    d = spec.c**2 - 4 * spec.Q
+    square = math.isqrt(d) ** 2 == d
+    last = _CANDIDATE_BOUND * step + 1
+    candidates = range(step + 1, last + 1, step)
+    if not square:   # interleave k*step - 1 and k*step + 1 in increasing order
+        candidates = chain.from_iterable(zip(range(step - 1, last, step), candidates))
+    for q in candidates:
         if q * q > rest:
             break
         if rest % q == 0 and is_probable_prime(q):
@@ -163,16 +167,20 @@ def find_primitive_divisors(
                 rest //= q
 
     if rest > 1:
-        sub = factor(rest, budget, step)
+        sub = factor(rest, budget, step if square else 2)
         for p, e in sub.factors:
             found[p] = found.get(p, 0) + e
         rest = sub.cofactor
 
     witnesses = []
     for p in sorted(found):
-        if is_primitive_divisor(p, n):
-            witnesses.append(
-                PrimitiveDivisorWitness(n=n, p=p, alpha=mersenne_valuation(p, n)))
+        if n % p == 0 and rank_of_apparition(spec, p, n) != n:
+            continue
+        alpha = found[p]
+        while rest % p == 0:
+            alpha += 1
+            rest //= p
+        witnesses.append(PrimitiveDivisorWitness(n=n, p=p, alpha=alpha))
     return witnesses, rest == 1
 
 

@@ -10,6 +10,8 @@ import pytest
 import coverlab
 from coverlab import assets, certify, cli
 from coverlab.arith import FactorBudget
+from coverlab.lucas import LucasSpec
+from coverlab.mersenne import MERSENNE, cyclotomic_mersenne
 
 
 def run(argv, capsys):
@@ -65,6 +67,27 @@ def test_primitive_lucas(capsys):
     assert "p=29" in out and "rank=14" in out
 
 
+def test_primitive_lucas_primitive_part(capsys):
+    # the finder factors only the primitive part of U_58 for c = 6,
+    # 2437 * 5463737727275520773, not all of U_58
+    code, out = run(["primitive", "--lucas-c", "6", "--n", "58", "--json"], capsys)
+    assert code == 0
+    assert [r["p"] for r in json.loads(out)["detail"]] == ["2437", "5463737727275520773"]
+
+
+def test_primitive_lucas_unresolved_cofactor(capsys):
+    # the cofactor is what the listed primes leave of the primitive part
+    code, out = run(["primitive", "--lucas-c", "4", "--n", "43",
+                     "--factor-budget", "1", "--json"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["outcome"] == "partial"
+    *rows, last = report["detail"]
+    assert [r["p"] for r in rows] == ["257", "5417", "8513"]
+    cofactor = int(last["unresolved_cofactor"])
+    assert cofactor * 257 * 5417 * 8513 == cyclotomic_mersenne(43, LucasSpec(4))
+    assert cofactor > 1 and all(cofactor % p for p in (257, 5417, 8513))
+
+
 def test_primitive_incomplete_budget(capsys):
     # 2^137 - 1 is a semiprime of two 20-digit primes: out of reach here
     code, out = run(["primitive", "--base", "2", "--n", "137",
@@ -76,16 +99,18 @@ def test_primitive_incomplete_budget(capsys):
 def test_primitive_factor_budget_default(monkeypatch):
     seen = []
 
-    def spy(n, budget):
-        seen.append(budget)
+    def spy(n, budget, spec):
+        seen.append((budget, spec))
         return [], True
 
     monkeypatch.setattr(cli, "find_primitive_divisors", spy)
     assert cli.main(["primitive", "--base", "2", "--n", "11"]) == 0
     assert cli.main(["primitive", "--base", "2", "--n", "11",
                      "--factor-budget", "1000"]) == 0
-    assert seen == [FactorBudget(),
-                    FactorBudget(trial_bound=1000, rho_iterations=10000)]
+    assert cli.main(["primitive", "--lucas-c", "4", "--n", "11"]) == 0
+    assert seen == [(FactorBudget(), MERSENNE),
+                    (FactorBudget(trial_bound=1000, rho_iterations=10000), MERSENNE),
+                    (FactorBudget(), LucasSpec(4))]
 
 
 def test_primitive_flag_validation():

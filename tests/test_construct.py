@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,7 +11,7 @@ from coverlab.construct import (ERDOS_WITNESS_PRIMES, build_erdos_class,
                                 check_divisibility_mechanics,
                                 erdos_witness_primes, prime_power_hits)
 from coverlab.covers import CoveringSystem, ResidueClass
-from coverlab.lucas import LucasSpec, u_term, u_term_mod
+from coverlab.lucas import LucasSpec, u_term_mod, u_terms
 from coverlab.mersenne import find_primitive_divisors
 
 
@@ -112,10 +113,11 @@ def test_prime_power_hits_finds_planted_powers():
     # b = 0: x^2 - u_n = +-1 at x = 1, u_0 = 0 and x = 0, u_1 = 1
     assert prime_power_hits(spec, 1, [(7, ResidueClass(0, 3))], n_max=9, b_max=0) == [(0, 7)]
     assert prime_power_hits(spec, 0, [(7, ResidueClass(4, 3))], n_max=9, b_max=0) == [(1, 7)]
-    # d = x^2 - u_n taken from u_term: the hit shows at n and not at n + 1
+    # d = x^2 - u_n taken from u_terms: the hit shows at n and not at n + 1
     for n in (0, 7, 100, 2000):
-        x = math.isqrt(u_term(spec, n)) + 1
-        d = x * x - u_term(spec, n)
+        u_n = next(itertools.islice(u_terms(spec), n, None))
+        x = math.isqrt(u_n) + 1
+        d = x * x - u_n
         assert prime_power_hits(spec, x, [(d, ResidueClass(n, 2001))],
                                 n_max=2000, b_max=1) == [(n, d)]
         assert prime_power_hits(spec, x, [(d, ResidueClass(n + 1, 2002))],

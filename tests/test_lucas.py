@@ -1,13 +1,25 @@
+import itertools
+
 import pytest
 
-from coverlab.arith import FactorBudget, factor, is_probable_prime
-from coverlab.lucas import (LucasSpec, check_rank_periodicity,
-                            find_primitive_divisors_u,
-                            is_primitive_divisor_u, iter_terms_mod, period_mod,
-                            rank_of_apparition, u_term, u_term_mod)
+from coverlab import mersenne
+from coverlab.arith import (FactorBudget, Factorization, factor, is_probable_prime,
+                            order_dividing)
+from coverlab.lucas import (LucasSpec, check_rank_periodicity, iter_terms_mod,
+                            period_mod, rank_of_apparition, u_term_mod, u_terms)
+from coverlab.mersenne import (MERSENNE, PrimitiveDivisorWitness,
+                               find_primitive_divisors)
 
 U4 = LucasSpec(4)
 FIB = LucasSpec(1)
+
+
+def first_terms(spec, count):
+    return list(itertools.islice(u_terms(spec), count))
+
+
+def u_term(spec, n):
+    return first_terms(spec, n + 1)[n]
 
 
 def test_u_term_examples():
@@ -17,14 +29,20 @@ def test_u_term_examples():
     assert u_term(U4, 10) == 416020
     assert u_term(U4, 22) == 13888945017644
     assert (900 - u_term(U4, 22)) % 71 == 14
+    assert first_terms(U4, 5) == [0, 1, 4, 17, 72]
+    # Q = 2: U_n(3, 2) = 2^n - 1
+    assert first_terms(MERSENNE, 65) == [2**n - 1 for n in range(65)]
 
 
 def test_u_term_mod_examples():
     assert u_term_mod(U4, 8, 31) == 27          # = -4 (mod 31)
     assert u_term_mod(U4, 4, 11) == 6           # = -5 (mod 11)
-    for spec in (U4, FIB, LucasSpec(3)):
+    for spec in (U4, FIB, LucasSpec(3), MERSENNE):
         for m in (2, 7, 100):
             assert u_term_mod(spec, 0, m) == 0
+    for m in range(2, 60):
+        for n in range(200):
+            assert u_term_mod(MERSENNE, n, m) == (2**n - 1) % m, (n, m)
 
 
 def test_u_term_mod_agrees_with_exact():
@@ -42,6 +60,8 @@ def test_iter_terms_mod_matches_u_term_mod():
     terms = iter_terms_mod(U4, 31, 50)
     for n, t in enumerate(terms):
         assert t == u_term_mod(U4, n, 31)
+    for m in (2, 7, 45):
+        assert iter_terms_mod(MERSENNE, m, 100) == [(2**n - 1) % m for n in range(100)]
 
 
 def test_period_examples():
@@ -50,6 +70,10 @@ def test_period_examples():
     pi31 = period_mod(U4, 31)
     assert pi31 % 10 == 0
     assert rank_of_apparition(U4, 31, 100) == 10
+    # 2^n - 1 mod 7 has period 3, the order of 2; Q = 2 is no unit mod 2
+    assert period_mod(MERSENNE, 7) == 3
+    with pytest.raises(ValueError, match="not a unit"):
+        period_mod(MERSENNE, 10)
 
 
 def test_period_step_cap():
@@ -85,18 +109,34 @@ def test_rank_examples():
     assert u_term(U4, 6) == 1292 == 2**2 * 17 * 19
     assert rank_of_apparition(U4, 29, 1000) == 14
     assert rank_of_apparition(U4, 2, 10) == 2
+    # for (3, 2) the rank of an odd prime is the order of 2; 2 divides no term
+    for p in range(3, 500):
+        if is_probable_prime(p):
+            assert rank_of_apparition(MERSENNE, p, p) == order_dividing(2, p, p - 1), p
+    assert rank_of_apparition(MERSENNE, 2, 100) is None
     assert rank_of_apparition(U4, 1009, 3) is None   # bound too small
     with pytest.raises(ValueError):
         rank_of_apparition(U4, 15, 100)
 
 
-def test_is_primitive_divisor_u_examples():
-    assert is_primitive_divisor_u(U4, 5779, 18)
-    assert is_primitive_divisor_u(U4, 19, 6)
+def test_find_primitive_divisors_rank_rule():
+    def primes(spec, n):
+        witnesses, complete = find_primitive_divisors(n, spec=spec)
+        assert complete
+        return [(w.p, w.alpha) for w in witnesses]
+
+    assert (5779, 1) in primes(U4, 18)
+    assert primes(U4, 6) == [(19, 1)]
     # 17 divides u_3 = 17 already, so it is not primitive at index 6
     assert u_term(U4, 3) == 17
-    assert not is_primitive_divisor_u(U4, 17, 6)
-    assert is_primitive_divisor_u(U4, 17, 3)
+    assert primes(U4, 3) == [(17, 1)]
+    # primes that divide n: each is primitive exactly when its rank is n
+    assert primes(U4, 2) == [(2, 2)]                     # u_2 = 4
+    assert primes(U4, 5) == [(5, 1), (61, 1)]            # u_5 = 305
+    assert u_term(U4, 4) == 72 == 2**3 * 3**2           # 2 | u_2 = 4
+    assert primes(U4, 4) == [(3, 2)]
+    assert primes(MERSENNE, 6) == []                     # 3 | 2^2 - 1
+    assert rank_of_apparition(MERSENNE, 3, 6) == 2
 
 
 def test_divisibility_ladder():
@@ -179,16 +219,36 @@ def test_rank_periodicity_matches_brute_window():
 
 def test_find_primitive_divisors_u_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    for c in range(1, 5):
-        spec = LucasSpec(c)
-        terms = [u_term(spec, i) for i in range(41)]
+    for spec in [LucasSpec(c) for c in range(1, 7)] + [MERSENNE]:
+        terms = first_terms(spec, 41)
         for n in range(2, 41):
             # oracle: primes of U_n dividing no earlier term
-            want = [p for p in sympy.primefactors(terms[n])
+            want = [(p, sympy.multiplicity(p, terms[n]))
+                    for p in sympy.primefactors(terms[n])
                     if all(terms[i] % p for i in range(1, n))]
-            assert find_primitive_divisors_u(spec, n) == (want, 1), (c, n)
-    # U_38 has six prime factors above 100; trial division to 10 and a
-    # single rho step leave them in the cofactor
-    primes, cofactor = find_primitive_divisors_u(
-        U4, 38, FactorBudget(trial_bound=10, rho_iterations=1, rho_attempts=1))
-    assert primes == [] and cofactor == u_term(U4, 38) // 4
+            witnesses, complete = find_primitive_divisors(n, spec=spec)
+            assert complete and [(w.p, w.alpha) for w in witnesses] == want, (spec, n)
+    # the primitive part of U_38 is 229 * 9349 * 95419, all = 1 (mod 38):
+    # the progression scan finds them even when trial division stops at 10
+    # and rho takes a single step
+    tiny = FactorBudget(trial_bound=10, rho_iterations=1, rho_attempts=1)
+    witnesses, complete = find_primitive_divisors(38, tiny, U4)
+    assert complete and [w.p for w in witnesses] == [229, 9349, 95419]
+    # at n = 43 two primes of the primitive part are beyond the scan and the
+    # budget: the listed primes keep their exact valuations in U_43
+    witnesses, complete = find_primitive_divisors(43, tiny, U4)
+    assert not complete and [w.p for w in witnesses] == [257, 5417, 8513]
+    assert all(w.alpha == sympy.multiplicity(w.p, u_term(U4, 43)) for w in witnesses)
+
+
+def test_find_primitive_divisors_counts_copies_left_in_the_cofactor(monkeypatch):
+    # 191^2 divides the primitive part 191^2 * 4523 * 1021973 of U_38 for
+    # c = 6.  With the scan off, a factorization that found one copy of 191
+    # and left 191 * 4523 * 1021973 unsplit still gives alpha = 2.
+    spec = LucasSpec(6)
+    assert u_term(spec, 38) % 191**2 == 0 and u_term(spec, 38) % 191**3
+    monkeypatch.setattr(mersenne, "_CANDIDATE_BOUND", 0)
+    monkeypatch.setattr(mersenne, "factor",
+                        lambda n, budget, step: Factorization(((191, 1),), n // 191))
+    witnesses, complete = find_primitive_divisors(38, spec=spec)
+    assert not complete and witnesses == [PrimitiveDivisorWitness(38, 191, 2)]

@@ -2,22 +2,14 @@ import random
 
 import pytest
 
-from coverlab import codec
-from coverlab.arith import FactorBudget, factor, is_probable_prime
+from coverlab import codec, mersenne
+from coverlab.arith import FactorBudget, factor, is_probable_prime, order_dividing
 from coverlab.assets import odd_cover_173, prime_table
 from coverlab.covers import CoveringSystem, ResidueClass
 from coverlab.mersenne import (PrimeTable, PrimitiveDivisorWitness,
                                cyclotomic_mersenne, find_primitive_divisors,
-                               is_primitive_divisor, load_prime_table,
-                               mersenne_valuation, verify_prime_table)
-
-
-def test_is_primitive_divisor_examples():
-    assert is_primitive_divisor(241, 24)
-    assert not is_primitive_divisor(7, 6)     # 7 | 63 but the order of 2 is 3
-    assert is_primitive_divisor(599479, 33)
-    with pytest.raises(ValueError):
-        is_primitive_divisor(15, 4)
+                               load_prime_table, mersenne_valuation,
+                               verify_prime_table)
 
 
 def test_cyclotomic_values():
@@ -41,15 +33,21 @@ def test_cyclotomic_matches_sympy():
         assert cyclotomic_mersenne(n) == sympy.cyclotomic_poly(n, 2), n
 
 
-def test_is_primitive_divisor_matches_sympy():
+def test_row_reason_matches_sympy():
+    # the audit's row check accepts p > 5 at n exactly when 2 has order n
     sympy = pytest.importorskip("sympy")
     for p in [2] + list(sympy.primerange(3, 2000)):
         order = 0 if p == 2 else int(sympy.n_order(2, p))
         for n in range(2, 80):
-            assert is_primitive_divisor(p, n) == (n == order), (p, n)
+            reason = mersenne._row_reason(n, p)
+            if p <= 5:
+                assert reason == "not greater than 5", (p, n)
+            else:
+                assert (reason == "") == (n == order), (p, n)
         if order >= 80:
-            assert is_primitive_divisor(p, order)
-            assert not is_primitive_divisor(p, 2 * order)
+            assert mersenne._row_reason(order, p) == ""
+            assert mersenne._row_reason(2 * order, p) == \
+                f"order of 2 is {order}, not {2 * order}"
 
 
 def test_find_primitive_divisors_examples():
@@ -57,6 +55,11 @@ def test_find_primitive_divisors_examples():
     assert complete and [w.p for w in witnesses] == [241]
     witnesses, complete = find_primitive_divisors(11)
     assert complete and [w.p for w in witnesses] == [23, 89]
+    witnesses, complete = find_primitive_divisors(33)
+    assert complete and 599479 in [w.p for w in witnesses]
+    # 7 | 63 = 2^6 - 1 but the order of 2 is 3
+    witnesses, complete = find_primitive_divisors(3)
+    assert complete and [w.p for w in witnesses] == [7]
     witnesses, complete = find_primitive_divisors(6)
     assert complete and witnesses == []       # the classical exception
 
@@ -70,7 +73,7 @@ def test_find_primitive_divisors_small_scale():
         for w in witnesses:
             assert w.n == n
             assert pow(2, n, w.p) == 1
-            assert is_primitive_divisor(w.p, n)
+            assert order_dividing(2, w.p, n) == n
             assert (w.p - 1) % n == 0          # the order divides p - 1
             assert pow(2, n, w.p**w.alpha) == 1
             assert pow(2, n, w.p**(w.alpha + 1)) != 1
@@ -236,4 +239,4 @@ def test_verify_prime_table_real_assets():
     assert erratum.replacement == 1969111
     assert erratum.verified
     assert is_probable_prime(1969111)
-    assert is_primitive_divisor(1969111, 1755)
+    assert order_dividing(2, 1969111, 1755) == 1755
