@@ -68,6 +68,14 @@ class FactorBudget:
     rho_iterations: int = 10**7
     rho_attempts: int = 8
 
+    def __post_init__(self):
+        # a negative trial_bound would make factor() take a composite
+        # remainder below (trial_bound + 1)^2 as proven prime
+        for name in ("trial_bound", "rho_iterations", "rho_attempts"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"FactorBudget.{name} must be >= 0, got {value}")
+
 
 _DEFAULT_BUDGET = FactorBudget()   # built once: factor() is called per small n in tight loops
 

@@ -5,9 +5,11 @@ A system {a_1(n_1), ..., a_k(n_k)} covers Z iff it covers one full period
 period.  No inclusion-exclusion shortcut is used: every system this package
 ships has a small lcm (24, 630, 675675) and the sieve is the transparent
 check.  The sieve holds one byte per period cell and keeps counts past 255
-exact by detecting wraps.  At the default budget, lcm 10^8, one check takes
-0.4-0.9 s and peaks at about 205 MiB of RSS (2 vCPU Xeon, Python 3.11.7):
-the period, and a class of modulus 2 copied twice while it is counted.
+exact by detecting wraps.  Each class is sieved on the smallest period that
+holds it, and the bytes are tiled up to the lcm as larger moduli come in.
+At the default budget, lcm 10^8, a 41-class cover whose smallest modulus is
+2 is checked in about 0.1 s and peaks at about 115 MiB of RSS, the period
+and the interpreter (2 vCPU Xeon at 2.1 GHz, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -73,8 +75,17 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
     """Sieve one full period and report coverage and multiplicity extremes.
 
     Each period cell is one byte, and each class adds 1 to its slice of
-    cells with one `translate`.  A cell hit for the 256th time reads 0 again;
-    such wraps are found in the slice just updated and kept in a dict, so
+    cells with one `translate`.  Classes are sieved in ascending modulus
+    order on the smallest period that holds them: the counts of classes
+    whose moduli divide `size` repeat every `size` cells, so before a class
+    whose modulus does not divide it, the `size` bytes are tiled up to
+    lcm(size, n) and sieving goes on there.  The last modulus brings `size`
+    to the full lcm.  Tiling writes each period byte once, and a class of
+    modulus n costs lcm(n_1..n)/n cells, not lcm/n, where n_1..n are the
+    moduli up to its own.
+
+    A cell hit for the 256th time reads 0 again; such wraps are found in the
+    slice just updated and kept in a dict, which is tiled with the bytes, so
     every count, witness and extreme is exact at any multiplicity.  Each
     wrapped cell costs one dict entry.  A class of modulus 1 holds every
     cell, so it is not sieved: it adds 1 to both extremes at the end.
@@ -87,14 +98,21 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
         raise ValueError(
             f"lcm of moduli is {period}, above the enumeration budget "
             f"{enumeration_budget}")
-    counts = bytearray(period)
+    counts = bytearray(1)
+    size = 1                        # counts holds the period of the classes so far
     wrapped: dict[int, int] = {}    # cell -> 256 per wrap, then its true count
     top = 0                         # the largest count while no cell has wrapped
     whole = 0                       # classes of modulus 1, which hold every cell
-    for c in system.classes:
+    for c in sorted(system.classes, key=lambda c: c.n):
         if c.n == 1:
             whole += 1
             continue
+        if size % c.n:
+            tiles = c.n // math.gcd(size, c.n)
+            counts *= tiles
+            # cells outermost: tiles can be near lcm while wrapped is empty
+            wrapped = {x + size * i: extra for x, extra in wrapped.items() for i in range(tiles)}
+            size *= tiles
         s = c.a % c.n
         cells = counts[s::c.n].translate(_INC)
         counts[s::c.n] = cells

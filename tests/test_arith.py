@@ -7,7 +7,7 @@ from coverlab import arith
 from coverlab.arith import (FactorBudget, Factorization, crt_combine, factor,
                             is_probable_prime, order_dividing, prime_divisors)
 from coverlab.covers import ResidueClass
-from coverlab.mersenne import cyclotomic_mersenne
+from coverlab.mersenne import cyclotomic_mersenne, find_primitive_divisors
 
 
 def test_order_dividing_examples():
@@ -158,6 +158,25 @@ def test_factor_examples():
     assert f49.complete
     assert dict(f49.factors) == {127: 1, 4432676798593: 1}
     assert is_probable_prime(4432676798593)
+
+
+def test_factor_budget_rejects_negative_fields():
+    # a negative trial_bound would let factor(12) list 12 as a prime, and
+    # find_primitive_divisors(18) report 57 = 3 * 19 with complete=True
+    with pytest.raises(ValueError, match="trial_bound"):
+        factor(12, FactorBudget(trial_bound=-5))
+    with pytest.raises(ValueError, match="trial_bound"):
+        find_primitive_divisors(18, FactorBudget(trial_bound=-40, rho_iterations=-400))
+    for field in ("rho_iterations", "rho_attempts"):
+        with pytest.raises(ValueError, match=field):
+            FactorBudget(**{field: -1})
+    # zero is the least budget, and what it lists is still prime
+    for bound in (0, 1, 2):
+        budget = FactorBudget(trial_bound=bound, rho_iterations=0, rho_attempts=0)
+        for n in range(1, 3000):
+            f = factor(n, budget)
+            assert math.prod(p**e for p, e in f.factors) * f.cofactor == n
+            assert all(is_probable_prime(p) for p in f.primes()), (bound, n)
 
 
 def test_factor_rho_splits_beyond_trial_range():

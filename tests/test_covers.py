@@ -119,6 +119,32 @@ def test_verify_cover_matches_direct_counts_at_any_multiplicity():
     check()
 
 
+def test_verify_cover_tiles_counts_and_wraps_across_period_steps():
+    # classes are sieved in ascending modulus order on a period that grows
+    # by several tile steps up to at most 630 as moduli come in; a class
+    # stacked up to 300 times wraps its cells past 255 before the next step
+    rng = random.Random(14)
+    moduli = [2, 3, 5, 7, 9, 10, 14, 15]
+    for _ in range(40):
+        stack = [(ResidueClass(rng.randrange(-20, 20), n), rng.choice([1, 2, 90, 255, 256, 300]))
+                 for n in rng.sample(moduli, rng.randrange(2, len(moduli) + 1))]
+        classes = [c for c, copies in stack for _ in range(copies)]
+        system = CoveringSystem(classes)
+        period = system.lcm()
+        counts = [0] * period
+        for c in classes:
+            for x in range(c.a % c.n, period, c.n):
+                counts[x] += 1
+        report = verify_cover(system)
+        assert report.lcm == period
+        assert report.is_cover == all(counts)
+        assert (report.min_multiplicity, report.max_multiplicity) == (min(counts), max(counts))
+        assert report.uncovered_witness == (counts.index(0) if 0 in counts else None)
+        for _ in range(2):
+            rng.shuffle(classes)
+            assert verify_cover(CoveringSystem(classes)) == report
+
+
 def test_verify_cover_refined_erdos_cover_at_scale():
     erdos, odd = erdos_cover(), odd_cover_173()
     for target, lcm, max_mult in ((ResidueClass(0, 3), 16_216_200, 7),
