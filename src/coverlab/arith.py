@@ -55,29 +55,28 @@ class FactorBudget:
     """Effort limits for factor().
 
     trial_bound is the largest number trial division tries: every prime up
-    to it is divided out before rho starts.  rho_iterations caps the work
-    of one Brent-Pollard rho attempt, counted in modular squarings (an
-    x^2 + c step is one), and rho_attempts the number of attempts (one
-    polynomial offset each) on every composite cofactor.  When factor() is
-    given a step above 2 and rho_iterations is at least P-1's largest cost,
-    about 2.5 * 10^5 squarings, one P-1 run comes before rho on every
-    composite cofactor; that run is not charged to any attempt.
+    to it is divided out before rho starts.  rho_iterations caps the steps
+    of one Brent-Pollard rho attempt; an x^2 + c step is one modular
+    squaring, and every composite cofactor gets _RHO_ATTEMPTS attempts.
+    When factor() is given a step above 2 and rho_iterations is at least
+    P-1's largest cost, about 2.5 * 10^5 squarings, one P-1 run comes before
+    rho on every composite cofactor; that run is not charged to any attempt.
     """
 
     trial_bound: int = 1 << 12
     rho_iterations: int = 10**7
-    rho_attempts: int = 8
 
     def __post_init__(self):
         # a negative trial_bound would make factor() take a composite
         # remainder below (trial_bound + 1)^2 as proven prime
-        for name in ("trial_bound", "rho_iterations", "rho_attempts"):
+        for name in ("trial_bound", "rho_iterations"):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"FactorBudget.{name} must be >= 0, got {value}")
 
 
 _DEFAULT_BUDGET = FactorBudget()   # built once: factor() is called per small n in tight loops
+_RHO_ATTEMPTS = 8   # rho attempts per composite cofactor, offsets c = 1..8
 
 # Pollard P-1 bounds.  Stage 1's exponent has about 1.44 * B1 bits and
 # stage 2 takes two multiplications per prime in (B1, B2], 75,483 of them,
@@ -196,14 +195,13 @@ def factor(n: int, budget: FactorBudget | None = None,
 
     `step` is a fact the caller states: every prime factor of n left after
     trial division is = 1 (mod step).  The default 2 holds for every odd
-    prime.  A larger step changes the rho walk, to y -> y^step + c, which
-    finds such a prime p in about sqrt(p/step) steps instead of sqrt(p).
-    It also runs Pollard's P-1 method on each composite cofactor before
-    rho, when budget.rho_iterations is at least its largest cost of about
-    2.5 * 10^5 squarings (tens of milliseconds, paid only when it splits
-    nothing): P-1 finds p when (p - 1)/step is 2^16-smooth apart from at
-    most one prime up to 2^20, stopping at the first block of primes that
-    splits n, and otherwise leaves the cofactor to rho.  A wrong step never
+    prime.  Only Pollard's P-1 method uses a larger step: it runs on each
+    composite cofactor before rho, when budget.rho_iterations is at least
+    its largest cost of about 2.5 * 10^5 squarings (tens of milliseconds,
+    paid only when it splits nothing).  P-1 finds p when (p - 1)/step is
+    2^16-smooth apart from at most one prime up to 2^20, stopping at the
+    first block of primes that splits n, and otherwise leaves the cofactor
+    to rho, which walks x^2 + c whatever the step.  A wrong step never
     yields a wrong factor: every split is still a gcd divisor of n and
     every factor still passes the same checks.  It can cost time, and under
     a finite budget it can change how much of n is factored before the
@@ -242,7 +240,7 @@ def factor(n: int, budget: FactorBudget | None = None,
             continue
         d = _pm1_split(c, step) if pm1 else None
         if d is None:
-            d = _rho_split(c, budget, step)
+            d = _rho_split(c, budget.rho_iterations)
         if d is None:
             leftover *= c
             continue
@@ -359,33 +357,24 @@ def _pm1_split(n: int, step: int) -> int | None:
     return None
 
 
-def _rho_split(n: int, budget: FactorBudget, e: int) -> int | None:
+def _rho_split(n: int, limit: int) -> int | None:
     """Brent-cycle Pollard rho with batched gcds; deterministic offsets.
 
-    The walk is y -> y^e + c.  When every prime p of n is = 1 (mod e), the
-    image of x^e mod p has about p/e elements, so a cycle closes in about
-    sqrt(p/e) steps (Brent and Pollard 1981, Math. Comp. 36).  The x^2 + c
-    walk starts at y = 2; any other starts at y = 3, because on a divisor
-    of Phi_m(2) with e a multiple of m, 2^e = 1 and the offsets c = 1, 3
-    and 7 would land on the fixed points 2, 4 and 8.
-
-    budget.rho_iterations counts squarings: an x^e + c step costs about
-    e.bit_length() - 1 of them (one for x^2 + c), so an attempt that finds
-    nothing takes about as long whatever e is.  Every step is counted, the
-    ones that move y ahead of the saved point x as well as the batched
-    ones, in batches of at most 128 that end at the limit, so an attempt
-    stops inside a doubling round.  A batch whose gcd is n is replayed one
-    step at a time, at most one batch more.
+    The walk is y -> y^2 + c from y = 2, one attempt for each offset
+    c = 1, 2, ..., _RHO_ATTEMPTS; it finds a prime p of n in about sqrt(p)
+    steps.
+    An attempt takes at most `limit` steps, counting the ones that move y
+    ahead of the saved point x as well as the batched ones, in batches of at
+    most 128 that end at the limit, so an attempt stops inside a doubling
+    round.  A batch whose gcd is n is replayed one step at a time, at most
+    one batch more.
 
     https://en.wikipedia.org/wiki/Pollard%27s_rho_algorithm
     """
     if n % 2 == 0:
         return 2
-    square = e == 2
-    limit = budget.rho_iterations // (e.bit_length() - 1)
-    for attempt in range(1, budget.rho_attempts + 1):
-        c = attempt  # polynomial x^e + c, a distinct offset per attempt
-        y, r, q = 2 if square else 3, 1, 1
+    for c in range(1, _RHO_ATTEMPTS + 1):   # polynomial x^2 + c
+        y, r, q = 2, 1, 1
         g = 1
         x = ys = y
         count = batch = 0
@@ -395,7 +384,7 @@ def _rho_split(n: int, budget: FactorBudget, e: int) -> int | None:
             while k < r and count < limit:          # move y r steps past x
                 batch = min(128, r - k, limit - count)
                 for _ in range(batch):
-                    y = (y * y + c) % n if square else pow(y, e, n) + c
+                    y = (y * y + c) % n
                 k += batch
                 count += batch
             k = 0
@@ -403,7 +392,7 @@ def _rho_split(n: int, budget: FactorBudget, e: int) -> int | None:
                 ys = y
                 batch = min(128, r - k, limit - count)
                 for _ in range(batch):
-                    y = (y * y + c) % n if square else pow(y, e, n) + c
+                    y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 k += batch
                 count += batch
@@ -412,11 +401,10 @@ def _rho_split(n: int, budget: FactorBudget, e: int) -> int | None:
         if g == n:
             # replay the last batch one step at a time from its start
             for _ in range(batch):
-                ys = (ys * ys + c) % n if square else pow(ys, e, n) + c
+                ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
                 if g != 1:
                     break
         if 1 < g < n:
             return g
     return None
-

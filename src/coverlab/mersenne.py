@@ -30,7 +30,7 @@ _CANDIDATE_BOUND = 10_000    # progression steps the finder's prescan walks
 
 # The primitive parts behind errata rows are far beyond rho range; the
 # progression scan is what actually finds replacements.
-_ERRATA_BUDGET = FactorBudget(trial_bound=10**5, rho_iterations=0, rho_attempts=0)
+_ERRATA_BUDGET = FactorBudget(trial_bound=10**5, rho_iterations=0)
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,13 @@ class PrimeTable:
 
 
 def load_prime_table(path) -> PrimeTable:
-    """Read a prime table; an exponent listed twice is a FormatError."""
+    """Read a prime table; an exponent below 1 or listed twice is a FormatError."""
     raw = codec.load(path)
     entries: dict[int, list[int]] = {}
     for e in raw["entries"].list():
         n = e["n"].int()
+        if n < 1:
+            raise e["n"].error(f"exponent {n} < 1")
         if n in entries:
             raise e["n"].error(f"duplicate exponent {n}")
         entries[n] = [p.int() for p in e["primes"].list()]
@@ -134,9 +136,8 @@ def find_primitive_divisors(
     strips medium primes cheaply before trial division, P-1 and rho take
     over.  When D is a square, factor() is told the step: at the default
     budget it then runs P-1 before rho on each composite cofactor (for
-    2^n - 1 with n <= 136, P-1 splits them all), and rho walks x^step + c,
-    finding a prime p in about sqrt(p/step) steps.  Otherwise factor()
-    gets step 2: no P-1, and rho walks x^2 + c.
+    2^n - 1 with n <= 136, P-1 splits them all).  Otherwise factor() gets
+    step 2 and no P-1 runs.  Rho walks x^2 + c either way.
 
     A prime of Phi_n that does not divide n has rank exactly n (Carmichael
     1913, Annals 15); one that divides n is kept when rank_of_apparition
@@ -144,10 +145,11 @@ def find_primitive_divisors(
     factorization and in any unfactored cofactor; a primitive prime divides
     no earlier term, so that is its valuation in U_n.  The boolean is True
     when the primitive part was factored completely, i.e. the witness list
-    is provably exhaustive.
+    is provably exhaustive.  U_1 = 1 has no prime divisor, so n = 1 gives
+    no witness and True.
     """
-    if n < 2:
-        raise ValueError(f"exponent must be >= 2, got {n}")
+    if n < 1:
+        raise ValueError(f"exponent must be >= 1, got {n}")
     rest = cyclotomic_mersenne(n, spec)
     found: dict[int, int] = {}
 
@@ -229,9 +231,9 @@ def _row_reason(n: int, p: int) -> str:
         return "not prime"
     if p <= 5:
         return "not greater than 5"
-    if pow(2, n, p) != 1:
-        return f"does not divide 2^{n}-1"
     order = order_dividing(2, p, n)
+    if order is None:
+        return f"does not divide 2^{n}-1"
     if order != n:
         return f"order of 2 is {order}, not {n}"
     return ""

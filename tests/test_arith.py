@@ -167,12 +167,11 @@ def test_factor_budget_rejects_negative_fields():
         factor(12, FactorBudget(trial_bound=-5))
     with pytest.raises(ValueError, match="trial_bound"):
         find_primitive_divisors(18, FactorBudget(trial_bound=-40, rho_iterations=-400))
-    for field in ("rho_iterations", "rho_attempts"):
-        with pytest.raises(ValueError, match=field):
-            FactorBudget(**{field: -1})
+    with pytest.raises(ValueError, match="rho_iterations"):
+        FactorBudget(rho_iterations=-1)
     # zero is the least budget, and what it lists is still prime
     for bound in (0, 1, 2):
-        budget = FactorBudget(trial_bound=bound, rho_iterations=0, rho_attempts=0)
+        budget = FactorBudget(trial_bound=bound, rho_iterations=0)
         for n in range(1, 3000):
             f = factor(n, budget)
             assert math.prod(p**e for p, e in f.factors) * f.cofactor == n
@@ -210,7 +209,7 @@ def test_factor_matches_sympy_random_128bit():
         f = factor(n)
         assert f.complete and dict(f.factors) == sympy.factorint(n), n
     # uniform draws under a starved rho: whatever is listed is exact
-    budget = FactorBudget(rho_iterations=2000, rho_attempts=2)
+    budget = FactorBudget(rho_iterations=2000)
     for _ in range(300):
         n = rng.getrandbits(rng.randrange(1, 129)) + 1
         f = factor(n, budget)
@@ -222,7 +221,7 @@ def test_factor_matches_sympy_random_128bit():
 
 
 def test_factor_step_never_changes_the_result():
-    # a step that the primes do not satisfy only changes the rho walk
+    # a step that the primes do not satisfy only changes what P-1 tries
     rng = random.Random(50)
     for _ in range(200):
         m = rng.randrange(1, 2**50)
@@ -241,47 +240,68 @@ def test_factor_step_with_a_prime_off_the_progression():
     assert f == factor(value, budget)
 
 
-def test_factor_step_walk_has_no_dead_attempts():
-    # 2^67 - 1 = 193707721 * 761838257287, both = 1 (mod 134).  From y = 2
-    # the walk y^134 + 1 would stay on 2, since 2^134 = 1; the walk starts
-    # at 3, so the first attempt alone splits it
-    m = 2**67 - 1
-    f = factor(m, FactorBudget(rho_attempts=1), step=134)
-    assert f.complete and dict(f.factors) == {193707721: 1, 761838257287: 1}
-
-
-def test_factor_step_budget_counts_squarings():
-    # a cofactor of Phi_125(2), both primes = 1 (mod 250).  An x^250 + c
-    # step is charged 7 squarings: attempt c = 5 splits after 7,366 steps,
-    # 51,562 squarings.  Budgets below P-1's cost leave the split to rho
+def test_factor_runs_pm1_only_from_its_largest_cost(monkeypatch):
+    # a cofactor of Phi_125(2), both primes = 1 (mod 250).  P-1 at step 250
+    # splits it; rho walks x^2 + c whatever the step, and its best attempt
+    # needs 462,075 steps.  Below P-1's cost the step is not used at all
     pq = 269089806001 * 4710883168879506001
-    for budget in (10_000, 50_000):
-        assert not factor(pq, FactorBudget(rho_iterations=budget), step=250).complete
-    assert factor(pq, FactorBudget(rho_iterations=60_000), step=250).complete
+    budget = FactorBudget(rho_iterations=60_000)
+    assert factor(pq, budget, step=250) == factor(pq, budget) == Factorization.of_known({}, pq)
+    pm1_calls = 0
+    pm1_split = arith._pm1_split
+
+    def counting_pm1(*args):
+        nonlocal pm1_calls
+        pm1_calls += 1
+        return pm1_split(*args)
+
+    monkeypatch.setattr(arith, "_pm1_split", counting_pm1)
+    monkeypatch.setattr(arith, "_rho_split", lambda n, limit: None)
+    assert not factor(pq, FactorBudget(rho_iterations=arith._PM1_SQUARINGS - 1),
+                      step=250).complete
+    assert pm1_calls == 0
+    f = factor(pq, FactorBudget(rho_iterations=arith._PM1_SQUARINGS), step=250)
+    assert f.complete and dict(f.factors) == {269089806001: 1, 4710883168879506001: 1}
+    assert pm1_calls == 1
+
+
+def _brent_reductions(steps):
+    """The reductions mod n in `steps` steps of the rho walk: in each round
+    r = 1, 2, 4, ... y first moves r steps past x, one reduction each, then
+    r more steps each also reduce the product of the |x - y|."""
+    total, r = 0, 1
+    while steps:
+        ahead = min(r, steps)
+        batched = min(r, steps - ahead)
+        total += ahead + 2 * batched
+        steps -= ahead + batched
+        r *= 2
+    return total
 
 
 def test_rho_attempt_overruns_its_budget_by_at_most_one_batch(monkeypatch):
-    # count the x^250 + c steps of one attempt on the Phi_125(2) cofactor;
-    # a step is charged 7 squarings, and attempt c = 1 splits after 99,326
-    pq = 269089806001 * 4710883168879506001
-    steps = 0
+    # count the reductions mod 2^67 - 1 = 193707721 * 761838257287 of one
+    # attempt, x^2 + 1; it splits after 13,718 steps
+    class Counted(int):
+        reductions = 0
 
-    def counting_pow(base, e, m=None):
-        nonlocal steps
-        if e == 250 and m == pq:
-            steps += 1
-        return pow(base, e, m)
+        def __rmod__(self, other):
+            Counted.reductions += 1
+            return int.__rmod__(self, other)
 
-    monkeypatch.setattr(arith, "pow", counting_pow, raising=False)
-    for budget in (7, 1000, 9_999, 100_000, 200_001, 695_282):
-        steps = 0
-        d = arith._rho_split(pq, FactorBudget(rho_iterations=budget, rho_attempts=1), 250)
-        limit = budget // 7
-        assert steps <= limit + 128, (budget, steps)
-        if d is None:
-            assert steps == limit, (budget, steps)   # the whole budget, no more
-        else:
-            assert d == 269089806001 and limit >= 99_326 - 128, (budget, steps)
+    monkeypatch.setattr(arith, "_RHO_ATTEMPTS", 1)
+    for budget in (1, 2, 3, 1000, 13_717, 13_718, 20_001):
+        Counted.reductions = 0
+        d = arith._rho_split(Counted(2**67 - 1), budget)
+        if d is None:   # the whole budget, no more
+            assert budget < 13_718
+            assert Counted.reductions == _brent_reductions(budget), budget
+        else:           # at most one replayed batch more
+            assert d == 193707721 and budget >= 13_718
+            assert Counted.reductions <= _brent_reductions(budget) + 128, budget
+    # on 1009 * 1069 both cycles close in one batch of 32 steps, so its gcd
+    # is the whole number; the replay of that batch splits out 1009
+    assert arith._rho_split(1009 * 1069, 10**6) == 1009
 
 
 def test_pm1_splits_the_phi_101_cofactor():
@@ -445,8 +465,7 @@ def test_factor_rejects_step_below_2():
 
 def test_factor_budget_exhaustion_is_a_state():
     semiprime = (2**127 - 1) * (2**89 - 1)
-    f = factor(semiprime, FactorBudget(trial_bound=100, rho_iterations=10,
-                                       rho_attempts=1))
+    f = factor(semiprime, FactorBudget(trial_bound=100, rho_iterations=10))
     assert not f.complete
     assert math.prod(p**e for p, e in f.factors) * f.cofactor == semiprime
     assert not is_probable_prime(f.cofactor)

@@ -69,17 +69,44 @@ def test_reproduce_rejects_malformed_asset(tmp_path, capsys, target, name, edit,
     assert f"{path}: {field}: " in capsys.readouterr().err
 
 
-def test_thm11_rejects_repeated_exponent(tmp_path, capsys):
-    # a dict built from the entries would keep only the last n=3 row and
-    # never check the extra prime 11
+def _prime_table_with(tmp_path, row):
+    """Copy the assets to tmp_path with `row` as the first prime-table entry;
+    the table's path."""
     shutil.copytree(assets.asset_dir(), tmp_path, dirs_exist_ok=True)
     path = tmp_path / assets.PRIME_TABLE
     raw = json.loads(path.read_text())
-    assert raw["entries"][0]["n"] == "3"
-    raw["entries"].insert(0, {"n": "3", "primes": ["11"]})
+    raw["entries"].insert(0, row)
     path.write_text(json.dumps(raw))
+    return path
+
+
+def test_thm11_rejects_repeated_exponent(tmp_path, capsys):
+    # a dict built from the entries would keep only the last n=3 row and
+    # never check the extra prime 11
+    path = _prime_table_with(tmp_path, {"n": "3", "primes": ["11"]})
+    assert json.loads(path.read_text())["entries"][1]["n"] == "3"
     assert cli.main(["reproduce", "thm11", "--assets", str(tmp_path)]) == 2
     assert f"{path}: $.entries[1].n: duplicate exponent 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-7"])
+def test_thm11_rejects_exponent_below_1(tmp_path, capsys, n):
+    # the audit would factor the exponent and fail naming no file
+    path = _prime_table_with(tmp_path, {"n": n, "primes": ["11"]})
+    assert cli.main(["reproduce", "thm11", "--assets", str(tmp_path)]) == 2
+    assert f"{path}: $.entries[0].n: exponent {n} < 1" in capsys.readouterr().err
+
+
+def test_thm11_row_at_exponent_1_is_an_erratum_without_replacement(tmp_path, capsys):
+    # 2^1 - 1 = 1 has no prime divisor: the row fails, and the errata search
+    # finds no replacement instead of raising
+    _prime_table_with(tmp_path, {"n": "1", "primes": ["11"]})
+    assert cli.main(["reproduce", "thm11", "--assets", str(tmp_path), "--json"]) == 1
+    detail = json.loads(capsys.readouterr().out)["detail"]
+    assert {"erratum_n": "1", "bad_value": "11", "reason": "does not divide 2^1-1",
+            "replacement": None, "replacement_verified": "false"} in detail
+    assert {"erratum_n": "1755", "bad_value": "196911", "reason": "not prime",
+            "replacement": "1969111", "replacement_verified": "true"} in detail
 
 
 FORMATS = [

@@ -230,8 +230,8 @@ def test_find_primitive_divisors_u_matches_sympy():
             assert complete and [(w.p, w.alpha) for w in witnesses] == want, (spec, n)
     # the primitive part of U_38 is 229 * 9349 * 95419, all = 1 (mod 38):
     # the progression scan finds them even when trial division stops at 10
-    # and rho takes a single step
-    tiny = FactorBudget(trial_bound=10, rho_iterations=1, rho_attempts=1)
+    # and each rho attempt takes a single step
+    tiny = FactorBudget(trial_bound=10, rho_iterations=1)
     witnesses, complete = find_primitive_divisors(38, tiny, U4)
     assert complete and [w.p for w in witnesses] == [229, 9349, 95419]
     # at n = 43 two primes of the primitive part are beyond the scan and the

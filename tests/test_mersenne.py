@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from coverlab import codec, mersenne
+from coverlab import arith, codec, mersenne
 from coverlab.arith import FactorBudget, factor, is_probable_prime, order_dividing
 from coverlab.assets import odd_cover_173, prime_table
 from coverlab.covers import CoveringSystem, ResidueClass
@@ -82,8 +83,7 @@ def test_find_primitive_divisors_small_scale():
 def test_find_primitive_divisors_progression_hit():
     # the scan reaches the medium prime 1969111 = 2*1755*561 + 1 without rho
     witnesses, complete = find_primitive_divisors(
-        1755, budget=FactorBudget(trial_bound=10**4, rho_iterations=0,
-                                  rho_attempts=0))
+        1755, budget=FactorBudget(trial_bound=10**4, rho_iterations=0))
     assert not complete
     ps = [w.p for w in witnesses]
     assert 3511 in ps and 1969111 in ps
@@ -101,19 +101,17 @@ def test_factor_with_step_matches_sympy_on_cyclotomic_values():
         assert f.complete and dict(f.factors) == sympy.factorint(value), n
 
 
-def test_find_primitive_divisors_rho_walks_the_step():
-    # the cofactor of Phi_125(2) left after the progression scan and trial
-    # division; its two primes are = 1 (mod 250)
-    p, q = 269089806001, 4710883168879506001
-    budget = FactorBudget(rho_iterations=60_000)
-    witnesses, complete = find_primitive_divisors(125, budget)
-    assert complete and [w.p for w in witnesses] == [p, q]
-    # x^250 + c splits it on attempt c = 5 after 7,366 steps, 7 squarings
-    # each; with x^2 + c the best of the 8 attempts needs 462,075 steps,
-    # over this budget.  The budget is below P-1's cost, so rho alone runs
-    f = factor(p * q, budget)
-    assert not f.complete and f.cofactor == p * q
-    assert factor(p * q, budget, step=250).complete
+def test_find_primitive_divisors_falls_back_to_rho_where_pm1_fails():
+    # the cofactors of Phi_161(2) and Phi_206(2) left after the progression
+    # scan and trial division: P-1 at the step splits neither, and rho does
+    cases = {161: ([1289, 3188767], [45076044553, 14808607715315782481]),
+             206: ([], [415141630193, 8142767081771726171])}
+    for n, (scanned, (p, q)) in cases.items():
+        assert math.prod([*scanned, p, q]) == cyclotomic_mersenne(n), n
+        assert arith._pm1_split(p * q, 2 * n if n % 2 else n) is None, n
+        witnesses, complete = find_primitive_divisors(n)
+        assert complete and [w.p for w in witnesses] == [*scanned, p, q], n
+        assert all(w.alpha == 1 for w in witnesses), n
 
 
 def test_wieferich_examples():
