@@ -28,9 +28,10 @@ _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 class Factorization:
     """prime-power factors, a leftover cofactor, and what they multiply to.
 
-    Invariants: every listed prime passes is_probable_prime, exponents are
-    positive, and product(p^e) * cofactor == the factored value.  The
-    factorization is complete exactly when the cofactor is 1.
+    Invariants: every listed prime passes is_probable_prime, primes are in
+    increasing order, exponents are positive, and product(p^e) * cofactor ==
+    the factored value.  The factorization is complete exactly when the
+    cofactor is 1.
     """
 
     factors: tuple[tuple[int, int], ...]

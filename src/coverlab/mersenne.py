@@ -6,9 +6,11 @@ sequence U_n(3, 2), `MERSENNE`, and there the rank is the multiplicative
 order of 2 mod p.  `find_primitive_divisors` is the one finder for every
 spec: it factors the primitive part of U_n.  The table audit's row check
 applies the order rule on its own, with `arith.order_dividing`, and also
-names why a row fails; an errata replacement must pass that row check, and
-the audit also names each table prime that is a Wieferich prime.  The
-audit's order and valuation work runs modulo p, p^2, ...
+names why a row fails.  The errata search factors nothing: it walks the
+progression q = 1 (mod step) that holds every prime of order n, testing
+pow(2, n, q) before the row check, which each replacement must pass.  The
+audit also names each table prime that is a Wieferich prime.  The audit's
+order and valuation work runs modulo p, p^2, ...
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import codec
 from .arith import (FactorBudget, factor, is_probable_prime, order_dividing,
@@ -26,11 +28,7 @@ from .lucas import LucasSpec, rank_of_apparition, u_terms
 
 MERSENNE = LucasSpec(3, 2)   # U_n = 2^n - 1
 
-_CANDIDATE_BOUND = 10_000    # progression steps the finder's prescan walks
-
-# The primitive parts behind errata rows are far beyond rho range; the
-# progression scan is what actually finds replacements.
-_ERRATA_BUDGET = FactorBudget(trial_bound=10**5, rho_iterations=0)
+_ERRATA_STEPS = 10_000   # progression steps the errata walk takes
 
 
 @dataclass(frozen=True)
@@ -120,6 +118,11 @@ def cyclotomic_mersenne(n: int, spec: LucasSpec = MERSENNE) -> int:
     return q
 
 
+def _step(n: int) -> int:
+    """2n for odd n, n for even n: every odd prime of rank n is = +-1 mod it."""
+    return 2 * n if n % 2 else n
+
+
 def find_primitive_divisors(
     n: int,
     budget: FactorBudget | None = None,
@@ -132,9 +135,7 @@ def find_primitive_divisors(
     q = (D/q) (mod step), step = 2n for odd n and n otherwise: q = 1 when
     D is a square, as for 2^n - 1, and q = +-1 otherwise.  (2 has rank at
     most 3, and a prime of D has rank itself, so these few others are
-    small.)  A scan of those progressions up to _CANDIDATE_BOUND steps
-    strips medium primes cheaply before trial division, P-1 and rho take
-    over.  When D is a square, factor() is told the step: at the default
+    small.)  When D is a square, factor() is told the step: at the default
     budget it then runs P-1 before rho on each composite cofactor (for
     2^n - 1 with n <= 136, P-1 splits them all).  Otherwise factor() gets
     step 2 and no P-1 runs.  Rho walks x^2 + c either way.
@@ -150,35 +151,15 @@ def find_primitive_divisors(
     """
     if n < 1:
         raise ValueError(f"exponent must be >= 1, got {n}")
-    rest = cyclotomic_mersenne(n, spec)
-    found: dict[int, int] = {}
-
-    step = 2 * n if n % 2 else n
     d = spec.c**2 - 4 * spec.Q
     square = math.isqrt(d) ** 2 == d
-    last = _CANDIDATE_BOUND * step + 1
-    candidates = range(step + 1, last + 1, step)
-    if not square:   # interleave k*step - 1 and k*step + 1 in increasing order
-        candidates = chain.from_iterable(zip(range(step - 1, last, step), candidates))
-    for q in candidates:
-        if q * q > rest:
-            break
-        if rest % q == 0 and is_probable_prime(q):
-            while rest % q == 0:
-                found[q] = found.get(q, 0) + 1
-                rest //= q
-
-    if rest > 1:
-        sub = factor(rest, budget, step if square else 2)
-        for p, e in sub.factors:
-            found[p] = found.get(p, 0) + e
-        rest = sub.cofactor
+    sub = factor(cyclotomic_mersenne(n, spec), budget, _step(n) if square else 2)
+    rest = sub.cofactor
 
     witnesses = []
-    for p in sorted(found):
+    for p, alpha in sub.factors:
         if n % p == 0 and rank_of_apparition(spec, p, n) != n:
             continue
-        alpha = found[p]
         while rest % p == 0:
             alpha += 1
             rest //= p
@@ -239,6 +220,20 @@ def _row_reason(n: int, p: int) -> str:
     return ""
 
 
+def _order_walk(n: int):
+    """The primes q = k*step + 1, k = 1.._ERRATA_STEPS, that pass the row check at n.
+
+    Every prime of order n is = 1 (mod step), so the walk yields, in
+    increasing order, every table prime for n up to _ERRATA_STEPS * step + 1.
+    pow(2, n, q) == 1 rejects most q before the primality test; neither
+    Phi_n nor factor() is needed, so the cost does not grow with Phi_n.
+    """
+    step = _step(n)
+    for q in range(step + 1, _ERRATA_STEPS * step + 2, step):
+        if pow(2, n, q) == 1 and not _row_reason(n, q):
+            yield q
+
+
 def verify_prime_table(cover: CoveringSystem, table: PrimeTable) -> PrimeTableReport:
     """Audit a claimed prime table against a cover with odd moduli.
 
@@ -247,12 +242,14 @@ def verify_prime_table(cover: CoveringSystem, table: PrimeTable) -> PrimeTableRe
     than 5, and has order of 2 exactly n.  Globally, all listed primes must
     be pairwise distinct, and the omitted exponents must be exactly the
     moduli with no listed primes, each occurring once.  Failing entries are
-    treated as transcription errata: for each one a replacement primitive
-    prime is searched within the errata budget and must pass the same row
-    check, never silently substituted.  Each row that passed is also tested
-    for Wieferich's condition 2^(p-1) = 1 (mod p^2), in the cheaper form
-    p^2 | 2^n - 1: the order of 2 mod p^2 is n or n*p, and p does not divide
-    p - 1, so both say it is n.  A hit is recorded with its valuation.
+    treated as transcription errata: for each one the replacement is the
+    least prime q = k*step + 1 with k <= _ERRATA_STEPS that passes the same
+    row check and is not already listed or used, never silently substituted;
+    where there is none the erratum has no replacement and is not verified.
+    Each row that passed is also tested for Wieferich's condition
+    2^(p-1) = 1 (mod p^2), in the cheaper form p^2 | 2^n - 1: the order of
+    2 mod p^2 is n or n*p, and p does not divide p - 1, so both say it is n.
+    A hit is recorded with its valuation.
     """
     multiplicity = Counter(c.n for c in cover.classes)
 
@@ -284,17 +281,11 @@ def verify_prime_table(cover: CoveringSystem, table: PrimeTable) -> PrimeTableRe
     for row in rows:
         if row.ok:
             continue
-        witnesses, _ = find_primitive_divisors(row.n, budget=_ERRATA_BUDGET)
-        replacement = None
-        for w in witnesses:
-            if w.p not in taken:
-                replacement = w.p
-                break
-        verified = replacement is not None and not _row_reason(row.n, replacement)
+        replacement = next((q for q in _order_walk(row.n) if q not in taken), None)
         if replacement is not None:
             taken.add(replacement)
         errata.append(Erratum(n=row.n, bad_value=row.p, reason=row.reason,
-                              replacement=replacement, verified=verified))
+                              replacement=replacement, verified=replacement is not None))
 
     wieferich = [PrimitiveDivisorWitness(r.n, r.p, mersenne_valuation(r.p, r.n))
                  for r in rows if r.ok and pow(2, r.n, r.p * r.p) == 1]

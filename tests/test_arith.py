@@ -365,8 +365,8 @@ def test_factor_falls_back_to_rho_when_pm1_finds_every_prime(monkeypatch):
 
 
 def test_pm1_splits_the_cofactors_where_stage_1_used_to_find_every_prime():
-    # the cofactors of Phi_n(2) left after the progression prescan and trial
-    # division; all of stage 1 at once found both primes of each
+    # composite cofactors of Phi_n(2) whose primes are all = 1 (mod step);
+    # all of stage 1 at once found both primes of each
     sympy = pytest.importorskip("sympy")
     cofactors = {
         67: 147573952589676412927,

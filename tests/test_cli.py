@@ -76,9 +76,10 @@ def test_primitive_lucas_primitive_part(capsys):
 
 
 def test_primitive_lucas_unresolved_cofactor(capsys):
-    # the cofactor is what the listed primes leave of the primitive part
+    # the cofactor is what the listed primes leave of the primitive part;
+    # rho's 100 steps find three primes, not 39639893 * 433494437
     code, out = run(["primitive", "--lucas-c", "4", "--n", "43",
-                     "--factor-budget", "1", "--json"], capsys)
+                     "--factor-budget", "10", "--json"], capsys)
     report = json.loads(out)
     assert code == 1 and report["outcome"] == "partial"
     *rows, last = report["detail"]

@@ -228,26 +228,25 @@ def test_find_primitive_divisors_u_matches_sympy():
                     if all(terms[i] % p for i in range(1, n))]
             witnesses, complete = find_primitive_divisors(n, spec=spec)
             assert complete and [(w.p, w.alpha) for w in witnesses] == want, (spec, n)
-    # the primitive part of U_38 is 229 * 9349 * 95419, all = 1 (mod 38):
-    # the progression scan finds them even when trial division stops at 10
-    # and each rho attempt takes a single step
-    tiny = FactorBudget(trial_bound=10, rho_iterations=1)
-    witnesses, complete = find_primitive_divisors(38, tiny, U4)
+    # trial division to 10^4 with rho attempts of a single step: the
+    # primitive part 229 * 9349 * 95419 of U_38 leaves 95419 < 10^8, proven
+    # prime, so the list is complete
+    small = FactorBudget(trial_bound=10**4, rho_iterations=1)
+    witnesses, complete = find_primitive_divisors(38, small, U4)
     assert complete and [w.p for w in witnesses] == [229, 9349, 95419]
-    # at n = 43 two primes of the primitive part are beyond the scan and the
-    # budget: the listed primes keep their exact valuations in U_43
-    witnesses, complete = find_primitive_divisors(43, tiny, U4)
+    # at n = 43 the primes 39639893 and 433494437 are beyond the budget: the
+    # listed primes keep their exact valuations in U_43
+    witnesses, complete = find_primitive_divisors(43, small, U4)
     assert not complete and [w.p for w in witnesses] == [257, 5417, 8513]
     assert all(w.alpha == sympy.multiplicity(w.p, u_term(U4, 43)) for w in witnesses)
 
 
 def test_find_primitive_divisors_counts_copies_left_in_the_cofactor(monkeypatch):
     # 191^2 divides the primitive part 191^2 * 4523 * 1021973 of U_38 for
-    # c = 6.  With the scan off, a factorization that found one copy of 191
-    # and left 191 * 4523 * 1021973 unsplit still gives alpha = 2.
+    # c = 6.  A factorization that found one copy of 191 and left
+    # 191 * 4523 * 1021973 unsplit still gives alpha = 2.
     spec = LucasSpec(6)
     assert u_term(spec, 38) % 191**2 == 0 and u_term(spec, 38) % 191**3
-    monkeypatch.setattr(mersenne, "_CANDIDATE_BOUND", 0)
     monkeypatch.setattr(mersenne, "factor",
                         lambda n, budget, step: Factorization(((191, 1),), n // 191))
     witnesses, complete = find_primitive_divisors(38, spec=spec)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from coverlab import arith, codec, mersenne
-from coverlab.arith import FactorBudget, factor, is_probable_prime, order_dividing
+from coverlab.arith import factor, is_probable_prime, order_dividing
 from coverlab.assets import odd_cover_173, prime_table
 from coverlab.covers import CoveringSystem, ResidueClass
 from coverlab.mersenne import (PrimeTable, PrimitiveDivisorWitness,
@@ -80,15 +80,24 @@ def test_find_primitive_divisors_small_scale():
             assert pow(2, n, w.p**(w.alpha + 1)) != 1
 
 
-def test_find_primitive_divisors_progression_hit():
-    # the scan reaches the medium prime 1969111 = 2*1755*561 + 1 without rho
-    witnesses, complete = find_primitive_divisors(
-        1755, budget=FactorBudget(trial_bound=10**4, rho_iterations=0))
-    assert not complete
-    ps = [w.p for w in witnesses]
-    assert 3511 in ps and 1969111 in ps
-    w3511 = next(w for w in witnesses if w.p == 3511)
-    assert w3511.alpha == 2
+def test_order_walk_finds_3511_then_1969111():
+    # the primes of order 1755 are = 1 (mod 3510): 3511 is the first on the
+    # walk and 1969111 = 561*3510 + 1 the second
+    walk = mersenne._order_walk(1755)
+    assert next(walk) == 3511
+    assert next(walk) == 1969111 == 561 * 3510 + 1
+
+
+def test_order_walk_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in [*range(2, 81), 1755]:
+        step = 2 * n if n % 2 else n
+        # 2^n = 1 (mod q) follows from n_order(2, q) == n; testing it first
+        # only spares sympy most of the 10^4 candidates
+        want = [q for q in range(step + 1, mersenne._ERRATA_STEPS * step + 2, step)
+                if pow(2, n, q) == 1 and q > 5 and sympy.isprime(q)
+                and sympy.n_order(2, q) == n]
+        assert list(mersenne._order_walk(n)) == want, n
 
 
 def test_factor_with_step_matches_sympy_on_cyclotomic_values():
@@ -102,15 +111,15 @@ def test_factor_with_step_matches_sympy_on_cyclotomic_values():
 
 
 def test_find_primitive_divisors_falls_back_to_rho_where_pm1_fails():
-    # the cofactors of Phi_161(2) and Phi_206(2) left after the progression
-    # scan and trial division: P-1 at the step splits neither, and rho does
+    # the two largest primes of Phi_161(2) and Phi_206(2): P-1 at the step
+    # cannot split their product, and rho does
     cases = {161: ([1289, 3188767], [45076044553, 14808607715315782481]),
              206: ([], [415141630193, 8142767081771726171])}
-    for n, (scanned, (p, q)) in cases.items():
-        assert math.prod([*scanned, p, q]) == cyclotomic_mersenne(n), n
+    for n, (smaller, (p, q)) in cases.items():
+        assert math.prod([*smaller, p, q]) == cyclotomic_mersenne(n), n
         assert arith._pm1_split(p * q, 2 * n if n % 2 else n) is None, n
         witnesses, complete = find_primitive_divisors(n)
-        assert complete and [w.p for w in witnesses] == [*scanned, p, q], n
+        assert complete and [w.p for w in witnesses] == [*smaller, p, q], n
         assert all(w.alpha == 1 for w in witnesses), n
 
 
@@ -220,6 +229,24 @@ def test_verify_prime_table_omitted_consistency():
     assert verify_prime_table(cover, table).omitted_consistent
     table_bad = PrimeTable(entries={3: [7]}, omitted=[])
     assert not verify_prime_table(cover, table_bad).omitted_consistent
+
+
+def test_errata_search_at_675675_factors_nothing(monkeypatch):
+    # Phi_675675(2) has 259,200 bits; the audit must not build or factor it,
+    # and no prime of order 675675 is k * 1351350 + 1 with k <= 10^4
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_prime_table built or factored Phi_n")
+
+    for name in ("cyclotomic_mersenne", "factor", "find_primitive_divisors"):
+        monkeypatch.setattr(mersenne, name, forbidden)
+    cover = CoveringSystem([ResidueClass(0, 3), ResidueClass(1, 675675)])
+    table = PrimeTable(entries={3: [7], 675675: [31]}, omitted=[])
+    report = verify_prime_table(cover, table)
+    assert [(r.n, r.p) for r in report.failing_rows] == [(675675, 31)]
+    erratum = report.errata[0]
+    assert erratum.reason == "order of 2 is 5, not 675675"
+    assert erratum.replacement is None and not erratum.verified
+    assert not report.passed
 
 
 def test_verify_prime_table_real_assets():
