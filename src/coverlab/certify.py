@@ -4,10 +4,12 @@ Each case fixes a progression n = r (mod m), a target prime p, and a set of
 auxiliary primes q with the residue of x mod q pinned by the two-prime class
 construction.  Everything in sight is eventually periodic: u_n mod q repeats
 with the sequence period pi_q, p^b mod q with the multiplicative order o_q,
-and x mod q is constant.  The engine therefore enumerates one full period of
-(n mod lcm(m, pi_q), sign, b mod lcm(o_q)) exhaustively -- no sampling -- and
-declares the case valid exactly when every combination is contradicted by at
-least one auxiliary prime.
+and x mod q is constant.  The engine therefore decides every combination of
+one full period of (n mod lcm(m, pi_q), sign, b mod lcm(o_q)) -- no sampling
+-- and declares the case valid exactly when each is contradicted by at least
+one auxiliary prime.  It walks the n-side only: the residues of x^2 - u_n mod
+each q form a key, and for each sign a key is solved for b exactly, by one
+discrete-log lookup per q and a CRT join of the classes b mod o_q.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 from . import codec
-from .arith import is_probable_prime, order_dividing
+from .arith import crt_combine, is_probable_prime, order_dividing
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
 from .construct import TwoPrimeData
-from .covers import build_doubled_cover
+from .covers import ResidueClass, build_doubled_cover
 from .lucas import LucasSpec, iter_terms_mod, period_mod
 
 DEFAULT_Q_POOL: tuple[int, ...] = (11, 19, 29, 31, 71, 181)
@@ -76,17 +78,29 @@ class CertificateReport:
 
 
 def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> CertificateReport:
-    """Exhaustively test one case over a full period of (n, sign, b).
+    """Decide every combination of a full period of (n, sign, b).
 
     For each auxiliary prime q the engine recomputes the sequence period and
     the order of p from scratch.  A combination survives when every q sees
     (x_q^2 - u_n) = sign * p^b (mod q); the case is valid iff none survives.
+    Each distinct key of residues (x_q^2 - u_n) mod q is solved for b rather
+    than met by enumerating b: sign * key_q must be a power p^{e_q} mod q for
+    every q, and the classes b = e_q (mod o_q) must meet (`crt_combine`), in
+    exactly one b mod lcm(o_q).  The counterexample is the first sign with a
+    survivor, its least b, and the least n of the key that b solves.
+    The auxiliary primes must be distinct.
     """
     if case.m < 1:
         raise ValueError("progression modulus must be >= 1")
     if not is_probable_prime(case.p):
         raise ValueError(f"target {case.p} is not prime")
+    seen = set()
     for aux in case.aux:
+        # two residues for one q pin x to no class at all, and a claim about
+        # no x holds vacuously
+        if aux.q in seen:
+            raise ValueError(f"auxiliary prime {aux.q} is repeated")
+        seen.add(aux.q)
         if not is_probable_prime(aux.q):
             raise ValueError(f"auxiliary {aux.q} is not prime")
         if case.p % aux.q == 0:
@@ -127,17 +141,29 @@ def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> Cer
                     for a in aux_list)
         deficits.setdefault(key, n)
 
-    powers = {a.q: [pow(case.p, b, a.q) for b in range(orders[a.q])] for a in aux_list}
+    # p^b mod q repeats with o_q, so each q sends a residue to the one class
+    # b mod o_q that reaches it; the classes of a key meet in at most one b
+    # mod b_span = lcm(o_q), and distinct keys never share a b
+    logs = {a.q: {pow(case.p, b, a.q): b for b in range(orders[a.q])} for a in aux_list}
 
     counterexample = None
     for sign in (1, -1):
-        for b in range(b_span):
-            key = tuple(sign * powers[a.q][b % orders[a.q]] % a.q for a in aux_list)
-            hit = deficits.get(key)
-            if hit is not None:
-                counterexample = (hit, sign, b)
-                break
-        if counterexample:
+        hits = []
+        for key, n in deficits.items():
+            classes = []
+            for a, d in zip(aux_list, key):
+                e = logs[a.q].get(sign * d % a.q)
+                if e is None:
+                    break
+                classes.append(ResidueClass(e, orders[a.q]))
+            else:
+                try:
+                    hits.append((crt_combine(classes).a, n))
+                except ValueError:
+                    pass
+        if hits:
+            b, n = min(hits)
+            counterexample = (n, sign, b)
             break
 
     evidence = tuple(sorted(

@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from dataclasses import asdict
@@ -10,12 +12,13 @@ import pytest
 from coverlab import codec
 from coverlab.assets import SAMPLE_CASE, asset_path, two_prime_data
 import coverlab.certify as certify
-from coverlab.certify import (DEFAULT_Q_POOL, AuxPrime, ExclusionCase,
+from coverlab.certify import (DEFAULT_Q_POOL, AuxEvidence, AuxPrime,
+                              CertificateReport, ExclusionCase,
                               build_standard_cases,
                               certify_all_cases, check_exclusion, load_case)
 from coverlab.construct import TwoPrimeData, build_two_prime_class
 from coverlab.covers import CoveringSystem, ResidueClass
-from coverlab.lucas import LucasSpec, iter_terms_mod, period_mod
+from coverlab.lucas import LucasSpec, iter_terms_mod, period_mod, u_term_mod
 
 U4 = LucasSpec(4)
 
@@ -69,6 +72,15 @@ def test_aux_dividing_target_rejected():
     case = ExclusionCase(label="bad", r=1, m=2, p=31,
                          aux=(AuxPrime(31, 14),))
     with pytest.raises(ValueError, match="divides the target"):
+        check_exclusion(case)
+
+
+def test_repeated_aux_prime_rejected():
+    # two residues for one q pin x to no class, so no combination survives
+    # and the case would pass vacuously
+    case = ExclusionCase(label="d", r=0, m=2, p=3,
+                         aux=(AuxPrime(11, 1), AuxPrime(11, 2)))
+    with pytest.raises(ValueError, match="auxiliary prime 11 is repeated"):
         check_exclusion(case)
 
 
@@ -219,10 +231,12 @@ def test_quoted_intermediates():
     assert sympy.jacobi_symbol(-2, 71) == -1     # -2 is not a square mod 71
 
 
-def _verdict_by_direct_enumeration(case):
-    """Literal triple loop over one full (n, sign, b) period."""
-    import math
+def _report_by_direct_enumeration(case):
+    """The report from a literal loop over one full (sign, b, n) period.
 
+    The first survivor in sign, then b, then n order is the least b of the
+    first sign that has one, with the least n for it.
+    """
     periods = {}
     orders = {}
     for a in case.aux:
@@ -235,16 +249,27 @@ def _verdict_by_direct_enumeration(case):
     n_span = math.lcm(case.m, *periods.values())
     b_span = math.lcm(*orders.values())
     r0 = case.r % case.m
-    terms = {a.q: iter_terms_mod(U4, a.q, r0 + n_span + 1) for a in case.aux}
-    for j in range(n_span // case.m):
-        n = r0 + case.m * j
+    terms = {a.q: iter_terms_mod(U4, a.q, r0 + n_span) for a in case.aux}
+    ns = range(r0, r0 + n_span, case.m)
+    lhs = [tuple((a.x_mod_q * a.x_mod_q - terms[a.q][n]) % a.q for a in case.aux)
+           for n in ns]
+
+    def first_survivor():
         for sign in (1, -1):
             for b in range(b_span):
-                if all((a.x_mod_q * a.x_mod_q - terms[a.q][n]) % a.q
-                       == sign * pow(case.p, b, a.q) % a.q
-                       for a in case.aux):
-                    return False
-    return True
+                rhs = tuple(sign * pow(case.p, b, a.q) % a.q for a in case.aux)
+                for n, key in zip(ns, lhs):
+                    if key == rhs:
+                        return n, sign, b
+        return None
+
+    counterexample = first_survivor()
+    return CertificateReport(
+        label=case.label, valid=counterexample is None,
+        combinations=len(ns) * 2 * b_span, counterexample=counterexample,
+        aux_evidence=tuple(sorted(
+            (AuxEvidence(q, periods[q], orders[q]) for q in periods),
+            key=lambda e: e.q)))
 
 
 def test_case_file_roundtrip(tmp_path):
@@ -274,23 +299,53 @@ def test_tables_span_one_period(tmp_path, monkeypatch):
 
 
 def test_check_exclusion_agrees_with_direct_enumeration():
-    import random
     rng = random.Random(31)
-    qs = [11, 19, 29, 31]
-    targets = [2, 3, 5, 19, 29, 541, 1009]
+    targets = [2, 3, 5, 7, 11, 19, 29, 31, 71, 181, 541, 1009]
     checked_valid = checked_invalid = 0
-    for _ in range(60):
-        m = rng.choice([2, 4, 6, 10, 14])
-        r = rng.randrange(0, m)
+    for _ in range(200):
+        m = rng.randrange(1, 71)
+        r = rng.randrange(-3 * m, 3 * m)
         p = rng.choice(targets)
         aux = tuple(AuxPrime(q, rng.randrange(0, q))
-                    for q in rng.sample(qs, rng.randrange(1, 3)) if q != p)
-        if not aux:
-            continue
+                    for q in rng.sample(DEFAULT_Q_POOL, rng.randrange(0, 4)) if q != p)
         case = ExclusionCase(label="fuzz", r=r, m=m, p=p, aux=aux)
-        verdict = check_exclusion(case).valid
-        assert verdict == _verdict_by_direct_enumeration(case)
-        checked_valid += verdict
-        checked_invalid += not verdict
+        report = check_exclusion(case)
+        assert report == _report_by_direct_enumeration(case), case
+        if not aux:
+            assert report.counterexample == (r % m, 1, 0)
+        checked_valid += report.valid
+        checked_invalid += not report.valid
     assert checked_valid and checked_invalid   # both outcomes were exercised
 
+    cases = build_standard_cases(two_prime_data()) + [load_case(asset_path(SAMPLE_CASE))]
+    for case in cases:
+        assert (check_exclusion(case).to_dict()
+                == _report_by_direct_enumeration(case).to_dict()), case.label
+
+
+def test_large_b_span_is_solved_not_enumerated():
+    # 7 is a primitive root mod 10007 and mod 10039, so b runs over
+    # lcm(10006, 10038) = 50,220,114 classes, and m is a multiple of both
+    # sequence periods, so a single n stands for the whole progression.
+    # b = e_q (mod q - 1) is solvable iff the e_q agree mod 2, i.e. iff the
+    # two deficits are both squares or both non-squares; q = 3 (mod 4) makes
+    # -1 a non-square mod each q, so the sign flips both and changes nothing.
+    qs = (10007, 10039)
+    m = math.lcm(*(period_mod(U4, q) for q in qs))
+    r = 12345
+    seen = set()
+    for x in ((1, 1), (2, 5), (3, 4), (100, 200)):
+        case = ExclusionCase(label="large-b", r=r, m=m, p=7,
+                             aux=tuple(AuxPrime(q, xq) for q, xq in zip(qs, x)))
+        report = check_exclusion(case)
+        assert report.combinations == 2 * 50_220_114 >= 10**8
+        deficits = [(xq * xq - u_term_mod(U4, r, q)) % q for q, xq in zip(qs, x)]
+        squares = {pow(d, (q - 1) // 2, q) == 1 for q, d in zip(qs, deficits)}
+        assert report.valid == (0 in deficits or len(squares) == 2), x
+        seen.add(report.valid)
+        if not report.valid:
+            n, sign, b = report.counterexample
+            assert (n, sign) == (r, 1) and 0 <= b < 50_220_114
+            for q, xq in zip(qs, x):
+                assert (xq * xq - u_term_mod(U4, n, q)) % q == sign * pow(7, b, q) % q
+    assert seen == {True, False}
