@@ -18,7 +18,7 @@ from .covers import ResidueClass
 # The first 12 primes are a complete strong-pseudoprime witness set for
 # n < 3.317e24 (Sorenson-Webster), which comfortably includes all of 2^64.
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_DETERMINISTIC_LIMIT = 1 << 64
+DETERMINISTIC_LIMIT = 1 << 64
 _MR_ROUNDS = 40   # Miller-Rabin bases in all at and above 2^64
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -109,7 +109,7 @@ def is_probable_prime(n: int) -> bool:
         d //= 2
         r += 1
     witnesses: list[int] = list(_SMALL_WITNESSES)
-    if n >= _DETERMINISTIC_LIMIT:
+    if n >= DETERMINISTIC_LIMIT:
         rng = random.Random(n)
         while len(witnesses) < _MR_ROUNDS:
             witnesses.append(rng.randrange(2, n - 1))

@@ -23,9 +23,10 @@ COVER_ODD173 = "cover_odd173.json"
 PRIME_TABLE = "prime_table_odd173.json"
 TWO_PRIME_CLASS = "two_prime_class.json"
 SAMPLE_CASE = "sample_exclusion_case.json"
+PRIME_CERTIFICATES = "prime_certificates.json"
 
 ALL_ASSETS = (COVER_ERDOS, COVER_ODD173, PRIME_TABLE, TWO_PRIME_CLASS,
-              SAMPLE_CASE)
+              SAMPLE_CASE, PRIME_CERTIFICATES)
 
 
 def asset_dir(override: str | os.PathLike | None = None) -> Path:

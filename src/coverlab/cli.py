@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from . import assets, codec
@@ -106,8 +107,12 @@ def _checksums(names, override) -> dict:
 
 
 def _reproduce_thm11(args, report: RunReport) -> None:
+    # imported here, the one place that needs it, so that no other command
+    # pays for loading the module at start-up
+    from .pocklington import check_certificate, load_certificates
     report.asset_checksums = _checksums(
-        [assets.COVER_ODD173, assets.PRIME_TABLE], args.assets)
+        [assets.COVER_ODD173, assets.PRIME_TABLE, assets.PRIME_CERTIFICATES],
+        args.assets)
     cover = assets.odd_cover_173(args.assets)
     cover_result = verify_cover(cover, enumeration_budget=args.budget)
     _note(report, check="cover", classes=len(cover.classes),
@@ -117,12 +122,28 @@ def _reproduce_thm11(args, report: RunReport) -> None:
         report.outcome = "fail"
         return
     table = assets.prime_table(args.assets)
-    audit = verify_prime_table(cover, table)
+    certificates = load_certificates(
+        assets.asset_path(assets.PRIME_CERTIFICATES, args.assets))
+    # a failed certificate fails the run but not its row, which falls back
+    # to the Miller-Rabin test: it must never set off the errata search
+    proven = set()
+    for p, certificate in certificates.items():
+        reason = check_certificate(certificate)
+        if reason:
+            _note(report, check="prime-certificate", p=p, ok=False, reason=reason)
+            report.outcome = "fail"
+        else:
+            proven.add(p)
+    audit = verify_prime_table(cover, table, frozenset(proven))
     _note(report, check="prime-table", entries=len(table.all_primes()),
           failing_rows=len(audit.failing_rows),
           duplicates=len(audit.duplicates),
           count_mismatches=len(audit.count_mismatches),
           omitted_consistent=audit.omitted_consistent)
+    levels = Counter(row.proof for row in audit.rows)
+    _note(report, check="prime-proofs", deterministic=levels["deterministic"],
+          certified=levels["certified"], probable=levels["probable"],
+          probable_n=[str(row.n) for row in audit.rows if row.proof == "probable"])
     for erratum in audit.errata:
         _note(report, erratum_n=erratum.n, bad_value=erratum.bad_value,
               reason=erratum.reason,

@@ -85,7 +85,8 @@ def load(path) -> Field:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:            # bad JSON, bad UTF-8, huge literal
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, bad UTF-8, a huge literal, or nesting too deep to parse
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     return Field(raw, str(path))
 

@@ -8,8 +8,10 @@ spec: it factors the primitive part of U_n.  The table audit's row check
 applies the order rule on its own, with `arith.order_dividing`, and also
 names why a row fails.  The errata search factors nothing: it walks the
 progression q = 1 (mod step) that holds every prime of order n, testing
-pow(2, n, q) before the row check, which each replacement must pass.  The
-audit also names each table prime that is a Wieferich prime.  The audit's
+pow(2, n, q) before the row check, which each replacement must pass.  A
+table prime whose Pocklington certificate the caller has checked skips the
+primality test.  The audit also names each table prime that is a Wieferich
+prime.  The audit's
 order and valuation work runs modulo p, p^2, ...
 """
 
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import codec
-from .arith import (FactorBudget, factor, is_probable_prime, order_dividing,
-                    prime_divisors)
+from .arith import (DETERMINISTIC_LIMIT, FactorBudget, factor, is_probable_prime,
+                    order_dividing, prime_divisors)
 from .covers import CoveringSystem
 from .lucas import LucasSpec, rank_of_apparition, u_terms
 
@@ -169,10 +171,15 @@ def find_primitive_divisors(
 
 @dataclass
 class TableRow:
+    """One audited table entry; `proof` says how p's primality was decided:
+    "deterministic" (below 2^64), "certified" (a checked Pocklington
+    certificate) or "probable" (40 Miller-Rabin rounds)."""
+
     n: int
     p: int
     ok: bool
     reason: str = ""
+    proof: str = "deterministic"
 
 
 @dataclass
@@ -206,9 +213,12 @@ class PrimeTableReport:
         return all((r.n, r.p) in explained for r in self.failing_rows)
 
 
-def _row_reason(n: int, p: int) -> str:
-    """Why p cannot be a table prime for exponent n, or "" when it can."""
-    if not is_probable_prime(p):
+def _row_reason(n: int, p: int, proven: frozenset[int] = frozenset()) -> str:
+    """Why p cannot be a table prime for exponent n, or "" when it can.
+
+    A p in `proven` is taken as prime without a primality test.
+    """
+    if p not in proven and not is_probable_prime(p):
         return "not prime"
     if p <= 5:
         return "not greater than 5"
@@ -234,7 +244,8 @@ def _order_walk(n: int):
             yield q
 
 
-def verify_prime_table(cover: CoveringSystem, table: PrimeTable) -> PrimeTableReport:
+def verify_prime_table(cover: CoveringSystem, table: PrimeTable,
+                       proven: frozenset[int] = frozenset()) -> PrimeTableReport:
     """Audit a claimed prime table against a cover with odd moduli.
 
     Checks, per exponent n occurring among the cover moduli: the table lists
@@ -249,7 +260,9 @@ def verify_prime_table(cover: CoveringSystem, table: PrimeTable) -> PrimeTableRe
     Each row that passed is also tested for Wieferich's condition
     2^(p-1) = 1 (mod p^2), in the cheaper form p^2 | 2^n - 1: the order of
     2 mod p^2 is n or n*p, and p does not divide p - 1, so both say it is n.
-    A hit is recorded with its valuation.
+    A hit is recorded with its valuation.  A listed prime in `proven`,
+    the primes whose certificates the caller has checked, skips the
+    primality test; every other p at or above 2^64 takes its 40 rounds.
     """
     multiplicity = Counter(c.n for c in cover.classes)
 
@@ -260,8 +273,10 @@ def verify_prime_table(cover: CoveringSystem, table: PrimeTable) -> PrimeTableRe
         if len(primes) != expected:
             count_mismatches.append((n, len(primes), expected))
         for p in primes:
-            reason = _row_reason(n, p)
-            rows.append(TableRow(n, p, not reason, reason))
+            reason = _row_reason(n, p, proven)
+            proof = ("deterministic" if p < DETERMINISTIC_LIMIT
+                     else "certified" if p in proven else "probable")
+            rows.append(TableRow(n, p, not reason, reason, proof))
 
     listed = table.all_primes()
     seen: set[int] = set()

@@ -64,10 +64,15 @@ def test_criterion_02_prime_table_audit(tmp_path):
             "cover_odd173.json":
                 "ef5b95a7f9b30d253c5e10d20a9487527c73e38d1d1474778c65629e7abbd241",
             "prime_table_odd173.json":
-                "37ee6ddce2f435dcd0ae858e45e12f8d3250e23a3ad7b8f81c39e556da68c481"}
+                "37ee6ddce2f435dcd0ae858e45e12f8d3250e23a3ad7b8f81c39e556da68c481",
+            "prime_certificates.json":
+                "45d4b8694d285a9732f0bd1f91b1f4a9d0ba77d002061637657baa736a19f2fb"}
         # 164 primes for 173 classes: the 9 omitted exponents occur once each
         row(report, check="prime-table", entries="164", failing_rows="1",
             duplicates="0", count_mismatches="0", omitted_consistent="true")
+        # 120 primes below 2^64 decided exactly, 35 above by Pocklington
+        row(report, check="prime-proofs", deterministic="120", certified="35",
+            probable="9")
         # the single expected transcription artifact, explained and replaced
         errata = [r for r in report["detail"] if "erratum_n" in r]
         assert errata == [{"erratum_n": "1755", "bad_value": "196911",

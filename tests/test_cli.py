@@ -8,10 +8,11 @@ import sys
 import pytest
 
 import coverlab
-from coverlab import assets, certify, cli
+from coverlab import arith, assets, certify, cli
 from coverlab.arith import FactorBudget
 from coverlab.lucas import LucasSpec
 from coverlab.mersenne import MERSENNE, cyclotomic_mersenne
+from coverlab.pocklington import load_certificates
 
 
 def run(argv, capsys):
@@ -297,6 +298,62 @@ def test_reproduce_thm11_fails_on_dropped_prime(tmp_path, capsys):
     target.write_text(json.dumps(payload))
     code, _ = run(["reproduce", "thm11", "--assets", str(custom)], capsys)
     assert code == 1
+
+
+def _errata_rows(out):
+    return [row for row in json.loads(out)["detail"] if "erratum_n" in row]
+
+
+def test_corrupted_certificate_fails_the_run_but_not_its_row(tmp_path, capsys):
+    _, clean = run(["reproduce", "thm11", "--json"], capsys)
+    custom = _assets_copy(tmp_path)
+    path = custom / assets.PRIME_CERTIFICATES
+    raw = json.loads(path.read_text())
+    victim = raw["certificates"][0]
+    victim["base"] = "2"
+    path.write_text(json.dumps(raw))
+    code, out = run(["reproduce", "thm11", "--assets", str(custom), "--json"], capsys)
+    assert code == 1
+    detail = json.loads(out)["detail"]
+    assert {"check": "prime-certificate", "p": victim["n"], "ok": "false",
+            "reason": f"base 2: gcd(a^((N-1)/{victim['factors'][0]['q']}) - 1, N) "
+                      "is not 1"} in detail
+    # the prime falls back to Miller-Rabin: no row fails, no erratum is added
+    assert _errata_rows(out) == _errata_rows(clean) == [
+        {"erratum_n": "1755", "bad_value": "196911", "reason": "not prime",
+         "replacement": "1969111", "replacement_verified": "true"}]
+    table = next(row for row in detail if row.get("check") == "prime-table")
+    assert table["failing_rows"] == "1"
+    proofs = next(row for row in detail if row.get("check") == "prime-proofs")
+    assert (proofs["certified"], proofs["probable"]) == ("34", "10")
+
+
+def test_missing_certificate_file_is_an_input_error(tmp_path, capsys):
+    custom = _assets_copy(tmp_path)
+    (custom / assets.PRIME_CERTIFICATES).unlink()
+    assert cli.main(["reproduce", "thm11", "--assets", str(custom)]) == 2
+    assert f"asset {assets.PRIME_CERTIFICATES} not found" in capsys.readouterr().err
+
+
+def test_miller_rabin_above_2_64_runs_only_on_uncertified_primes(monkeypatch, capsys):
+    original = arith.is_probable_prime
+    large = []
+
+    def counted(n):
+        if n >= arith.DETERMINISTIC_LIMIT:
+            large.append(n)
+        return original(n)
+
+    # every coverlab module that imported the function calls it by its own name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("coverlab") and vars(module).get("is_probable_prime") is original:
+            monkeypatch.setattr(module, "is_probable_prime", counted)
+    assert cli.main(["reproduce", "thm11"]) == 0
+    certified = set(load_certificates(assets.asset_path(assets.PRIME_CERTIFICATES)))
+    uncertified = [p for p in assets.prime_table().all_primes()
+                   if p >= arith.DETERMINISTIC_LIMIT and p not in certified]
+    assert len(uncertified) == 9
+    assert sorted(large) == sorted(uncertified)
 
 
 def _edited_assets(tmp_path, name, edit):

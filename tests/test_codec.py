@@ -11,6 +11,7 @@ from coverlab.codec import FormatError
 from coverlab.construct import load_two_prime_data
 from coverlab.covers import CoveringSystem, ResidueClass, load_cover
 from coverlab.mersenne import load_prime_table
+from coverlab.pocklington import load_certificates
 
 CASE = {"label": "x", "r": "12", "m": "14", "p": "29",
         "aux": [{"q": "31", "x_mod_q": "14"}]}
@@ -55,10 +56,16 @@ def _drop_odd_cover(raw):
     del raw["odd_cover"]
 
 
+def _edit_nested_certificate(raw):
+    raw["certificates"][3]["factors"][0]["certificate"]["factors"][0]["q"] = "0x1f"
+
+
 @pytest.mark.parametrize("target, name, edit, field", [
     ("thm11", assets.PRIME_TABLE, _edit_prime_table, "$.omitted"),
     ("thm13", assets.TWO_PRIME_CLASS, _drop_odd_cover, "$.odd_cover"),
-], ids=["omitted-string", "odd-cover-missing"])
+    ("thm11", assets.PRIME_CERTIFICATES, _edit_nested_certificate,
+     "$.certificates[3].factors[0].certificate.factors[0].q"),
+], ids=["omitted-string", "odd-cover-missing", "nested-q-not-decimal"])
 def test_reproduce_rejects_malformed_asset(tmp_path, capsys, target, name, edit, field):
     shutil.copytree(assets.asset_dir(), tmp_path, dirs_exist_ok=True)
     path = tmp_path / name
@@ -109,11 +116,19 @@ def test_thm11_row_at_exponent_1_is_an_erratum_without_replacement(tmp_path, cap
             "replacement": "1969111", "replacement_verified": "true"} in detail
 
 
+def test_nesting_too_deep_to_parse_is_a_format_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: invalid JSON"):
+        codec.load(path)
+
+
 FORMATS = [
     (load_cover, assets.COVER_ERDOS),
     (load_case, assets.SAMPLE_CASE),
     (load_prime_table, assets.PRIME_TABLE),
     (load_two_prime_data, assets.TWO_PRIME_CLASS),
+    (load_certificates, assets.PRIME_CERTIFICATES),
 ]
 
 DROP = object()

@@ -1,9 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from coverlab import arith, codec, mersenne
+from coverlab import arith, assets, codec, mersenne
 from coverlab.arith import factor, is_probable_prime, order_dividing
 from coverlab.assets import odd_cover_173, prime_table
 from coverlab.covers import CoveringSystem, ResidueClass
@@ -11,6 +12,7 @@ from coverlab.mersenne import (PrimeTable, PrimitiveDivisorWitness,
                                cyclotomic_mersenne, find_primitive_divisors,
                                load_prime_table, mersenne_valuation,
                                verify_prime_table)
+from coverlab.pocklington import load_certificates
 
 
 def test_cyclotomic_values():
@@ -192,6 +194,24 @@ def test_verify_prime_table_tiny_pass():
     assert report.passed
     assert not report.failing_rows
     assert report.omitted_consistent
+
+
+def test_proof_levels_leave_rows_and_errata_as_they_are():
+    cover, table = odd_cover_173(), prime_table()
+    proven = frozenset(load_certificates(assets.asset_path(assets.PRIME_CERTIFICATES)))
+    plain = verify_prime_table(cover, table)
+    certified = verify_prime_table(cover, table, proven)
+    strip = [(r.n, r.p, r.ok, r.reason) for r in plain.rows]
+    assert strip == [(r.n, r.p, r.ok, r.reason) for r in certified.rows]
+    assert plain.errata == certified.errata and certified.passed
+    assert Counter(r.proof for r in plain.rows) == {"deterministic": 120,
+                                                    "probable": 44}
+    assert Counter(r.proof for r in certified.rows) == {
+        "deterministic": 120, "certified": 35, "probable": 9}
+    assert all((r.proof == "certified") == (r.p in proven) for r in certified.rows)
+    # a proven p skips the primality test, and nothing else
+    fake = verify_prime_table(cover, table, frozenset({196911}))
+    assert [r.reason for r in fake.rows if not r.ok] == ["does not divide 2^1755-1"]
 
 
 def test_verify_prime_table_misplaced_prime():

@@ -1,0 +1,221 @@
+import json
+import random
+from dataclasses import replace
+
+import pytest
+
+from coverlab import assets, codec
+from coverlab.arith import DETERMINISTIC_LIMIT, factor, is_probable_prime
+from coverlab.pocklington import (Certificate, Factor, build_certificate,
+                                  check_certificate, load_certificates,
+                                  write_certificates)
+
+
+def _shipped():
+    return load_certificates(assets.asset_path(assets.PRIME_CERTIFICATES))
+
+
+def _nested():
+    """A shipped certificate whose one factor carries a nested certificate."""
+    return next(c for c in _shipped().values()
+                if len(c.factors) == 1 and c.factors[0].proof is not None)
+
+
+def _flat():
+    """A shipped certificate with two factors below 2^64."""
+    return next(c for c in _shipped().values()
+                if len(c.factors) == 2 and all(f.proof is None for f in c.factors))
+
+
+def test_every_shipped_certificate_checks():
+    certs = _shipped()
+    assert all(check_certificate(c) == "" for c in certs.values())
+    large = [p for p in assets.prime_table().all_primes() if p >= DETERMINISTIC_LIMIT]
+    assert len(large) == 44
+    assert set(certs) <= set(large)
+    assert len(certs) >= 35
+
+
+def test_every_shipped_certificate_is_for_a_sympy_prime():
+    sympy = pytest.importorskip("sympy")
+
+    def walk(cert):
+        yield cert.n
+        for f in cert.factors:
+            yield f.q
+            if f.proof is not None:
+                yield from walk(f.proof)
+
+    for cert in _shipped().values():
+        assert all(sympy.isprime(x) for x in walk(cert))
+
+
+def test_rebuilding_the_shipped_certificates_below_2_100_gives_them_exactly():
+    small = [c for c in _shipped().values() if c.n < 1 << 100]
+    assert len(small) >= 15
+    for cert in small:
+        assert build_certificate(cert.n) == cert
+
+
+def test_repeated_q_rejected():
+    # N - 1 = q * m with q exactly once and q^2 < N < q^4: listed once q
+    # is too small, listed twice it would pass every other condition
+    q = 1048583
+    assert is_probable_prime(q)
+    m = next(m for m in range(1 << 30, 1 << 31, 2)
+             if m % q and is_probable_prime(q * m + 1))
+    n = q * m + 1
+    once = Certificate(n, 3, (Factor(q, 1),))
+    assert check_certificate(once).startswith("F^2 <= N")
+    twice = Certificate(n, 3, (Factor(q, 1), Factor(q, 1)))
+    assert check_certificate(twice) == f"q = {q} is listed twice"
+
+
+def test_exponent_that_does_not_divide_n_minus_1_rejected():
+    cert = _flat()
+    first = cert.factors[0]
+    bumped = replace(cert, factors=(replace(first, e=first.e + 1), *cert.factors[1:]))
+    assert check_certificate(bumped) == f"{first.q}^{first.e + 1} does not divide N - 1"
+    zero = replace(cert, factors=(replace(first, e=0), *cert.factors[1:]))
+    assert check_certificate(zero) == f"q = {first.q} has exponent 0 < 1"
+    huge = replace(cert, factors=(replace(first, e=10**18), *cert.factors[1:]))
+    assert check_certificate(huge) == f"{first.q}^{10**18} does not divide N - 1"
+    for q in (0, 1, -1):
+        low = replace(cert, factors=(replace(first, q=q), *cert.factors[1:]))
+        assert check_certificate(low) == f"q = {q} is below 2"
+
+
+def test_factored_part_at_most_sqrt_n_rejected():
+    cert = _flat()
+    short = replace(cert, factors=cert.factors[:1])
+    assert check_certificate(short).startswith("F^2 <= N")
+
+
+def test_base_that_fails_the_gcd_condition_rejected():
+    cert = _flat()
+    q = cert.factors[0].q
+    # a q-th power is 1 when raised to (N-1)/q
+    power = replace(cert, base=pow(5, q, cert.n))
+    assert check_certificate(power).endswith(f"gcd(a^((N-1)/{q}) - 1, N) is not 1")
+    # 2 has order n | (N-1)/q for a table prime of exponent n
+    assert "gcd" in check_certificate(replace(cert, base=2))
+    assert check_certificate(replace(cert, base=cert.n)) == (
+        f"base {cert.n}: a^(N-1) is not 1 mod N")
+
+
+def test_nested_certificate_for_the_wrong_number_rejected():
+    cert = _nested()
+    other = _nested_for_another_number(cert)
+    f = cert.factors[0]
+    swapped = replace(cert, factors=(replace(f, proof=other),))
+    assert check_certificate(swapped) == (
+        f"the certificate for q = {f.q} is for {other.n}")
+
+
+def _nested_for_another_number(cert):
+    return next(c.factors[0].proof for c in _shipped().values()
+                if c.factors[0].proof is not None and c.factors[0].q != cert.factors[0].q)
+
+
+def test_large_q_without_nested_certificate_rejected():
+    cert = _nested()
+    f = cert.factors[0]
+    bare = replace(cert, factors=(replace(f, proof=None),))
+    assert check_certificate(bare) == (
+        f"q = {f.q} is at or above 2^64 and has no certificate")
+
+
+def test_nested_failure_names_the_inner_condition():
+    cert = _nested()
+    f = cert.factors[0]
+    broken = replace(cert, factors=(replace(f, proof=replace(f.proof, base=f.q)),))
+    assert check_certificate(broken) == (
+        f"q = {f.q}: base {f.q}: a^(N-1) is not 1 mod N")
+
+
+def test_carmichael_number_with_a_forged_chain_rejected():
+    # (6k+1)(12k+1)(18k+1) with all three prime is a Carmichael number:
+    # a^(N-1) = 1 for every base prime to N, so only the gcd condition stands
+    k = next(k for k in range(10**6, 10**7)
+             if all(is_probable_prime(j * k + 1) for j in (6, 12, 18)))
+    n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+    assert not is_probable_prime(n)
+    full = factor(n - 1)
+    assert full.complete
+    factors = tuple(Factor(q, e) for q, e in full.factors)
+    for a in range(2, 300):
+        if a % 2 and n % a:
+            assert pow(a, n - 1, n) == 1
+        assert check_certificate(Certificate(n, a, factors)) != ""
+    # a composite q certified by a forged chain of its own
+    m = next(m for m in range(2, 10**4, 2) if is_probable_prime(n * m + 1))
+    outer = n * m + 1
+    chain = Certificate(outer, 3, (Factor(n, 1, Certificate(n, 3, factors)),))
+    assert check_certificate(chain).startswith(f"q = {n}: base 3: ")
+    small = Certificate(561 * 2 + 1, 3, (Factor(561, 1),))
+    assert check_certificate(small) == "q = 561 is not prime"
+
+
+def test_n_below_3_rejected():
+    assert check_certificate(Certificate(1, 2, ())) == "N = 1 is below 3"
+
+
+def _sympy_factors(sympy, n):
+    """The factors of n - 1 from sympy's trial division up to 2^16, each
+    prime at or above 2^64 with its own certificate; None unless the
+    division leaves a prime."""
+    found = sympy.factorint(n - 1, limit=1 << 16, use_rho=False, use_pm1=False,
+                            use_ecm=False)
+    if not all(sympy.isprime(q) for q in found):
+        return None
+    factors = []
+    for q, e in sorted(found.items()):
+        proof = None
+        if q >= DETERMINISTIC_LIMIT:
+            inner = _sympy_factors(sympy, q)
+            if inner is None:
+                return None
+            proof = Certificate(q, sympy.primitive_root(q), inner)
+        factors.append(Factor(q, e, proof))
+    return tuple(factors)
+
+
+def test_sympy_built_certificates_pass_and_composites_never_do():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(18)
+    primes = composites = 0
+    while primes < 12:
+        bits = rng.randint(70, 200)
+        n = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+        factors = _sympy_factors(sympy, n)
+        if factors is not None:
+            primes += 1
+            # a primitive root meets every condition
+            assert check_certificate(Certificate(n, sympy.primitive_root(n), factors)) == ""
+    while composites < 12:
+        bits = rng.randint(70, 200)
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        factors = _sympy_factors(sympy, n)
+        if factors is not None and not sympy.isprime(n):
+            composites += 1
+            # N - 1 is factored completely: only the base conditions can fail
+            for a in rng.sample(range(2, 10**6), 20):
+                assert check_certificate(Certificate(n, a, factors)) != ""
+
+
+def test_certificates_round_trip_through_the_file(tmp_path):
+    certs = list(_shipped().values())
+    path = tmp_path / "certs.json"
+    write_certificates(certs, path)
+    assert list(load_certificates(path).values()) == certs
+    assert path.read_bytes() == assets.asset_path(assets.PRIME_CERTIFICATES).read_bytes()
+
+
+def test_an_n_certified_twice_is_a_format_error(tmp_path):
+    raw = json.loads(assets.asset_path(assets.PRIME_CERTIFICATES).read_text())
+    raw["certificates"].append(raw["certificates"][0])
+    path = tmp_path / "certs.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(codec.FormatError,
+                       match=r"certs\.json: \$\.certificates\[35\]\.n: .* twice"):
+        load_certificates(path)
