@@ -173,13 +173,13 @@ def crt_combine(classes: list[ResidueClass]) -> ResidueClass:
 
 
 def _conflict_message(classes: list[ResidueClass], bad_index: int) -> str:
+    # the classes before bad_index meet pairwise; were each of them also to
+    # meet the later class, all would meet pairwise and so jointly, which
+    # they do not: some earlier class alone conflicts with the later one
     later = classes[bad_index]
-    for earlier in classes[:bad_index]:
-        g = math.gcd(earlier.n, later.n)
-        if (later.a - earlier.a) % g != 0:
-            return (f"inconsistent residue classes: {earlier} and {later} "
-                    f"share no integer")
-    return f"residue class {later} is inconsistent with the preceding ones"
+    earlier = next(c for c in classes[:bad_index]
+                   if (later.a - c.a) % math.gcd(c.n, later.n) != 0)
+    return f"inconsistent residue classes: {earlier} and {later} share no integer"
 
 
 def factor(n: int, budget: FactorBudget | None = None,

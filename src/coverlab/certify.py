@@ -113,12 +113,11 @@ def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> Cer
     orders = {}
     for aux in case.aux:
         q = aux.q
-        try:
-            periods[q] = period_mod(_U4, q, max_steps=step_cap)
-        except ValueError:
+        periods[q] = period_mod(_U4, q, max_steps=step_cap)
+        if periods[q] is None:
             raise ValueError(
                 f"the period of u_n mod {q} exceeds {step_cap}, so the combinations "
-                f"exceed the budget {combination_budget}") from None
+                f"exceed the budget {combination_budget}")
         orders[q] = order_dividing(case.p % q, q, q - 1)
 
     n_span = math.lcm(case.m, *periods.values())
@@ -209,20 +208,28 @@ def certify_all_cases(data: TwoPrimeData) -> list[CertificateReport]:
 def load_case(path) -> ExclusionCase:
     """Read a case file: {"label", "r", "m", "p", "aux": [{"q", "x_mod_q"}]}.
 
-    The modulus m is at least 1 and the auxiliary primes are distinct: two
-    residues for one q would pin x to no class at all, and a claim about no x
-    is vacuously true.
+    The modulus m is at least 1, p is prime, and the auxiliary q are primes
+    not dividing p and distinct: two residues for one q would pin x to no
+    class at all, and a claim about no x is vacuously true.  A case that
+    check_exclusion would refuse is refused here, naming the field.
     """
     raw = codec.load(path)
     m = raw["m"].int()
     if m < 1:
         raise raw["m"].error(f"progression modulus {m} < 1")
+    p = raw["p"].int()
+    if not is_probable_prime(p):
+        raise raw["p"].error(f"target {p} is not prime")
     aux = []
     for e in raw.get("aux", []).list():
         q = e["q"].int()
         if any(a.q == q for a in aux):
             raise e["q"].error(f"duplicate auxiliary prime {q}")
+        if not is_probable_prime(q):
+            raise e["q"].error(f"auxiliary {q} is not prime")
+        if p % q == 0:
+            raise e["q"].error(f"auxiliary {q} divides the target {p}")
         aux.append(AuxPrime(q=q, x_mod_q=e["x_mod_q"].int()))
     return ExclusionCase(
         label=raw.get("label", "").str(), r=raw["r"].int(), m=m,
-        p=raw["p"].int(), aux=tuple(aux))
+        p=p, aux=tuple(aux))

@@ -224,16 +224,18 @@ def _reproduce_lemma41(args, report: RunReport) -> None:
         report.outcome = "fail"
 
 
+_REPRODUCE = {
+    "thm11": _reproduce_thm11,
+    "thm13": _reproduce_thm13,
+    "cases": _reproduce_cases,
+    "erdos": _reproduce_erdos,
+    "lemma41": _reproduce_lemma41,
+}
+
+
 def _cmd_reproduce(args) -> RunReport:
     report = RunReport("reproduce", {"target": args.target})
-    handler = {
-        "thm11": _reproduce_thm11,
-        "thm13": _reproduce_thm13,
-        "cases": _reproduce_cases,
-        "erdos": _reproduce_erdos,
-        "lemma41": _reproduce_lemma41,
-    }[args.target]
-    handler(args, report)
+    _REPRODUCE[args.target](args, report)
     return report
 
 
@@ -283,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cover = sub.add_parser("verify-cover", parents=[output],
                              help="sieve a cover file over one period")
+    p_cover.set_defaults(run=_cmd_verify_cover)
     p_cover.add_argument("path")
     p_cover.add_argument("--budget", type=int, default=10**8,
                          help="largest lcm the sieve will enumerate")
@@ -290,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prim = sub.add_parser("primitive", parents=[output],
                             help="primitive prime divisors of 2^n-1 or of a "
                                  "Lucas sequence term")
+    p_prim.set_defaults(run=_cmd_primitive)
     p_prim.add_argument("--base", type=int, choices=[2], default=None,
                         help="search divisors of base^n - 1 (base 2 only)")
     p_prim.add_argument("--lucas-c", type=int, default=None,
@@ -303,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", parents=[output],
                            help="run a full verification target")
-    p_rep.add_argument("target",
-                       choices=["thm11", "thm13", "cases", "erdos", "lemma41"])
+    p_rep.set_defaults(run=_cmd_reproduce)
+    p_rep.add_argument("target", choices=_REPRODUCE)
     p_rep.add_argument("--assets", default=None,
                        help="asset directory (default: packaged assets; "
                             "COVERLAB_ASSETS overrides)")
@@ -315,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", parents=[output],
                             help="check one exclusion-case file")
+    p_cert.set_defaults(run=_cmd_certify)
     p_cert.add_argument("case_file")
     p_cert.add_argument("--budget", type=int, default=10**9,
                         help="largest (n, sign, b) combination count")
@@ -333,15 +338,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--factor-budget must be at least 1")
     elif args.budget < 1:
         parser.error("--budget must be at least 1")
-    handlers = {
-        "verify-cover": _cmd_verify_cover,
-        "primitive": _cmd_primitive,
-        "reproduce": _cmd_reproduce,
-        "certify": _cmd_certify,
-    }
     started = time.perf_counter()
     try:
-        report = handlers[args.command](args)
+        report = args.run(args)
         report.wall_time_s = time.perf_counter() - started
         if args.out:
             _write_out(report, args.out)

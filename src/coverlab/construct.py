@@ -5,7 +5,8 @@ Two builders live here:
 * build_erdos_class -- the classical class of odd integers never of the form
   2^n + prime, pinned down by one congruence per class of the exponent cover
   plus the two side congruences mod 2 and mod 31; check_divisibility_mechanics
-  confirms a witness prime divides x - 2^n along a window of exponents.
+  confirms, along a window of exponents n, that the witness prime p_s of the
+  first class containing n divides x - 2^n.
 * build_two_prime_class -- the 25-prime intersection tracking the sequence
   u_n = F_{3n}/2: every member x satisfies x^2 = u_{2b_t} (mod p_t), which
   the certificate engine then turns into exclusion proofs.
@@ -23,7 +24,6 @@ from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer
 from .covers import (CoveringSystem, ResidueClass, build_doubled_cover,
                      read_classes, verify_cover)
 from .lucas import LucasSpec, period_mod, rank_of_apparition, u_term_mod, u_terms
-from .mersenne import mersenne_valuation
 
 # The witness prime of each modulus n of the classical exponent cover: the
 # (unique) prime of order exactly n, so it divides 2^a - 2^n on all of a(n).
@@ -150,10 +150,8 @@ def build_two_prime_class(
     report.checks.append(_cover_row("odd-cover", data.cover, enumeration_budget))
     report.checks.append(_cover_row("doubled-cover", doubled, enumeration_budget))
     for t, (p, c) in enumerate(pairs):
-        try:    # a period above c.n cannot divide it, so the walk stops there
-            period = period_mod(spec, p, max_steps=c.n)
-        except ValueError:
-            period = None
+        # a period above c.n cannot divide it, so the walk stops there
+        period = period_mod(spec, p, max_steps=c.n)
         report.checks.append(CheckRow(
             f"period t={t}", period is not None and c.n % period == 0,
             f"u_n mod {p} has period {period or f'> {c.n}'}, modulus {c.n}"))
@@ -217,19 +215,9 @@ def prime_power_hits(spec: LucasSpec, x: int, pairs: list[tuple[int, ResidueClas
 
 
 @dataclass
-class MechanicsRow:
-    n: int
-    class_index: int | None
-    prime: int | None
-    congruence_ok: bool
-    exact_ok: bool
-    note: str = ""
-
-
-@dataclass
 class MechanicsReport:
     checked: int
-    failures: list[MechanicsRow] = field(default_factory=list)
+    failures: list[tuple[int, str]] = field(default_factory=list)   # (n, why)
 
     @property
     def all_ok(self) -> bool:
@@ -245,30 +233,28 @@ def check_divisibility_mechanics(
     """Confirm, per exponent n, a witness prime dividing x - 2^n.
 
     For each n the first cover class a_s(n_s) containing n supplies its
-    prime p_s; the check is x = 2^n (mod p_s^(alpha_s)).  The representative's
+    prime p_s; the check is p_s | x - 2^n, the premise of the construction
+    (x = 2^{a_s} mod p_s with p_s | 2^{n_s} - 1).  The representative's
     x - 2^n is also compared exactly against 0 and +-p_s, ruling out the
     borderline cases where divisibility alone would not force compositeness.
     """
     if len(cover.classes) != len(primes):
         raise ValueError("need exactly one prime per cover class")
-    alphas = [mersenne_valuation(p, c.n) for c, p in zip(cover.classes, primes)]
-    if any(a == 0 for a in alphas):
-        bad = [p for p, a in zip(primes, alphas) if a == 0]
-        raise ValueError(f"primes {bad} do not divide their 2^n - 1")
-    moduli = [p**a for p, a in zip(primes, alphas)]
+    for c, p in zip(cover.classes, primes):
+        if not is_probable_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if pow(2, c.n, p) != 1:
+            raise ValueError(f"{p} does not divide 2^{c.n} - 1")
     report = MechanicsReport(checked=0)
     for n in n_range:
         report.checked += 1
         s = next((i for i, c in enumerate(cover.classes) if c.contains(n)), None)
         if s is None:
-            report.failures.append(MechanicsRow(
-                n, None, None, False, False, "not covered by any class"))
+            report.failures.append((n, "not covered by any class"))
             continue
-        pa = moduli[s]
-        cong = x_class.a % pa == pow(2, n, pa)
-        exact = x_class.a - (1 << n) not in (0, primes[s], -primes[s])
-        if not cong or not exact:
-            report.failures.append(MechanicsRow(
-                n, s, primes[s], cong, exact,
-                "congruence failed" if not cong else "difference equals the witness"))
+        p = primes[s]
+        if (x_class.a - pow(2, n, p)) % p:
+            report.failures.append((n, "congruence failed"))
+        elif x_class.a - (1 << n) in (0, p, -p):
+            report.failures.append((n, "difference equals the witness"))
     return report

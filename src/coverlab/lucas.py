@@ -80,14 +80,14 @@ def u_term_mod(spec: LucasSpec, n: int, m: int) -> int:
     return r10
 
 
-def period_mod(spec: LucasSpec, m: int, max_steps: int | None = None) -> int:
+def period_mod(spec: LucasSpec, m: int, max_steps: int | None = None) -> int | None:
     """Least pi > 0 with (U_pi, U_{pi+1}) = (0, 1) mod m, found by iteration.
 
     The step (x, y) -> (y, c*y - Q*x) is the matrix [[0, 1], [-Q, c]] of
     determinant Q.  When Q is a unit mod m (checked) it permutes the m^2
     pair states; the walk from (0, 1) therefore returns to (0, 1), and the
     whole sequence repeats mod m with this period.  With max_steps set, the
-    walk raises ValueError as soon as the period is known to exceed it.
+    walk returns None as soon as the period is known to exceed it.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
@@ -96,7 +96,7 @@ def period_mod(spec: LucasSpec, m: int, max_steps: int | None = None) -> int:
     x, y, n = 1, spec.c % m, 1
     while x != 0 or y != 1:
         if max_steps is not None and n >= max_steps:
-            raise ValueError(f"period of U mod {m} exceeds {max_steps}")
+            return None
         x, y = y, (spec.c * y - spec.Q * x) % m
         n += 1
     return n
@@ -130,7 +130,4 @@ def check_rank_periodicity(spec: LucasSpec, n: int, p: int) -> bool:
         raise ValueError(f"{p} does not divide U_{n}")
     if rank != n:
         raise ValueError(f"{p} divides U_{rank}, so it is not primitive at {n}")
-    try:
-        return period_mod(spec, p, max_steps=n) == n
-    except ValueError:   # the period exceeds n
-        return False
+    return period_mod(spec, p, max_steps=n) == n

@@ -25,8 +25,12 @@ CASE = {"label": "x", "r": "12", "m": "14", "p": "29",
     ({**CASE, "m": "0"}, "$.m"),
     ({"r": "1", "m": "2", "p": "3",
       "aux": [{"q": "11", "x_mod_q": "1"}, {"q": "11", "x_mod_q": "2"}]}, "$.aux[1].q"),
+    ({**CASE, "p": "4"}, "$.p"),
+    ({**CASE, "aux": [{"q": "1", "x_mod_q": "0"}]}, "$.aux[0].q"),
+    ({**CASE, "p": "3", "aux": [{"q": "3", "x_mod_q": "1"}]}, "$.aux[0].q"),
 ], ids=["aux-not-object", "top-level-list", "r-bool", "r-not-decimal",
-        "m-below-1", "aux-prime-repeated"])
+        "m-below-1", "aux-prime-repeated", "p-not-prime", "q-not-prime",
+        "q-divides-p"])
 def test_certify_rejects_malformed_case(tmp_path, capsys, doc, field):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(doc))

@@ -44,8 +44,26 @@ def test_mechanics_flags_uncovered():
     cls = build_erdos_class(erdos_cover())
     cover = CoveringSystem([ResidueClass(0, 2)])       # evens only
     report = check_divisibility_mechanics(cls, cover, [3], n_range=range(0, 10))
-    bad = [row for row in report.failures if row.note == "not covered by any class"]
-    assert [row.n for row in bad] == [1, 3, 5, 7, 9]
+    bad = [n for n, why in report.failures if why == "not covered by any class"]
+    assert bad == [1, 3, 5, 7, 9]
+
+
+def test_mechanics_tests_the_witness_prime_not_its_power():
+    # 3^2 | 2^6 - 1, but the construction pins x mod 3 only: x = 4 (mod 9)
+    # has 3 | x - 2^n along 0(6) while x != 2^n (mod 9)
+    cover = CoveringSystem([ResidueClass(0, 6)])
+    report = check_divisibility_mechanics(ResidueClass(4, 9), cover, [3],
+                                          n_range=range(6, 30, 6))
+    assert report.checked == 4
+    assert report.failures == []
+
+
+def test_mechanics_rejects_a_witness_that_is_not_a_prime_of_2n_minus_1():
+    cover = CoveringSystem([ResidueClass(0, 6)])
+    with pytest.raises(ValueError, match="9 is not prime"):
+        check_divisibility_mechanics(ResidueClass(4, 9), cover, [9], range(6))
+    with pytest.raises(ValueError, match="5 does not divide 2"):
+        check_divisibility_mechanics(ResidueClass(4, 9), cover, [5], range(6))
 
 
 def test_build_two_prime_class_golden():

@@ -79,11 +79,9 @@ def test_period_examples():
 def test_period_step_cap():
     pi31 = period_mod(U4, 31)
     assert period_mod(U4, 31, max_steps=pi31) == pi31
-    with pytest.raises(ValueError, match="exceeds"):
-        period_mod(U4, 31, max_steps=pi31 - 1)
+    assert period_mod(U4, 31, max_steps=pi31 - 1) is None
     # the walk stops at the cap instead of running through a long period
-    with pytest.raises(ValueError, match="exceeds 1000"):
-        period_mod(U4, 1000000007, max_steps=1000)
+    assert period_mod(U4, 1000000007, max_steps=1000) is None
 
 
 def test_fibonacci_periods_match_classical_table():
