@@ -12,7 +12,8 @@ import hashlib
 import os
 from pathlib import Path
 
-from .construct import TwoPrimeData, load_two_prime_data
+from .codec import FormatError
+from .construct import TwoPrimeData, erdos_refusal, load_two_prime_data
 from .covers import CoveringSystem, load_cover
 from .mersenne import PrimeTable, load_prime_table
 
@@ -53,7 +54,12 @@ def checksum(path: str | os.PathLike) -> str:
 
 
 def erdos_cover(override=None) -> CoveringSystem:
-    return load_cover(asset_path(COVER_ERDOS, override))
+    path = asset_path(COVER_ERDOS, override)
+    cover = load_cover(path)
+    where, why = erdos_refusal(cover)
+    if why:
+        raise FormatError(f"{path}: {where}: {why}")
+    return cover
 
 
 def odd_cover_173(override=None) -> CoveringSystem:

@@ -77,6 +77,29 @@ class CertificateReport:
         }
 
 
+def _refusal(case: ExclusionCase) -> tuple[str, str]:
+    """The JSON path of a case file's first field that breaks a case rule,
+    and why; ("", "") when the case is accepted.
+
+    The modulus m is at least 1, p is prime, and the auxiliary q are primes
+    not dividing p and distinct: two residues for one q would pin x to no
+    class at all, and a claim about no x holds vacuously.
+    """
+    if case.m < 1:
+        return "$.m", "progression modulus must be >= 1"
+    if not is_probable_prime(case.p):
+        return "$.p", f"target {case.p} is not prime"
+    for i, aux in enumerate(case.aux):
+        where = f"$.aux[{i}].q"
+        if any(a.q == aux.q for a in case.aux[:i]):
+            return where, f"auxiliary prime {aux.q} is repeated"
+        if not is_probable_prime(aux.q):
+            return where, f"auxiliary {aux.q} is not prime"
+        if case.p % aux.q == 0:
+            return where, f"auxiliary {aux.q} divides the target {case.p}"
+    return "", ""
+
+
 def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> CertificateReport:
     """Decide every combination of a full period of (n, sign, b).
 
@@ -88,23 +111,11 @@ def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> Cer
     every q, and the classes b = e_q (mod o_q) must meet (`crt_combine`), in
     exactly one b mod lcm(o_q).  The counterexample is the first sign with a
     survivor, its least b, and the least n of the key that b solves.
-    The auxiliary primes must be distinct.
+    A case that breaks a rule of `_refusal` raises ValueError.
     """
-    if case.m < 1:
-        raise ValueError("progression modulus must be >= 1")
-    if not is_probable_prime(case.p):
-        raise ValueError(f"target {case.p} is not prime")
-    seen = set()
-    for aux in case.aux:
-        # two residues for one q pin x to no class at all, and a claim about
-        # no x holds vacuously
-        if aux.q in seen:
-            raise ValueError(f"auxiliary prime {aux.q} is repeated")
-        seen.add(aux.q)
-        if not is_probable_prime(aux.q):
-            raise ValueError(f"auxiliary {aux.q} is not prime")
-        if case.p % aux.q == 0:
-            raise ValueError(f"auxiliary {aux.q} divides the target {case.p}")
+    _, why = _refusal(case)
+    if why:
+        raise ValueError(why)
 
     # every period divides n_span = n_count * m, and combinations >= 2 * n_count,
     # so a period above combination_budget * m / 2 already breaks the budget
@@ -206,30 +217,14 @@ def certify_all_cases(data: TwoPrimeData) -> list[CertificateReport]:
 
 
 def load_case(path) -> ExclusionCase:
-    """Read a case file: {"label", "r", "m", "p", "aux": [{"q", "x_mod_q"}]}.
-
-    The modulus m is at least 1, p is prime, and the auxiliary q are primes
-    not dividing p and distinct: two residues for one q would pin x to no
-    class at all, and a claim about no x is vacuously true.  A case that
-    check_exclusion would refuse is refused here, naming the field.
-    """
+    """Read a case file: {"label", "r", "m", "p", "aux": [{"q", "x_mod_q"}]};
+    a case that breaks a rule of `_refusal` is refused naming the field."""
     raw = codec.load(path)
-    m = raw["m"].int()
-    if m < 1:
-        raise raw["m"].error(f"progression modulus {m} < 1")
-    p = raw["p"].int()
-    if not is_probable_prime(p):
-        raise raw["p"].error(f"target {p} is not prime")
-    aux = []
-    for e in raw.get("aux", []).list():
-        q = e["q"].int()
-        if any(a.q == q for a in aux):
-            raise e["q"].error(f"duplicate auxiliary prime {q}")
-        if not is_probable_prime(q):
-            raise e["q"].error(f"auxiliary {q} is not prime")
-        if p % q == 0:
-            raise e["q"].error(f"auxiliary {q} divides the target {p}")
-        aux.append(AuxPrime(q=q, x_mod_q=e["x_mod_q"].int()))
-    return ExclusionCase(
-        label=raw.get("label", "").str(), r=raw["r"].int(), m=m,
-        p=p, aux=tuple(aux))
+    aux = tuple(AuxPrime(q=e["q"].int(), x_mod_q=e["x_mod_q"].int())
+                for e in raw.get("aux", []).list())
+    case = ExclusionCase(label=raw.get("label", "").str(), r=raw["r"].int(),
+                         m=raw["m"].int(), p=raw["p"].int(), aux=aux)
+    where, why = _refusal(case)
+    if why:
+        raise codec.FormatError(f"{path}: {where}: {why}")
+    return case

@@ -30,11 +30,21 @@ from .lucas import LucasSpec, period_mod, rank_of_apparition, u_term_mod, u_term
 ERDOS_WITNESS_PRIMES: dict[int, int] = {2: 3, 3: 7, 4: 5, 8: 17, 12: 13, 24: 241}
 
 
+def erdos_refusal(cover: CoveringSystem) -> tuple[str, str]:
+    """The JSON path of a cover file's first class whose modulus has no
+    witness prime, and why; ("", "") when every modulus has one."""
+    unknown = sorted({c.n for c in cover.classes} - ERDOS_WITNESS_PRIMES.keys())
+    for i, c in enumerate(cover.classes):
+        if c.n in unknown:
+            return f"$.classes[{i}].n", f"no witness prime for exponent moduli {unknown}"
+    return "", ""
+
+
 def erdos_witness_primes(cover: CoveringSystem) -> list[int]:
     """The witness prime of each class of an exponent cover, in class order."""
-    unknown = sorted({c.n for c in cover.classes} - ERDOS_WITNESS_PRIMES.keys())
-    if unknown:
-        raise ValueError(f"no witness prime for exponent moduli {unknown}")
+    _, why = erdos_refusal(cover)
+    if why:
+        raise ValueError(why)
     return [ERDOS_WITNESS_PRIMES[c.n] for c in cover.classes]
 
 
@@ -70,20 +80,38 @@ class TwoPrimeData:
     residues: list[ResidueClass]          # 25 classes r_t(p_t), aligned
     expected_a: int
     expected_m: int
-    label: str = ""
+
+
+def _two_prime_refusal(data: TwoPrimeData) -> tuple[str, str]:
+    """The JSON path of a two-prime file's first field that breaks a rule of
+    the construction, and why; ("", "") when the data is accepted."""
+    if len(data.primes) != len(data.cover.classes) + 1:
+        return "$.primes", "need exactly one prime per cover class plus one for parity"
+    if len(data.residues) != len(data.primes):
+        return "$.residues", "need exactly one residue class per prime"
+    for t, (p, r) in enumerate(zip(data.primes, data.residues)):
+        if p in data.primes[:t]:
+            return f"$.primes[{t}]", f"prime {p} at position {t} is repeated"
+        if not is_probable_prime(p):
+            return f"$.primes[{t}]", f"modulus {p} at position {t} is not prime"
+        if r.n != p:
+            return f"$.residues[{t}].n", f"residue class {t} has modulus {r.n}, expected {p}"
+    return "", ""
 
 
 def load_two_prime_data(path) -> TwoPrimeData:
     raw = codec.load(path)
-    label = raw.get("label", "").str()
-    return TwoPrimeData(
-        cover=CoveringSystem(read_classes(raw["odd_cover"]), label=label),
+    data = TwoPrimeData(
+        cover=CoveringSystem(read_classes(raw["odd_cover"]), label=raw.get("label", "").str()),
         primes=[p.int() for p in raw["primes"].list()],
         residues=read_classes(raw["residues"]),
         expected_a=raw["expected_a"].int(),
         expected_m=raw["expected_m"].int(),
-        label=label,
     )
+    where, why = _two_prime_refusal(data)
+    if why:
+        raise codec.FormatError(f"{path}: {where}: {why}")
+    return data
 
 
 @dataclass
@@ -130,19 +158,12 @@ def build_two_prime_class(
     x^2 = u_n is impossible (the only squares with 2x^2 in the Fibonacci
     sequence are x = 0, 1, 2); and, by brute force, x = a has no
     x^2 - u_n = +-p_t^b with n <= 2000 on progression t and b <= 60.
+    Data that breaks a rule of `_two_prime_refusal` raises ValueError.
     """
     doubled = build_doubled_cover(data.cover)
-    if len(data.primes) != len(doubled.classes):
-        raise ValueError("need exactly one prime per cover class plus one for parity")
-    if len(data.residues) != len(data.primes):
-        raise ValueError("need exactly one residue class per prime")
-    if len(set(data.primes)) != len(data.primes):
-        raise ValueError("the primes must be pairwise distinct")
-    for t, (p, r) in enumerate(zip(data.primes, data.residues)):
-        if r.n != p:
-            raise ValueError(f"residue class {t} has modulus {r.n}, expected {p}")
-        if not is_probable_prime(p):
-            raise ValueError(f"modulus {p} at position {t} is not prime")
+    _, why = _two_prime_refusal(data)
+    if why:
+        raise ValueError(why)
 
     spec = LucasSpec(4)
     pairs = list(zip(data.primes, doubled.classes))

@@ -52,9 +52,6 @@ class CoveringSystem:
     def lcm(self) -> int:
         return math.lcm(*(c.n for c in self.classes))
 
-    def __len__(self) -> int:
-        return len(self.classes)
-
 
 # Byte v -> v + 1 mod 256: one class's increment of its slice, at C speed.
 _INC = bytes(range(1, 256)) + b"\0"
@@ -143,39 +140,19 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
     )
 
 
-def refine(system: CoveringSystem, cls: ResidueClass,
-           subcover: CoveringSystem) -> CoveringSystem:
-    """Replace the class a(n) of `system` by (a + n*b) mod n*m (n*m) for
-    each b(m) of `subcover`.
-
-    x = a + n*y lies in the new class of b(m) exactly when y lies in b(m), so
-    the result covers Z iff `system` does, when `subcover` covers Z.  The
-    other classes come first, in order, then the new ones in subcover order;
-    only the first copy of `cls` is replaced.
-    """
-    try:
-        i = system.classes.index(cls)
-    except ValueError:
-        raise ValueError(f"{cls} is not a class of the system") from None
-    a, n = cls.a, cls.n
-    classes = system.classes[:i] + system.classes[i + 1:]
-    classes += [ResidueClass((a + n * b.a) % (n * b.n), n * b.n) for b in subcover.classes]
-    return CoveringSystem(classes, label=system.label)
-
-
 def build_doubled_cover(odd_cover: CoveringSystem) -> CoveringSystem:
     """Turn a cover with odd moduli into {1(2)} + {2b(2m) per input class b(m)}.
 
-    This is {0(2), 1(2)} with 0(2) refined by the input, so the result covers
-    Z iff the input does.  All output moduli except the leading 2 are
-    = 2 (mod 4).
+    This is {0(2), 1(2)} with 0(2) refined by the input: x = 2y lies in
+    2b(2m) exactly when y lies in b(m), so the result covers Z iff the input
+    does.  All output moduli except the leading 2 are = 2 (mod 4).
     """
     for c in odd_cover.classes:
         if c.n % 2 == 0:
             raise ValueError(f"modulus {c.n} is even; doubling needs odd moduli")
     label = f"{odd_cover.label}-doubled" if odd_cover.label else "doubled"
-    halves = CoveringSystem([ResidueClass(0, 2), ResidueClass(1, 2)], label=label)
-    return refine(halves, ResidueClass(0, 2), odd_cover)
+    evens = [ResidueClass(2 * c.a % (2 * c.n), 2 * c.n) for c in odd_cover.classes]
+    return CoveringSystem([ResidueClass(1, 2)] + evens, label=label)
 
 
 def read_classes(items: codec.Field) -> list[ResidueClass]:

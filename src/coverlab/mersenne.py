@@ -11,8 +11,8 @@ progression q = 1 (mod step) that holds every prime of order n, testing
 pow(2, n, q) before the row check, which each replacement must pass.  A
 table prime whose Pocklington certificate the caller has checked skips the
 primality test.  The audit also names each table prime that is a Wieferich
-prime.  The audit's
-order and valuation work runs modulo p, p^2, ...
+prime.  Row checks compute orders modulo p; only a Wieferich row is lifted
+to p^2, p^3, ... for its valuation.
 """
 
 from __future__ import annotations

@@ -435,7 +435,10 @@ def test_reproduce_rejects_unknown_erdos_modulus(tmp_path, capsys):
 
     custom = _edited_assets(tmp_path, assets.COVER_ERDOS, add)
     assert cli.main(["reproduce", "erdos", "--assets", str(custom)]) == 2
-    assert "no witness prime for exponent moduli [5]" in capsys.readouterr().err
+    assert (f"{custom / assets.COVER_ERDOS}: $.classes[6].n: "
+            "no witness prime for exponent moduli [5]") in capsys.readouterr().err
+    # the witness primes belong to the erdos target, not to the cover format
+    assert cli.main(["verify-cover", str(custom / assets.COVER_ERDOS)]) == 0
 
 
 def test_reproduce_rejects_even_two_prime_modulus(tmp_path, capsys):

@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 from coverlab import assets, cli, codec
-from coverlab.certify import load_case
+from coverlab.certify import AuxPrime, ExclusionCase, check_exclusion, load_case
 from coverlab.codec import FormatError
 from coverlab.construct import load_two_prime_data
 from coverlab.covers import CoveringSystem, ResidueClass, load_cover
@@ -38,6 +38,28 @@ def test_certify_rejects_malformed_case(tmp_path, capsys, doc, field):
     assert f"{path}: {field}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, field", [
+    ({"m": "0"}, "$.m"),
+    ({"p": "4"}, "$.p"),
+    ({"aux": [{"q": "31", "x_mod_q": "1"}, {"q": "31", "x_mod_q": "2"}]}, "$.aux[1].q"),
+    ({"aux": [{"q": "1", "x_mod_q": "0"}]}, "$.aux[0].q"),
+    ({"p": "3", "aux": [{"q": "3", "x_mod_q": "1"}]}, "$.aux[0].q"),
+], ids=["m-below-1", "p-not-prime", "q-repeated", "q-not-prime", "q-divides-p"])
+def test_load_case_refuses_in_the_words_of_check_exclusion(tmp_path, edit, field):
+    doc = {**CASE, **edit}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as loaded:
+        load_case(path)
+    prefix = f"{path}: {field}: "
+    assert str(loaded.value).startswith(prefix)
+    case = ExclusionCase(label=doc["label"], r=int(doc["r"]), m=int(doc["m"]), p=int(doc["p"]),
+                         aux=tuple(AuxPrime(int(a["q"]), int(a["x_mod_q"])) for a in doc["aux"]))
+    with pytest.raises(ValueError) as direct:
+        check_exclusion(case)
+    assert str(loaded.value).removeprefix(prefix) == str(direct.value)
+
+
 def test_cover_roundtrip(tmp_path):
     # bigints leave as decimal strings and come back as ints, in class order
     system = CoveringSystem(
@@ -64,12 +86,33 @@ def _edit_nested_certificate(raw):
     raw["certificates"][3]["factors"][0]["certificate"]["factors"][0]["q"] = "0x1f"
 
 
+def _composite_prime(raw):
+    raw["primes"][1] = "4"
+
+
+def _residue_off_its_prime(raw):
+    raw["residues"][1]["n"] = "23"
+
+
+def _repeated_prime(raw):
+    raw["primes"][2] = raw["primes"][1]
+
+
+def _prime_short(raw):
+    raw["primes"].pop()
+
+
 @pytest.mark.parametrize("target, name, edit, field", [
     ("thm11", assets.PRIME_TABLE, _edit_prime_table, "$.omitted"),
     ("thm13", assets.TWO_PRIME_CLASS, _drop_odd_cover, "$.odd_cover"),
     ("thm11", assets.PRIME_CERTIFICATES, _edit_nested_certificate,
      "$.certificates[3].factors[0].certificate.factors[0].q"),
-], ids=["omitted-string", "odd-cover-missing", "nested-q-not-decimal"])
+    ("thm13", assets.TWO_PRIME_CLASS, _composite_prime, "$.primes[1]"),
+    ("cases", assets.TWO_PRIME_CLASS, _residue_off_its_prime, "$.residues[1].n"),
+    ("thm13", assets.TWO_PRIME_CLASS, _repeated_prime, "$.primes[2]"),
+    ("cases", assets.TWO_PRIME_CLASS, _prime_short, "$.primes"),
+], ids=["omitted-string", "odd-cover-missing", "nested-q-not-decimal", "prime-composite",
+        "residue-modulus-not-its-prime", "prime-repeated", "primes-one-short"])
 def test_reproduce_rejects_malformed_asset(tmp_path, capsys, target, name, edit, field):
     shutil.copytree(assets.asset_dir(), tmp_path, dirs_exist_ok=True)
     path = tmp_path / name

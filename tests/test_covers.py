@@ -7,7 +7,7 @@ import pytest
 from coverlab.assets import erdos_cover, odd_cover_173, two_prime_data
 from coverlab.codec import FormatError
 from coverlab.covers import (CoveringSystem, ResidueClass, build_doubled_cover,
-                             load_cover, refine, verify_cover)
+                             load_cover, verify_cover)
 
 
 def test_verify_cover_erdos():
@@ -146,10 +146,15 @@ def test_verify_cover_tiles_counts_and_wraps_across_period_steps():
 
 
 def test_verify_cover_refined_erdos_cover_at_scale():
+    # the lcm-24 cover with a(n) replaced by (a + n*b)(n*m) for each b(m) of
+    # the odd cover: x = a + n*y lies in the new class exactly when y is in b(m)
     erdos, odd = erdos_cover(), odd_cover_173()
     for target, lcm, max_mult in ((ResidueClass(0, 3), 16_216_200, 7),
                                   (ResidueClass(0, 2), 5_405_400, 6)):
-        cover = refine(erdos, target, odd)
+        a, n = target.a, target.n
+        cover = CoveringSystem(
+            [c for c in erdos.classes if c != target]
+            + [ResidueClass((a + n * b.a) % (n * b.n), n * b.n) for b in odd.classes])
         report = verify_cover(cover)
         assert report.is_cover and report.uncovered_witness is None
         assert (report.lcm, report.min_multiplicity, report.max_multiplicity) == (lcm, 1, max_mult)
@@ -158,43 +163,6 @@ def test_verify_cover_refined_erdos_cover_at_scale():
         report = verify_cover(twin)
         assert not report.is_cover and report.lcm == lcm
         assert report.uncovered_witness == 23 and report.min_multiplicity == 0
-
-
-def test_refine_examples():
-    system = CoveringSystem([ResidueClass(0, 2), ResidueClass(1, 4), ResidueClass(3, 4)],
-                            label="base")
-    thirds = CoveringSystem([ResidueClass(0, 3), ResidueClass(4, 3), ResidueClass(2, 3)])
-    refined = refine(system, ResidueClass(1, 4), thirds)
-    assert refined.label == "base"
-    assert refined.classes == [ResidueClass(0, 2), ResidueClass(3, 4), ResidueClass(1, 12),
-                               ResidueClass(5, 12), ResidueClass(9, 12)]
-    assert system.classes[1] == ResidueClass(1, 4)   # the input is left as it was
-
-    twice = CoveringSystem([ResidueClass(0, 2), ResidueClass(0, 2), ResidueClass(1, 2)])
-    halves = CoveringSystem([ResidueClass(0, 2), ResidueClass(1, 2)])
-    assert refine(twice, ResidueClass(0, 2), halves).classes == [
-        ResidueClass(0, 2), ResidueClass(1, 2), ResidueClass(0, 4), ResidueClass(2, 4)]
-
-    with pytest.raises(ValueError, match=r"2\(3\) is not a class"):
-        refine(system, ResidueClass(2, 3), thirds)
-
-
-def test_refine_membership_property():
-    rng = random.Random(33)
-    for _ in range(30):
-        system = CoveringSystem([ResidueClass(rng.randrange(-5, 12), rng.choice([1, 2, 3, 4, 6]))
-                                 for _ in range(rng.randrange(1, 5))])
-        cls = rng.choice(system.classes)
-        sub = CoveringSystem([ResidueClass(rng.randrange(-5, 12), rng.choice([1, 2, 3, 5]))
-                              for _ in range(rng.randrange(1, 4))])
-        refined = refine(system, cls, sub)
-        rest = list(system.classes)
-        rest.remove(cls)
-        for x in range(-60, 60):
-            expected = (any(c.contains(x) for c in rest)
-                        or (cls.contains(x) and any(b.contains((x - cls.a) // cls.n)
-                                                    for b in sub.classes)))
-            assert any(c.contains(x) for c in refined.classes) == expected
 
 
 def test_build_doubled_cover():
