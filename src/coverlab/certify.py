@@ -194,18 +194,16 @@ def build_standard_cases(data: TwoPrimeData) -> list[ExclusionCase]:
     Case t is class t of `build_doubled_cover(data.cover)`, read as a
     progression of n, with target p_t: n = 1 (mod 2) with target 2, then
     n = 2*b_t (mod 2*m_t) with target p_t.  Auxiliary residues x mod q
-    come from the construction data itself (each prime of DEFAULT_Q_POOL is
-    one of the 25 moduli); a pool prime equal to the case target is dropped,
-    since powers of p tell nothing mod p.
+    come from the construction data itself: each residue class of the data
+    whose modulus is a prime of DEFAULT_Q_POOL, in data order, except the
+    one of the case target, since powers of p tell nothing mod p.  A pool
+    prime with no class in the data is no auxiliary of any case.
     """
-    residue_of = {r.n: r.a for r in data.residues}
-    unknown = [q for q in DEFAULT_Q_POOL if q not in residue_of]
-    if unknown:
-        raise ValueError(f"pool primes {unknown} carry no residue in the data")
     cases = []
     doubled = build_doubled_cover(data.cover)
     for t, (p, c) in enumerate(zip(data.primes, doubled.classes, strict=True)):
-        aux = tuple(AuxPrime(q, residue_of[q]) for q in DEFAULT_Q_POOL if q != p)
+        aux = tuple(AuxPrime(r.n, r.a) for r in data.residues
+                    if r.n in DEFAULT_Q_POOL and r.n != p)
         cases.append(ExclusionCase(
             label=f"t{t:02d} p={p} n={c.a}(mod {c.n})", r=c.a, m=c.n, p=p, aux=aux))
     return cases

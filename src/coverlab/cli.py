@@ -160,21 +160,19 @@ def _reproduce_thm11(args, report: RunReport) -> None:
 def _reproduce_thm13(args, report: RunReport) -> None:
     report.asset_checksums = _checksums([assets.TWO_PRIME_CLASS], args.assets)
     data = assets.two_prime_data(args.assets)
-    combined, build_report = _two_prime_class(args, report, data)
-    _note(report, checks=len(build_report.checks),
-          failures=len(build_report.failures()))
+    combined, checks = _two_prime_class(args, report, data)
+    _note(report, checks=len(checks), failures=sum(not row.ok for row in checks))
     _note(report, a=combined.a, M=combined.n)
 
 
 def _two_prime_class(args, report: RunReport, data):
     """Build the two-prime class; note every check, and fail the run on any."""
-    combined, build_report = build_two_prime_class(
-        data, enumeration_budget=args.budget)
-    for row in build_report.checks:
+    combined, checks = build_two_prime_class(data, enumeration_budget=args.budget)
+    for row in checks:
         _note(report, check=row.name, ok=row.ok, detail=row.detail)
-    if not build_report.passed:
-        report.outcome = "fail"
-    return combined, build_report
+        if not row.ok:
+            report.outcome = "fail"
+    return combined, checks
 
 
 def _reproduce_cases(args, report: RunReport) -> None:
@@ -200,12 +198,12 @@ def _reproduce_erdos(args, report: RunReport) -> None:
     cls = build_erdos_class(cover)
     _note(report, a=cls.a, M=cls.n)
     ok = cls.a % 2 == 1 and cls.a % 31 == 3
-    mech = check_divisibility_mechanics(cls, cover, erdos_witness_primes(cover),
-                                        n_range=range(0, 2001))
-    _note(report, mechanics_checked=mech.checked,
-          mechanics_failures=len(mech.failures),
+    window = range(0, 2001)
+    failures = check_divisibility_mechanics(cls, cover, erdos_witness_primes(cover),
+                                            n_range=window)
+    _note(report, mechanics_checked=len(window), mechanics_failures=len(failures),
           odd=cls.a % 2 == 1, mod31=cls.a % 31)
-    if not (ok and mech.all_ok and cover_result.is_cover):
+    if not (ok and not failures and cover_result.is_cover):
         report.outcome = "fail"
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import codec
 from .arith import crt_combine, is_probable_prime
@@ -32,11 +32,16 @@ ERDOS_WITNESS_PRIMES: dict[int, int] = {2: 3, 3: 7, 4: 5, 8: 17, 12: 13, 24: 241
 
 def erdos_refusal(cover: CoveringSystem) -> tuple[str, str]:
     """The JSON path of a cover file's first class whose modulus has no
-    witness prime, and why; ("", "") when every modulus has one."""
+    witness prime or repeats an earlier one, and why; ("", "") when every
+    modulus has a witness prime of its own.  A modulus has one witness
+    prime, and x is pinned modulo it by one class."""
     unknown = sorted({c.n for c in cover.classes} - ERDOS_WITNESS_PRIMES.keys())
     for i, c in enumerate(cover.classes):
         if c.n in unknown:
             return f"$.classes[{i}].n", f"no witness prime for exponent moduli {unknown}"
+        if any(d.n == c.n for d in cover.classes[:i]):
+            return f"$.classes[{i}].n", (f"modulus {c.n} is repeated, so two classes "
+                                         f"share its witness prime {ERDOS_WITNESS_PRIMES[c.n]}")
     return "", ""
 
 
@@ -85,6 +90,9 @@ class TwoPrimeData:
 def _two_prime_refusal(data: TwoPrimeData) -> tuple[str, str]:
     """The JSON path of a two-prime file's first field that breaks a rule of
     the construction, and why; ("", "") when the data is accepted."""
+    for i, c in enumerate(data.cover.classes):
+        if c.n % 2 == 0:
+            return f"$.odd_cover[{i}].n", f"modulus {c.n} is even; doubling needs odd moduli"
     if len(data.primes) != len(data.cover.classes) + 1:
         return "$.primes", "need exactly one prime per cover class plus one for parity"
     if len(data.residues) != len(data.primes):
@@ -121,18 +129,6 @@ class CheckRow:
     detail: str = ""
 
 
-@dataclass
-class TwoPrimeReport:
-    checks: list[CheckRow] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[CheckRow]:
-        return [c for c in self.checks if not c.ok]
-
-
 def _cover_row(name: str, system: CoveringSystem, budget: int) -> CheckRow:
     result = verify_cover(system, enumeration_budget=budget)
     detail = f"lcm {result.lcm}"
@@ -144,72 +140,68 @@ def _cover_row(name: str, system: CoveringSystem, budget: int) -> CheckRow:
 def build_two_prime_class(
     data: TwoPrimeData,
     enumeration_budget: int = 10**8,
-) -> tuple[ResidueClass, TwoPrimeReport]:
+) -> tuple[ResidueClass, list[CheckRow]]:
     """Intersect the 25 residue classes and verify the construction.
 
-    The report asserts the links of the proof: the odd classes cover Z, and
-    so does their doubling {1(2)} + {2b_t(2m_t)} (`enumeration_budget` bounds
-    both sieves); the period of u_n mod p_t divides the modulus of doubled
-    class t, so u_n mod p_t is constant along that progression; and the
-    rank of apparition of p_t is exactly that modulus.  Then: the computed
-    class matches the expected a and M digit for digit; M is the product of
-    the 25 primes; a is odd (so a^2 = u_1 = 1 mod 2); a^2 = u_{2b_t}
-    (mod p_t) for every t >= 1; every member has absolute value > 2, so
-    x^2 = u_n is impossible (the only squares with 2x^2 in the Fibonacci
-    sequence are x = 0, 1, 2); and, by brute force, x = a has no
-    x^2 - u_n = +-p_t^b with n <= 2000 on progression t and b <= 60.
-    Data that breaks a rule of `_two_prime_refusal` raises ValueError.
+    Returns the class and one CheckRow per link of the proof, passed or
+    not.  The rows: the odd classes cover Z, and so does their doubling
+    {1(2)} + {2b_t(2m_t)} (`enumeration_budget` bounds both sieves); the
+    period of u_n mod p_t divides the modulus of doubled class t, so u_n
+    mod p_t is constant along that progression; and the rank of apparition
+    of p_t is exactly that modulus.  Then: the computed class matches the
+    expected a and M digit for digit; M is the product of the 25 primes; a
+    is odd (so a^2 = u_1 = 1 mod 2); a^2 = u_{2b_t} (mod p_t) for every
+    t >= 1; every member has absolute value > 2, so x^2 = u_n is
+    impossible (the only squares with 2x^2 in the Fibonacci sequence are
+    x = 0, 1, 2); and, by brute force, x = a has no x^2 - u_n = +-p_t^b
+    with n <= 2000 on progression t and b <= 60.  Data that breaks a rule
+    of `_two_prime_refusal`, an even odd-cover modulus included, raises
+    ValueError before anything is built.
     """
-    doubled = build_doubled_cover(data.cover)
     _, why = _two_prime_refusal(data)
     if why:
         raise ValueError(why)
+    doubled = build_doubled_cover(data.cover)
 
     spec = LucasSpec(4)
     pairs = list(zip(data.primes, doubled.classes))
-    report = TwoPrimeReport()
-    report.checks.append(_cover_row("odd-cover", data.cover, enumeration_budget))
-    report.checks.append(_cover_row("doubled-cover", doubled, enumeration_budget))
+    checks = [_cover_row("odd-cover", data.cover, enumeration_budget),
+              _cover_row("doubled-cover", doubled, enumeration_budget)]
     for t, (p, c) in enumerate(pairs):
         # a period above c.n cannot divide it, so the walk stops there
         period = period_mod(spec, p, max_steps=c.n)
-        report.checks.append(CheckRow(
+        checks.append(CheckRow(
             f"period t={t}", period is not None and c.n % period == 0,
             f"u_n mod {p} has period {period or f'> {c.n}'}, modulus {c.n}"))
     for t, (p, c) in enumerate(pairs):
         rank = rank_of_apparition(spec, p, c.n)
-        report.checks.append(CheckRow(
+        checks.append(CheckRow(
             f"rank t={t}", rank == c.n,
             f"rank of {p} is {rank or f'> {c.n}'}, modulus {c.n}"))
 
     combined = crt_combine(data.residues)
-    report.checks.append(CheckRow(
-        "a-digit-exact", combined.a == data.expected_a,
-        f"computed {combined.a}"))
-    report.checks.append(CheckRow(
-        "M-digit-exact", combined.n == data.expected_m,
-        f"computed {combined.n}"))
-    report.checks.append(CheckRow(
-        "M-is-prime-product", combined.n == math.prod(data.primes)))
-    report.checks.append(CheckRow(
-        "a-odd", combined.a % 2 == 1,
-        "x^2 = u_1 = 1 (mod 2) needs odd members"))
+    checks += [
+        CheckRow("a-digit-exact", combined.a == data.expected_a, f"computed {combined.a}"),
+        CheckRow("M-digit-exact", combined.n == data.expected_m, f"computed {combined.n}"),
+        CheckRow("M-is-prime-product", combined.n == math.prod(data.primes)),
+        CheckRow("a-odd", combined.a % 2 == 1, "x^2 = u_1 = 1 (mod 2) needs odd members"),
+    ]
     for t, (p, c) in enumerate(pairs[1:], start=1):
         want = u_term_mod(spec, c.a, p)
         got = combined.a * combined.a % p
-        report.checks.append(CheckRow(
+        checks.append(CheckRow(
             f"square-residue t={t}", got == want,
             f"a^2 = {got}, u_{c.a} = {want} (mod {p})"))
     smallest = min(combined.a % combined.n, combined.n - combined.a % combined.n)
-    report.checks.append(CheckRow(
+    checks.append(CheckRow(
         "members-exceed-2", smallest > 2,
         f"smallest |member| is {smallest}"))
     hits = prime_power_hits(spec, combined.a, pairs, n_max=2000, b_max=60)
-    report.checks.append(CheckRow(
+    checks.append(CheckRow(
         "brute-force-window", not hits,
         f"{len(hits)} hits, first x^2 - u_{hits[0][0]} = +-{hits[0][1]}^b" if hits
         else "no x^2 - u_n = +-p_t^b for n <= 2000, b <= 60"))
-    return combined, report
+    return combined, checks
 
 
 def prime_power_hits(spec: LucasSpec, x: int, pairs: list[tuple[int, ResidueClass]],
@@ -235,23 +227,14 @@ def prime_power_hits(spec: LucasSpec, x: int, pairs: list[tuple[int, ResidueClas
 # divisibility mechanics audit
 
 
-@dataclass
-class MechanicsReport:
-    checked: int
-    failures: list[tuple[int, str]] = field(default_factory=list)   # (n, why)
-
-    @property
-    def all_ok(self) -> bool:
-        return not self.failures
-
-
 def check_divisibility_mechanics(
     x_class: ResidueClass,
     cover: CoveringSystem,
     primes: list[int],
     n_range: range,
-) -> MechanicsReport:
-    """Confirm, per exponent n, a witness prime dividing x - 2^n.
+) -> list[tuple[int, str]]:
+    """Each exponent n in `n_range` with no witness prime dividing x - 2^n,
+    and why; [] when every n has one.
 
     For each n the first cover class a_s(n_s) containing n supplies its
     prime p_s; the check is p_s | x - 2^n, the premise of the construction
@@ -266,16 +249,15 @@ def check_divisibility_mechanics(
             raise ValueError(f"{p} is not prime")
         if pow(2, c.n, p) != 1:
             raise ValueError(f"{p} does not divide 2^{c.n} - 1")
-    report = MechanicsReport(checked=0)
+    failures = []
     for n in n_range:
-        report.checked += 1
         s = next((i for i, c in enumerate(cover.classes) if c.contains(n)), None)
         if s is None:
-            report.failures.append((n, "not covered by any class"))
+            failures.append((n, "not covered by any class"))
             continue
         p = primes[s]
         if (x_class.a - pow(2, n, p)) % p:
-            report.failures.append((n, "congruence failed"))
+            failures.append((n, "congruence failed"))
         elif x_class.a - (1 << n) in (0, p, -p):
-            report.failures.append((n, "difference equals the witness"))
-    return report
+            failures.append((n, "difference equals the witness"))
+    return failures

@@ -196,7 +196,6 @@ class PrimeTableReport:
     rows: list[TableRow]
     count_mismatches: list[tuple[int, int, int]]   # (n, listed, expected)
     duplicates: list[int]
-    omitted: list[int]
     omitted_consistent: bool
     errata: list[Erratum]
     wieferich: list[PrimitiveDivisorWitness]   # passed rows with p^2 | 2^n - 1
@@ -309,7 +308,6 @@ def verify_prime_table(cover: CoveringSystem, table: PrimeTable,
         rows=rows,
         count_mismatches=count_mismatches,
         duplicates=duplicates,
-        omitted=sorted(table.omitted),
         omitted_consistent=omitted_consistent,
         errata=errata,
         wieferich=wieferich,

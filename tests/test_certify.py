@@ -191,14 +191,19 @@ def test_certify_all_cases_reports_invalid_on_weak_pool(monkeypatch):
 
 
 def test_pool_primes_must_carry_residues(monkeypatch):
+    # 23 is no modulus of the data, so it is no auxiliary of any case;
+    # 11 is one, and the case with target 11 loses it
     monkeypatch.setattr(certify, "DEFAULT_Q_POOL", (11, 23))
-    with pytest.raises(ValueError, match="no residue"):
-        build_standard_cases(two_prime_data())
+    cases = build_standard_cases(two_prime_data())
+    assert len(cases) == 25
+    for case in cases:
+        want = () if case.p == 11 else (11,)
+        assert tuple(aux.q for aux in case.aux) == want, case.label
 
 
 def members_exceed_2(data):
-    _, report = build_two_prime_class(data)
-    return next(c.ok for c in report.checks if c.name == "members-exceed-2")
+    _, checks = build_two_prime_class(data)
+    return next(c.ok for c in checks if c.name == "members-exceed-2")
 
 
 def test_nonzero_guard():

@@ -102,6 +102,15 @@ def _prime_short(raw):
     raw["primes"].pop()
 
 
+def _even_odd_cover_modulus(raw):
+    raw["odd_cover"][14]["n"] = "4"
+
+
+def _repeated_erdos_modulus(raw):
+    # 0(3) and 1(3) would pin x to two classes mod the one witness prime 7
+    raw["classes"][2]["n"] = "3"
+
+
 @pytest.mark.parametrize("target, name, edit, field", [
     ("thm11", assets.PRIME_TABLE, _edit_prime_table, "$.omitted"),
     ("thm13", assets.TWO_PRIME_CLASS, _drop_odd_cover, "$.odd_cover"),
@@ -111,8 +120,11 @@ def _prime_short(raw):
     ("cases", assets.TWO_PRIME_CLASS, _residue_off_its_prime, "$.residues[1].n"),
     ("thm13", assets.TWO_PRIME_CLASS, _repeated_prime, "$.primes[2]"),
     ("cases", assets.TWO_PRIME_CLASS, _prime_short, "$.primes"),
+    ("thm13", assets.TWO_PRIME_CLASS, _even_odd_cover_modulus, "$.odd_cover[14].n"),
+    ("erdos", assets.COVER_ERDOS, _repeated_erdos_modulus, "$.classes[2].n"),
 ], ids=["omitted-string", "odd-cover-missing", "nested-q-not-decimal", "prime-composite",
-        "residue-modulus-not-its-prime", "prime-repeated", "primes-one-short"])
+        "residue-modulus-not-its-prime", "prime-repeated", "primes-one-short",
+        "odd-cover-modulus-even", "erdos-modulus-repeated"])
 def test_reproduce_rejects_malformed_asset(tmp_path, capsys, target, name, edit, field):
     shutil.copytree(assets.asset_dir(), tmp_path, dirs_exist_ok=True)
     path = tmp_path / name

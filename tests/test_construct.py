@@ -32,9 +32,7 @@ def test_erdos_mechanics_window():
     cover = erdos_cover()
     cls = build_erdos_class(cover)
     primes = erdos_witness_primes(cover)
-    report = check_divisibility_mechanics(cls, cover, primes, n_range=range(0, 2001))
-    assert report.checked == 2001
-    assert report.all_ok
+    assert check_divisibility_mechanics(cls, cover, primes, n_range=range(0, 2001)) == []
     # independent spot check: the witness really divides x - 2^n
     for n in (0, 1, 17, 100, 1999):
         assert any((cls.a - 2**n) % p == 0 for p in primes)
@@ -43,8 +41,8 @@ def test_erdos_mechanics_window():
 def test_mechanics_flags_uncovered():
     cls = build_erdos_class(erdos_cover())
     cover = CoveringSystem([ResidueClass(0, 2)])       # evens only
-    report = check_divisibility_mechanics(cls, cover, [3], n_range=range(0, 10))
-    bad = [n for n, why in report.failures if why == "not covered by any class"]
+    failures = check_divisibility_mechanics(cls, cover, [3], n_range=range(0, 10))
+    bad = [n for n, why in failures if why == "not covered by any class"]
     assert bad == [1, 3, 5, 7, 9]
 
 
@@ -52,10 +50,8 @@ def test_mechanics_tests_the_witness_prime_not_its_power():
     # 3^2 | 2^6 - 1, but the construction pins x mod 3 only: x = 4 (mod 9)
     # has 3 | x - 2^n along 0(6) while x != 2^n (mod 9)
     cover = CoveringSystem([ResidueClass(0, 6)])
-    report = check_divisibility_mechanics(ResidueClass(4, 9), cover, [3],
-                                          n_range=range(6, 30, 6))
-    assert report.checked == 4
-    assert report.failures == []
+    assert check_divisibility_mechanics(ResidueClass(4, 9), cover, [3],
+                                        n_range=range(6, 30, 6)) == []
 
 
 def test_mechanics_rejects_a_witness_that_is_not_a_prime_of_2n_minus_1():
@@ -68,8 +64,8 @@ def test_mechanics_rejects_a_witness_that_is_not_a_prime_of_2n_minus_1():
 
 def test_build_two_prime_class_golden():
     data = two_prime_data()
-    combined, report = build_two_prime_class(data)
-    assert report.passed, report.failures()
+    combined, checks = build_two_prime_class(data)
+    assert [c for c in checks if not c.ok] == []
     assert combined.a == data.expected_a
     assert combined.n == data.expected_m
     assert combined.n == math.prod(data.primes)
@@ -99,17 +95,17 @@ def test_two_prime_square_residues_and_members():
 
 
 def test_build_two_prime_class_link_rows():
-    _, report = build_two_prime_class(two_prime_data())
-    rows = {c.name: c for c in report.checks}
-    assert len(report.checks) == 82
+    _, checks = build_two_prime_class(two_prime_data())
+    rows = {c.name: c for c in checks}
+    assert len(checks) == 82
     assert rows["odd-cover"].ok and rows["odd-cover"].detail == "lcm 315"
     assert rows["doubled-cover"].ok and rows["doubled-cover"].detail == "lcm 630"
-    periods = [c for c in report.checks if c.name.startswith("period t=")]
+    periods = [c for c in checks if c.name.startswith("period t=")]
     assert [c.name for c in periods] == [f"period t={t}" for t in range(25)]
     assert all(c.ok for c in periods)
     assert periods[0].detail == "u_n mod 2 has period 2, modulus 2"
     assert periods[24].detail == "u_n mod 17011 has period 630, modulus 630"
-    ranks = [c for c in report.checks if c.name.startswith("rank t=")]
+    ranks = [c for c in checks if c.name.startswith("rank t=")]
     assert [c.name for c in ranks] == [f"rank t={t}" for t in range(25)]
     assert all(c.ok for c in ranks)
     assert ranks[1].detail == "rank of 19 is 6, modulus 6"
@@ -166,9 +162,8 @@ def test_build_two_prime_class_validation():
 def test_build_two_prime_class_reports_mismatch():
     data = two_prime_data()
     data.expected_a += 1
-    _, report = build_two_prime_class(data)
-    assert not report.passed
-    assert [c.name for c in report.failures()] == ["a-digit-exact"]
+    _, checks = build_two_prime_class(data)
+    assert [c.name for c in checks if not c.ok] == ["a-digit-exact"]
 
 
 def test_companion_discovery_for_7():
