@@ -1,7 +1,7 @@
 """Locating and loading the in-repo data assets.
 
-Resolution order for the asset directory: explicit argument, the
-COVERLAB_ASSETS environment variable, then the packaged assets/ directory.
+The asset directory is the explicit argument (`--assets DIR` on the command
+line) or else the packaged assets/ directory; nothing else redirects it.
 Assets are claims, not trusted facts; the verification commands and the
 acceptance suite re-check them from scratch.
 """
@@ -17,8 +17,6 @@ from .construct import TwoPrimeData, erdos_refusal, load_two_prime_data
 from .covers import CoveringSystem, load_cover
 from .mersenne import PrimeTable, load_prime_table
 
-ENV_VAR = "COVERLAB_ASSETS"
-
 COVER_ERDOS = "cover_erdos.json"
 COVER_ODD173 = "cover_odd173.json"
 PRIME_TABLE = "prime_table_odd173.json"
@@ -33,9 +31,6 @@ ALL_ASSETS = (COVER_ERDOS, COVER_ODD173, PRIME_TABLE, TWO_PRIME_CLASS,
 def asset_dir(override: str | os.PathLike | None = None) -> Path:
     if override is not None:
         return Path(override)
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return Path(env)
     return Path(__file__).parent / "assets"
 
 

@@ -22,7 +22,7 @@ from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer
 from .certify import certify_all_cases, check_exclusion, load_case
 from .construct import (build_erdos_class, build_two_prime_class,
                         check_divisibility_mechanics, erdos_witness_primes)
-from .covers import load_cover, verify_cover
+from .covers import lcm_refusal, load_cover, verify_cover
 from .lucas import LucasSpec, check_rank_periodicity
 from .mersenne import (MERSENNE, cyclotomic_mersenne, find_primitive_divisors,
                        verify_prime_table)
@@ -63,11 +63,19 @@ def _note(report: RunReport, **kw) -> None:
         for k, v in kw.items()})
 
 
+def _sieve(system, path, budget: int):
+    """verify_cover, refusing a cover whose lcm is over budget by its file and class."""
+    where, why = lcm_refusal(system, budget)
+    if why:
+        raise codec.FormatError(f"{path}: {where}: {why}")
+    return verify_cover(system, enumeration_budget=budget)
+
+
 def _cmd_verify_cover(args) -> RunReport:
     report = RunReport("verify-cover", {"path": str(args.path)})
     report.asset_checksums = {str(args.path): assets.checksum(args.path)}
     system = load_cover(args.path)
-    result = verify_cover(system, enumeration_budget=args.budget)
+    result = _sieve(system, args.path, args.budget)
     _note(report, label=system.label, classes=len(system.classes),
           lcm=result.lcm, is_cover=result.is_cover,
           min_multiplicity=result.min_multiplicity,
@@ -90,14 +98,12 @@ def _cmd_primitive(args) -> RunReport:
     report.inputs["n"] = str(args.n)
     witnesses, complete = find_primitive_divisors(args.n, budget, spec)
     for w in witnesses:
-        _note(report, p=w.p, **({"rank": args.n} if lucas else {"alpha": w.alpha}))
+        _note(report, p=w.p, alpha=w.alpha)
     if not complete:
         report.outcome = "partial"
-        if lucas:   # what the listed primes leave of the primitive part
-            _note(report, unresolved_cofactor=cyclotomic_mersenne(args.n, spec)
-                  // math.prod(w.p**w.alpha for w in witnesses))
-        else:
-            _note(report, note="factorization incomplete within budget")
+        # what the listed primes leave of the primitive part
+        _note(report, unresolved_cofactor=cyclotomic_mersenne(args.n, spec)
+              // math.prod(w.p**w.alpha for w in witnesses))
     return report
 
 
@@ -114,7 +120,8 @@ def _reproduce_thm11(args, report: RunReport) -> None:
         [assets.COVER_ODD173, assets.PRIME_TABLE, assets.PRIME_CERTIFICATES],
         args.assets)
     cover = assets.odd_cover_173(args.assets)
-    cover_result = verify_cover(cover, enumeration_budget=args.budget)
+    cover_result = _sieve(cover, assets.asset_path(assets.COVER_ODD173, args.assets),
+                          args.budget)
     _note(report, check="cover", classes=len(cover.classes),
           lcm=cover_result.lcm, is_cover=cover_result.is_cover)
     if not (cover_result.is_cover and cover_result.lcm == 675675
@@ -192,7 +199,8 @@ def _reproduce_cases(args, report: RunReport) -> None:
 def _reproduce_erdos(args, report: RunReport) -> None:
     report.asset_checksums = _checksums([assets.COVER_ERDOS], args.assets)
     cover = assets.erdos_cover(args.assets)
-    cover_result = verify_cover(cover, enumeration_budget=args.budget)
+    cover_result = _sieve(cover, assets.asset_path(assets.COVER_ERDOS, args.assets),
+                          args.budget)
     _note(report, check="cover", classes=len(cover.classes),
           lcm=cover_result.lcm, is_cover=cover_result.is_cover)
     cls = build_erdos_class(cover)
@@ -212,12 +220,13 @@ def _reproduce_lemma41(args, report: RunReport) -> None:
     for c in range(1, 7):
         spec = LucasSpec(c)
         for n in (2, 6, 10, 14):
-            witnesses, _ = find_primitive_divisors(n, spec=spec)
+            witnesses, complete = find_primitive_divisors(n, spec=spec)
             primitive = [w.p for w in witnesses]
             bad = [p for p in primitive if not check_rank_periodicity(spec, n, p)]
-            failures += len(bad)
-            _note(report, c=c, n=n, primitive_primes=len(primitive),
-                  failures=len(bad))
+            # an unfactored cofactor may hide a primitive prime never checked
+            failed = len(bad) + (not complete)
+            failures += failed
+            _note(report, c=c, n=n, primitive_primes=len(primitive), failures=failed)
     if failures:
         report.outcome = "fail"
 
@@ -292,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="primitive prime divisors of 2^n-1 or of a "
                                  "Lucas sequence term")
     p_prim.set_defaults(run=_cmd_primitive)
-    p_prim.add_argument("--base", type=int, choices=[2], default=None,
+    family = p_prim.add_mutually_exclusive_group(required=True)
+    family.add_argument("--base", type=int, choices=[2],
                         help="search divisors of base^n - 1 (base 2 only)")
-    p_prim.add_argument("--lucas-c", type=int, default=None,
+    family.add_argument("--lucas-c", type=int, metavar="C",
                         help="search primitive divisors of U_n for this c")
     p_prim.add_argument("--n", type=int, required=True)
     p_prim.add_argument("--factor-budget", type=int, default=None,
@@ -308,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(run=_cmd_reproduce)
     p_rep.add_argument("target", choices=_REPRODUCE)
     p_rep.add_argument("--assets", default=None,
-                       help="asset directory (default: packaged assets; "
-                            "COVERLAB_ASSETS overrides)")
+                       help="asset directory (default: packaged assets)")
     p_rep.add_argument("--budget", type=int, default=10**8)
     p_rep.add_argument("--out-errata", default=None,
                        help="write discovered prime-table errata to this file "
@@ -328,8 +337,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "primitive":
-        if (args.base is None) == (args.lucas_c is None):
-            parser.error("pass exactly one of --base 2 or --lucas-c C")
         if args.n < 2:
             parser.error("--n must be at least 2")
         if args.factor_budget is not None and args.factor_budget < 1:

@@ -68,6 +68,19 @@ class CoverReport:
     max_multiplicity: int
 
 
+def lcm_refusal(system: CoveringSystem, enumeration_budget: int) -> tuple[str, str]:
+    """The JSON path of a cover file's first class whose modulus takes the
+    running lcm of the moduli past `enumeration_budget`, and why; ("", "")
+    when the lcm of all of them is within it."""
+    running = 1
+    for i, c in enumerate(system.classes):
+        running = math.lcm(running, c.n)
+        if running > enumeration_budget:
+            return f"$.classes[{i}].n", (f"lcm of moduli is {system.lcm()}, above the "
+                                         f"enumeration budget {enumeration_budget}")
+    return "", ""
+
+
 def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> CoverReport:
     """Sieve one full period and report coverage and multiplicity extremes.
 
@@ -88,13 +101,12 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
     cell, so it is not sieved: it adds 1 to both extremes at the end.
 
     `enumeration_budget` bounds the lcm of the moduli; a larger lcm raises
-    instead of silently grinding.
+    the refusal of `lcm_refusal` as ValueError instead of silently grinding.
     """
     period = system.lcm()
     if period > enumeration_budget:
-        raise ValueError(
-            f"lcm of moduli is {period}, above the enumeration budget "
-            f"{enumeration_budget}")
+        _, why = lcm_refusal(system, enumeration_budget)
+        raise ValueError(why)
     counts = bytearray(1)
     size = 1                        # counts holds the period of the classes so far
     wrapped: dict[int, int] = {}    # cell -> 256 per wrap, then its true count

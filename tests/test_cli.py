@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -63,9 +64,10 @@ def test_primitive_base2(capsys):
 
 
 def test_primitive_lucas(capsys):
+    # one row shape for both families: the rank is n, already in the inputs
     code, out = run(["primitive", "--lucas-c", "4", "--n", "14"], capsys)
     assert code == 0
-    assert "p=29" in out and "rank=14" in out
+    assert "p=29  alpha=1" in out and "rank=" not in out
 
 
 def test_primitive_lucas_primitive_part(capsys):
@@ -84,18 +86,25 @@ def test_primitive_lucas_unresolved_cofactor(capsys):
     report = json.loads(out)
     assert code == 1 and report["outcome"] == "partial"
     *rows, last = report["detail"]
-    assert [r["p"] for r in rows] == ["257", "5417", "8513"]
+    assert rows == [{"p": p, "alpha": "1"} for p in ("257", "5417", "8513")]
+    assert list(last) == ["unresolved_cofactor"]
     cofactor = int(last["unresolved_cofactor"])
     assert cofactor * 257 * 5417 * 8513 == cyclotomic_mersenne(43, LucasSpec(4))
     assert cofactor > 1 and all(cofactor % p for p in (257, 5417, 8513))
 
 
 def test_primitive_incomplete_budget(capsys):
-    # 2^137 - 1 is a semiprime of two 20-digit primes: out of reach here
+    # 2^137 - 1 is a semiprime of two 20-digit primes: out of reach here, so
+    # the cofactor is all of the primitive part
     code, out = run(["primitive", "--base", "2", "--n", "137",
-                     "--factor-budget", "1000"], capsys)
-    assert code == 1
-    assert "incomplete" in out
+                     "--factor-budget", "1000", "--json"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["outcome"] == "partial"
+    *rows, last = report["detail"]
+    assert all(set(r) == {"p", "alpha"} for r in rows)
+    assert list(last) == ["unresolved_cofactor"]
+    found = math.prod(int(r["p"]) ** int(r["alpha"]) for r in rows)
+    assert int(last["unresolved_cofactor"]) * found == cyclotomic_mersenne(137)
 
 
 def test_primitive_factor_budget_default(monkeypatch):
@@ -163,6 +172,14 @@ def test_reproduce_erdos(capsys):
     code, out = run(["reproduce", "erdos"], capsys)
     assert code == 0
     assert "mechanics_failures=0" in out
+
+
+def test_reproduce_lemma41_fails_on_an_incomplete_factorization(capsys, monkeypatch):
+    # an unfactored cofactor may hide a primitive prime whose rank was never checked
+    monkeypatch.setattr(cli, "find_primitive_divisors", lambda n, spec: ([], False))
+    code, out = run(["reproduce", "lemma41"], capsys)
+    assert code == 1
+    assert "c=1  n=2  primitive_primes=0  failures=1" in out
 
 
 def test_reproduce_lemma41(capsys):
@@ -242,18 +259,21 @@ def test_errata_file(tmp_path, capsys):
                         "verified": True}]
 
 
-def test_assets_dir_override(tmp_path, capsys, monkeypatch):
+def test_assets_dir_override(tmp_path, capsys):
     custom = tmp_path / "assets"
     custom.mkdir()
     for name in assets.ALL_ASSETS:
         shutil.copy(assets.asset_path(name), custom / name)
     code, _ = run(["reproduce", "thm13", "--assets", str(custom)], capsys)
     assert code == 0
-    monkeypatch.setenv(assets.ENV_VAR, str(custom))
+
+
+def test_environment_does_not_redirect_the_assets(tmp_path, capsys, monkeypatch):
+    # only --assets moves the asset directory; a variable left in the
+    # environment cannot change what a run reads
+    monkeypatch.setenv("COVERLAB_ASSETS", str(tmp_path / "nowhere"))
     code, _ = run(["reproduce", "thm13"], capsys)
     assert code == 0
-    monkeypatch.setenv(assets.ENV_VAR, str(tmp_path / "nowhere"))
-    assert cli.main(["reproduce", "thm13"]) == 2
 
 
 def _assets_copy(tmp_path):
@@ -457,6 +477,25 @@ def test_reproduce_budget_bounds_the_link_sieves(capsys):
     for target, budget in (("thm13", "314"), ("cases", "314"), ("erdos", "23")):
         assert cli.main(["reproduce", target, "--budget", budget]) == 2
         assert "above the enumeration budget" in capsys.readouterr().err
+
+
+def test_lcm_over_budget_names_the_file_and_the_class(tmp_path, capsys):
+    # 1925 -> 1926 = 2 * 3^2 * 107 takes the lcm from 675675 to 144594450
+    def bump(raw):
+        assert raw["classes"][145]["n"] == "1925"
+        raw["classes"][145]["n"] = "1926"
+
+    custom = _edited_assets(tmp_path, assets.COVER_ODD173, bump)
+    refusal = (f"{custom / assets.COVER_ODD173}: $.classes[145].n: lcm of moduli "
+               "is 144594450, above the enumeration budget 100000000")
+    for argv in (["reproduce", "thm11", "--assets", str(custom)],
+                 ["verify-cover", str(custom / assets.COVER_ODD173)]):
+        assert cli.main(argv) == 2
+        assert refusal in capsys.readouterr().err
+    # the running lcm of 2, 3, 4 is 12, the first above 10
+    assert cli.main(["verify-cover", asset(assets.COVER_ERDOS), "--budget", "10"]) == 2
+    assert (f"{asset(assets.COVER_ERDOS)}: $.classes[2].n: lcm of moduli is 24, "
+            "above the enumeration budget 10") in capsys.readouterr().err
 
 
 def test_reports_deterministic_apart_from_timing(capsys):

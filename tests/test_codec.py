@@ -238,3 +238,59 @@ def test_loaders_return_or_raise_format_error(tmp_path, loader, name):
             assert str(target) in str(exc)
 
     check()
+
+
+# each data file and the reproduce target that reads it
+SWEPT = {assets.COVER_ODD173: "thm11", assets.PRIME_TABLE: "thm11",
+         assets.PRIME_CERTIFICATES: "thm11", assets.TWO_PRIME_CLASS: "thm13",
+         assets.COVER_ERDOS: "erdos"}
+CHANGES = {"v+1": lambda v: v + 1, "v-1": lambda v: v - 1, "0": lambda v: 0,
+           "-1": lambda v: -1, "4": lambda v: 4, "13": lambda v: 13,
+           "2v": lambda v: 2 * v, "v^2+2": lambda v: v * v + 2}
+
+
+def _decimal_fields(name):
+    """The JSON path of every decimal field of the packaged asset `name`."""
+    doc = json.loads(assets.asset_path(name).read_text())
+    fields = []
+    for path in _paths(doc):
+        value = doc
+        for key in path:
+            value = value[key]
+        if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+            fields.append(path)
+    return fields
+
+
+def test_reproduce_ends_in_a_pass_a_fail_or_a_named_refusal(tmp_path, capsys):
+    # one decimal field of one asset changed: the run passes, fails with a
+    # report, or refuses naming the file and the field, and never raises
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fields = {name: _decimal_fields(name) for name in SWEPT}
+    chosen = st.sampled_from(sorted(SWEPT)).flatmap(
+        lambda name: st.tuples(st.just(name), st.sampled_from(fields[name])))
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True)
+    @hypothesis.given(chosen, st.sampled_from(sorted(CHANGES)))
+    # 1925 -> 1926 brings the lcm to 144594450, above the default budget
+    @hypothesis.example((assets.COVER_ODD173, ("classes", 145, "n")), "v+1")
+    def check(field, change):
+        name, path = field
+        shutil.copytree(assets.asset_dir(), tmp_path, dirs_exist_ok=True)
+        target = tmp_path / name
+        doc = json.loads(target.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = str(CHANGES[change](int(parent[path[-1]])))
+        target.write_text(json.dumps(doc))
+        code = cli.main(["reproduce", SWEPT[name], "--assets", str(tmp_path), "--json"])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), code
+        if code == 1:
+            assert json.loads(out)["outcome"] == "fail"
+        if code == 2:
+            assert f"{target}: $." in err, err
+
+    check()
