@@ -62,17 +62,15 @@ class CertificateReport:
     aux_evidence: tuple[AuxEvidence, ...]
 
     def to_dict(self) -> dict:
+        """The report row, in plain values; `codec.encode` writes them out."""
         return {
             "schema": "coverlab.certificate/1",
             "label": self.label,
             "valid": self.valid,
-            "combinations": str(self.combinations),
-            "counterexample": None if self.counterexample is None else {
-                "n_residue": str(self.counterexample[0]),
-                "sign": self.counterexample[1],
-                "b_residue": str(self.counterexample[2]),
-            },
-            "aux": [{"q": str(e.q), "period": str(e.period), "order": str(e.order)}
+            "combinations": self.combinations,
+            "counterexample": None if self.counterexample is None else dict(
+                zip(("n_residue", "sign", "b_residue"), self.counterexample)),
+            "aux": [{"q": e.q, "period": e.period, "order": e.order}
                     for e in self.aux_evidence],
         }
 
@@ -117,18 +115,17 @@ def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> Cer
     if why:
         raise ValueError(why)
 
-    # every period divides n_span = n_count * m, and combinations >= 2 * n_count,
-    # so a period above combination_budget * m / 2 already breaks the budget
-    step_cap = combination_budget * case.m // 2
+    # the period walk and the one-period table of u_n mod q below each cost
+    # pi_q steps, so the budget caps pi_q itself, whatever the modulus m
     periods = {}
     orders = {}
     for aux in case.aux:
         q = aux.q
-        periods[q] = period_mod(_U4, q, max_steps=step_cap)
+        periods[q] = period_mod(_U4, q, max_steps=combination_budget)
         if periods[q] is None:
             raise ValueError(
-                f"the period of u_n mod {q} exceeds {step_cap}, so the combinations "
-                f"exceed the budget {combination_budget}")
+                f"the period of u_n mod {q} and its walk exceed the budget "
+                f"{combination_budget}")
         orders[q] = order_dividing(case.p % q, q, q - 1)
 
     n_span = math.lcm(case.m, *periods.values())

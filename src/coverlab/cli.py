@@ -1,8 +1,8 @@
 """Command-line front end: asset loading, verification runs, JSON reports.
 
 Exit codes: 0 = all checks passed, 1 = a verification failed, 2 = input
-error (unreadable/malformed file or bad arguments).  All reports carry a
-schema version and decimal-string bigints so they survive any JSON reader.
+error (unreadable/malformed file or bad arguments).  Every report carries a
+schema version and is encoded by `codec.encode`, in text, `--json` and `--out`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import assets, codec
 from .arith import FactorBudget
@@ -22,7 +22,8 @@ from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer
 from .certify import certify_all_cases, check_exclusion, load_case
 from .construct import (build_erdos_class, build_two_prime_class,
                         check_divisibility_mechanics, erdos_witness_primes)
-from .covers import lcm_refusal, load_cover, verify_cover
+from .covers import (CoveringSystem, build_doubled_cover, lcm_refusal, load_cover,
+                     verify_cover)
 from .lucas import LucasSpec, check_rank_periodicity
 from .mersenne import (MERSENNE, cyclotomic_mersenne, find_primitive_divisors,
                        verify_prime_table)
@@ -40,7 +41,7 @@ class RunReport:
     asset_checksums: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
+        return codec.encode({
             "schema": REPORT_SCHEMA,
             "command": self.command,
             "inputs": self.inputs,
@@ -48,7 +49,7 @@ class RunReport:
             "detail": self.detail,
             "wall_time_s": round(self.wall_time_s, 3),
             "asset_checksums": self.asset_checksums,
-        }
+        })
 
     @property
     def exit_code(self) -> int:
@@ -56,11 +57,8 @@ class RunReport:
 
 
 def _note(report: RunReport, **kw) -> None:
-    """Append a detail row: bools as "true"/"false", other ints as decimals."""
-    report.detail.append({
-        k: ("true" if v else "false") if isinstance(v, bool)
-        else str(v) if isinstance(v, int) else v
-        for k, v in kw.items()})
+    """Append a detail row; `RunReport.to_dict` encodes it."""
+    report.detail.append(kw)
 
 
 def _sieve(system, path, budget: int):
@@ -93,9 +91,9 @@ def _cmd_primitive(args) -> RunReport:
                               rho_iterations=10 * args.factor_budget)
     lucas = args.lucas_c is not None
     spec = LucasSpec(args.lucas_c) if lucas else MERSENNE
-    report = RunReport("primitive", {"lucas_c": str(args.lucas_c)} if lucas
-                       else {"base": "2"})
-    report.inputs["n"] = str(args.n)
+    report = RunReport("primitive", {"lucas_c": args.lucas_c} if lucas
+                       else {"base": args.base})
+    report.inputs["n"] = args.n
     witnesses, complete = find_primitive_divisors(args.n, budget, spec)
     for w in witnesses:
         _note(report, p=w.p, alpha=w.alpha)
@@ -150,7 +148,7 @@ def _reproduce_thm11(args, report: RunReport) -> None:
     levels = Counter(row.proof for row in audit.rows)
     _note(report, check="prime-proofs", deterministic=levels["deterministic"],
           certified=levels["certified"], probable=levels["probable"],
-          probable_n=[str(row.n) for row in audit.rows if row.proof == "probable"])
+          probable_n=[row.n for row in audit.rows if row.proof == "probable"])
     for erratum in audit.errata:
         _note(report, erratum_n=erratum.n, bad_value=erratum.bad_value,
               reason=erratum.reason,
@@ -158,8 +156,6 @@ def _reproduce_thm11(args, report: RunReport) -> None:
               replacement_verified=erratum.verified)
     for w in audit.wieferich:
         _note(report, check="wieferich", n=w.n, p=w.p, alpha=w.alpha)
-    if args.out_errata:
-        codec.dump([asdict(e) for e in audit.errata], args.out_errata)
     if not audit.passed:
         report.outcome = "fail"
 
@@ -173,7 +169,15 @@ def _reproduce_thm13(args, report: RunReport) -> None:
 
 
 def _two_prime_class(args, report: RunReport, data):
-    """Build the two-prime class; note every check, and fail the run on any."""
+    """Build the two-prime class; note every check, and fail the run on any.
+    An over-budget link sieve is refused naming the odd-cover class that takes
+    the lcm past the budget: class t + 1 of the doubled cover is odd class t."""
+    doubled = build_doubled_cover(data.cover).classes[1:]   # 1(2) adds nothing
+    for system in (data.cover, CoveringSystem(doubled)):
+        where, why = lcm_refusal(system, args.budget, field="$.odd_cover")
+        if why:
+            path = assets.asset_path(assets.TWO_PRIME_CLASS, args.assets)
+            raise codec.FormatError(f"{path}: {where}: {why}")
     combined, checks = build_two_prime_class(data, enumeration_budget=args.budget)
     for row in checks:
         _note(report, check=row.name, ok=row.ok, detail=row.detail)
@@ -262,20 +266,13 @@ def _text(value) -> str:
     return value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
 
 
-def _write_out(report: RunReport, path: str) -> None:
-    """Write the JSON report to the --out file, before anything is printed."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
 def _emit(report: RunReport, args) -> None:
     payload = report.to_dict()
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(f"{report.command}: {report.outcome}")
-        for row in report.detail:
+        for row in payload["detail"]:
             print("  " + "  ".join(f"{k}={_text(v)}" for k, v in row.items()))
         print(f"  ({report.wall_time_s:.2f}s)")
 
@@ -320,16 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--assets", default=None,
                        help="asset directory (default: packaged assets)")
     p_rep.add_argument("--budget", type=int, default=10**8)
-    p_rep.add_argument("--out-errata", default=None,
-                       help="write discovered prime-table errata to this file "
-                            "(always written, [] when there are none)")
 
     p_cert = sub.add_parser("certify", parents=[output],
                             help="check one exclusion-case file")
     p_cert.set_defaults(run=_cmd_certify)
     p_cert.add_argument("case_file")
     p_cert.add_argument("--budget", type=int, default=10**9,
-                        help="largest (n, sign, b) combination count")
+                        help="largest (n, sign, b) combination count, and "
+                             "largest period of u_n mod an auxiliary prime")
     return parser
 
 
@@ -347,8 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = args.run(args)
         report.wall_time_s = time.perf_counter() - started
-        if args.out:
-            _write_out(report, args.out)
+        if args.out:                    # written before anything is printed
+            codec.dump(report.to_dict(), args.out)
     except (codec.FormatError, OSError) as exc:
         print(f"coverlab: input error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
-"""The decimal-string JSON convention every coverlab data file follows.
+"""The decimal-string JSON convention every coverlab file follows.
 
-Integers are written as decimal strings so that bigints survive any JSON
-reader; on reading, a JSON integer is accepted too, but never a bool, a
+Data files and reports alike are written by `encode`: integers as decimal
+strings, so that bigints survive any JSON reader, and bools as "true" or
+"false".  On reading, a JSON integer is accepted too, but never a bool, a
 float or a string that is not plain decimal.  Every format failure --
 invalid JSON, a missing field, a value of the wrong type -- raises one
 FormatError naming the file and the JSON path of the offending field.
@@ -91,19 +92,22 @@ def load(path) -> Field:
     return Field(raw, str(path))
 
 
-def _encode(value):
-    """Ints become decimal strings; bools, None and strings stay as they are."""
+def encode(value):
+    """Ints become decimal strings and bools "true" or "false", at any depth;
+    None, floats and strings stay as they are."""
     if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
+        return {k: encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_encode(v) for v in value]
-    if isinstance(value, int) and not isinstance(value, bool):
+        return [encode(v) for v in value]
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
         return str(value)
     return value
 
 
 def dump(value, path) -> None:
-    """Write `value` to a JSON data file in the decimal-string convention."""
+    """Write `value`, encoded, to a JSON data file or report file."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_encode(value), fh, indent=2)
+        json.dump(encode(value), fh, indent=2)
         fh.write("\n")

@@ -68,16 +68,17 @@ class CoverReport:
     max_multiplicity: int
 
 
-def lcm_refusal(system: CoveringSystem, enumeration_budget: int) -> tuple[str, str]:
-    """The JSON path of a cover file's first class whose modulus takes the
-    running lcm of the moduli past `enumeration_budget`, and why; ("", "")
-    when the lcm of all of them is within it."""
+def lcm_refusal(system: CoveringSystem, enumeration_budget: int,
+                field: str = "$.classes") -> tuple[str, str]:
+    """The JSON path of the first class, in the file's list `field`, whose
+    modulus takes the running lcm of the moduli past `enumeration_budget`,
+    and why; ("", "") when the lcm of all of them is within it."""
     running = 1
     for i, c in enumerate(system.classes):
         running = math.lcm(running, c.n)
         if running > enumeration_budget:
-            return f"$.classes[{i}].n", (f"lcm of moduli is {system.lcm()}, above the "
-                                         f"enumeration budget {enumeration_budget}")
+            return f"{field}[{i}].n", (f"lcm of moduli is {system.lcm()}, above the "
+                                       f"enumeration budget {enumeration_budget}")
     return "", ""
 
 

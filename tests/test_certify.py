@@ -93,18 +93,20 @@ def test_combination_budget():
 
 def test_combination_budget_caps_the_period_walk(tmp_path):
     # for a large q the budget must stop the period walk, not only the
-    # enumeration after it (uncapped, the walk runs for minutes)
+    # enumeration after it (uncapped, the walk runs for minutes), and a
+    # large progression modulus m must not lift that cap
     path = tmp_path / "large_q.json"
-    path.write_text(json.dumps({"r": "1", "m": "2", "p": "3",
-                                "aux": [{"q": "1000000007", "x_mod_q": "1"}]}))
     src = str(pathlib.Path(certify.__file__).parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "coverlab.cli", "certify", str(path), "--budget", "1000"],
-        capture_output=True, text=True, env=env, timeout=30)
-    assert proc.returncode == 2
-    assert "exceed the budget 1000" in proc.stderr
+    for m in ("2", str(10**30)):
+        path.write_text(json.dumps({"r": "1", "m": m, "p": "3",
+                                    "aux": [{"q": "1000000007", "x_mod_q": "1"}]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coverlab.cli", "certify", str(path), "--budget", "1000"],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 2, m
+        assert "exceed the budget 1000" in proc.stderr
 
 
 def test_monotonicity_of_aux_sets():

@@ -206,7 +206,8 @@ def test_certify_invalid_case(tmp_path, capsys):
         {"label": "no-evidence", "r": "1", "m": "2", "p": "2", "aux": []}))
     code, out = run(["certify", str(bare)], capsys)
     assert code == 1
-    assert "counterexample" in out
+    assert "valid=false" in out
+    assert 'counterexample={"n_residue":"1","sign":"1","b_residue":"0"}' in out
 
 
 def test_json_output_roundtrips(capsys):
@@ -249,14 +250,15 @@ def test_budget_below_1_is_rejected(capsys, argv, budget):
     assert "--budget must be at least 1" in capsys.readouterr().err
 
 
-def test_errata_file(tmp_path, capsys):
-    target = tmp_path / "errata.json"
-    code, _ = run(["reproduce", "thm11", "--out-errata", str(target)], capsys)
+def test_out_file_is_the_json_report(tmp_path, capsys):
+    # --out writes what --json prints, the erratum row included
+    target = tmp_path / "report.json"
+    code, out = run(["reproduce", "thm11", "--json", "--out", str(target)], capsys)
     assert code == 0
-    payload = json.loads(target.read_text())
-    assert payload == [{"n": "1755", "bad_value": "196911",
-                        "reason": "not prime", "replacement": "1969111",
-                        "verified": True}]
+    assert json.loads(target.read_text()) == json.loads(out)
+    assert _errata_rows(out) == [
+        {"erratum_n": "1755", "bad_value": "196911", "reason": "not prime",
+         "replacement": "1969111", "replacement_verified": "true"}]
 
 
 def test_assets_dir_override(tmp_path, capsys):
@@ -296,17 +298,13 @@ def test_reproduce_thm13_fails_on_corrupted_expectation(tmp_path, capsys):
     assert "a-digit-exact" in out
 
 
-def test_errata_file_written_when_there_are_none(tmp_path, capsys):
+def test_corrected_table_has_no_erratum_row(tmp_path, capsys):
     custom = _assets_copy(tmp_path)
     table = custom / assets.PRIME_TABLE
     table.write_text(table.read_text().replace('"196911"', '"1969111"'))
-    target = tmp_path / "errata.json"
-    target.write_text("stale")
-    code, out = run(["reproduce", "thm11", "--assets", str(custom),
-                     "--out-errata", str(target)], capsys)
+    code, out = run(["reproduce", "thm11", "--assets", str(custom)], capsys)
     assert code == 0
     assert "erratum_n" not in out
-    assert json.loads(target.read_text()) == []
 
 
 def test_reproduce_thm11_fails_on_dropped_prime(tmp_path, capsys):
@@ -477,6 +475,16 @@ def test_reproduce_budget_bounds_the_link_sieves(capsys):
     for target, budget in (("thm13", "314"), ("cases", "314"), ("erdos", "23")):
         assert cli.main(["reproduce", target, "--budget", budget]) == 2
         assert "above the enumeration budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["thm13", "cases"])
+@pytest.mark.parametrize("budget, lcm", [("314", 315), ("629", 630)])
+def test_link_sieve_over_budget_names_the_odd_cover_class(capsys, target, budget, lcm):
+    # odd class 5 (n = 9) takes the odd cover's running lcm to 315; doubled
+    # class 6 (n = 18) is odd class 5 and takes the doubled cover's to 630
+    assert cli.main(["reproduce", target, "--budget", budget]) == 2
+    assert (f"{asset(assets.TWO_PRIME_CLASS)}: $.odd_cover[5].n: lcm of moduli is {lcm}, "
+            f"above the enumeration budget {budget}") in capsys.readouterr().err
 
 
 def test_lcm_over_budget_names_the_file_and_the_class(tmp_path, capsys):

@@ -61,14 +61,20 @@ def test_load_case_refuses_in_the_words_of_check_exclusion(tmp_path, edit, field
 
 
 def test_cover_roundtrip(tmp_path):
-    # bigints leave as decimal strings and come back as ints, in class order
+    # bigints leave as decimal strings and come back as ints, in class order;
+    # a report-like field rides along, which the loader ignores
     system = CoveringSystem(
         [ResidueClass(583939, 675675), ResidueClass(0, 2),
          ResidueClass(3**200, 5**100 * 7)], label="roundtrip")
     path = tmp_path / "cover.json"
     codec.dump({"label": system.label,
-                "classes": [{"a": c.a, "n": c.n} for c in system.classes]}, path)
-    assert json.loads(path.read_text())["classes"][2]["n"] == str(5**100 * 7)
+                "classes": [{"a": c.a, "n": c.n} for c in system.classes],
+                "row": {"ok": [True, False], "none": None, "wall_time_s": 0.25,
+                        "nested": [(-7, {"p": 2**64})]}}, path)
+    written = json.loads(path.read_text())
+    assert written["classes"][2]["n"] == str(5**100 * 7)
+    assert written["row"] == {"ok": ["true", "false"], "none": None, "wall_time_s": 0.25,
+                              "nested": [["-7", {"p": str(2**64)}]]}
     back = load_cover(path)
     assert back.label == system.label
     assert back.classes == system.classes
