@@ -1,9 +1,11 @@
-"""Locating and loading the in-repo data assets.
+"""Locating the in-repo data assets: their names, their directory, their paths.
 
 The asset directory is the explicit argument (`--assets DIR` on the command
 line) or else the packaged assets/ directory; nothing else redirects it.
-Assets are claims, not trusted facts; the verification commands and the
-acceptance suite re-check them from scratch.
+Each file is read by the loader of the layer it belongs to (`load_cover`,
+`load_prime_table`, `load_two_prime_data`, `load_certificates`), given the
+path that `asset_path` returns.  Assets are claims, not trusted facts; the
+verification commands and the acceptance suite re-check them from scratch.
 """
 
 from __future__ import annotations
@@ -12,10 +14,7 @@ import hashlib
 import os
 from pathlib import Path
 
-from .codec import FormatError
-from .construct import TwoPrimeData, erdos_refusal, load_two_prime_data
-from .covers import CoveringSystem, load_cover
-from .mersenne import PrimeTable, load_prime_table
+from .covers import load_cover  # noqa: F401 -- module attribute the perfbench tracer patches
 
 COVER_ERDOS = "cover_erdos.json"
 COVER_ODD173 = "cover_odd173.json"
@@ -46,24 +45,3 @@ def checksum(path: str | os.PathLike) -> str:
     with open(path, "rb") as fh:
         digest.update(fh.read())
     return digest.hexdigest()
-
-
-def erdos_cover(override=None) -> CoveringSystem:
-    path = asset_path(COVER_ERDOS, override)
-    cover = load_cover(path)
-    where, why = erdos_refusal(cover)
-    if why:
-        raise FormatError(f"{path}: {where}: {why}")
-    return cover
-
-
-def odd_cover_173(override=None) -> CoveringSystem:
-    return load_cover(asset_path(COVER_ODD173, override))
-
-
-def prime_table(override=None) -> PrimeTable:
-    return load_prime_table(asset_path(PRIME_TABLE, override))
-
-
-def two_prime_data(override=None) -> TwoPrimeData:
-    return load_two_prime_data(asset_path(TWO_PRIME_CLASS, override))

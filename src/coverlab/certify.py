@@ -8,8 +8,9 @@ and x mod q is constant.  The engine therefore decides every combination of
 one full period of (n mod lcm(m, pi_q), sign, b mod lcm(o_q)) -- no sampling
 -- and declares the case valid exactly when each is contradicted by at least
 one auxiliary prime.  It walks the n-side only: the residues of x^2 - u_n mod
-each q form a key, and for each sign a key is solved for b exactly, by one
-discrete-log lookup per q and a CRT join of the classes b mod o_q.
+each q form a key, and for each sign a key is solved for b exactly: one
+power per q tests that it is a power of p at all, and only then one
+discrete-log lookup per q and a CRT join of the classes b mod o_q follow.
 """
 
 from __future__ import annotations
@@ -148,26 +149,27 @@ def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> Cer
                     for a in aux_list)
         deficits.setdefault(key, n)
 
-    # p^b mod q repeats with o_q, so each q sends a residue to the one class
-    # b mod o_q that reaches it; the classes of a key meet in at most one b
-    # mod b_span = lcm(o_q), and distinct keys never share a b
-    logs = {a.q: {pow(case.p, b, a.q): b for b in range(orders[a.q])} for a in aux_list}
-
+    # (Z/q)^* is cyclic, so sign * d is a power of p mod q exactly when its
+    # o_q-th power is 1; the tables {p^b mod q: b} wait for a key that passes
+    # at every q, which each q sends to the one class b mod o_q that reaches
+    # it.  Those classes meet in at most one b mod b_span = lcm(o_q), and
+    # distinct keys never share a b
+    logs: dict[int, dict[int, int]] = {}
     counterexample = None
     for sign in (1, -1):
         hits = []
         for key, n in deficits.items():
-            classes = []
-            for a, d in zip(aux_list, key):
-                e = logs[a.q].get(sign * d % a.q)
-                if e is None:
-                    break
-                classes.append(ResidueClass(e, orders[a.q]))
-            else:
-                try:
-                    hits.append((crt_combine(classes).a, n))
-                except ValueError:
-                    pass
+            if any(pow(sign * d, orders[a.q], a.q) != 1 for a, d in zip(aux_list, key)):
+                continue
+            if not logs:
+                logs = {a.q: {pow(case.p, b, a.q): b for b in range(orders[a.q])}
+                        for a in aux_list}
+            classes = [ResidueClass(logs[a.q][sign * d % a.q], orders[a.q])
+                       for a, d in zip(aux_list, key)]
+            try:
+                hits.append((crt_combine(classes).a, n))
+            except ValueError:
+                pass
         if hits:
             b, n = min(hits)
             counterexample = (n, sign, b)
@@ -219,7 +221,5 @@ def load_case(path) -> ExclusionCase:
                 for e in raw.get("aux", []).list())
     case = ExclusionCase(label=raw.get("label", "").str(), r=raw["r"].int(),
                          m=raw["m"].int(), p=raw["p"].int(), aux=aux)
-    where, why = _refusal(case)
-    if why:
-        raise codec.FormatError(f"{path}: {where}: {why}")
+    codec.refuse(path, _refusal(case))
     return case

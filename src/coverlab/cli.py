@@ -1,8 +1,10 @@
-"""Command-line front end: asset loading, verification runs, JSON reports.
+"""Command-line front end: verification runs and their JSON reports.
 
-Exit codes: 0 = all checks passed, 1 = a verification failed, 2 = input
-error (unreadable/malformed file or bad arguments).  Every report carries a
-schema version and is encoded by `codec.encode`, in text, `--json` and `--out`.
+A command resolves each file it reads once and passes the path to the layer's
+loader and to `codec.refuse`.  Exit codes: 0 = all checks passed, 1 = a
+verification failed, 2 = input error (unreadable/malformed file or bad
+arguments).  Every report carries a schema version and is encoded by
+`codec.encode`, in text, `--json` and `--out`.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ from .arith import FactorBudget
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
 from .certify import certify_all_cases, check_exclusion, load_case
 from .construct import (build_erdos_class, build_two_prime_class,
-                        check_divisibility_mechanics, erdos_witness_primes)
+                        check_divisibility_mechanics, erdos_refusal, erdos_witness_primes,
+                        load_two_prime_data)
 from .covers import (CoveringSystem, build_doubled_cover, lcm_refusal, load_cover,
                      verify_cover)
 from .lucas import LucasSpec, check_rank_periodicity
 from .mersenne import (MERSENNE, cyclotomic_mersenne, find_primitive_divisors,
-                       verify_prime_table)
+                       load_prime_table, verify_prime_table)
 
 REPORT_SCHEMA = "coverlab.report/1"
 
@@ -63,9 +66,7 @@ def _note(report: RunReport, **kw) -> None:
 
 def _sieve(system, path, budget: int):
     """verify_cover, refusing a cover whose lcm is over budget by its file and class."""
-    where, why = lcm_refusal(system, budget)
-    if why:
-        raise codec.FormatError(f"{path}: {where}: {why}")
+    codec.refuse(path, lcm_refusal(system, budget))
     return verify_cover(system, enumeration_budget=budget)
 
 
@@ -105,30 +106,31 @@ def _cmd_primitive(args) -> RunReport:
     return report
 
 
-def _checksums(names, override) -> dict:
-    return {name: assets.checksum(assets.asset_path(name, override))
-            for name in names}
+def _asset_paths(report: RunReport, args, *names: str) -> list:
+    """The path of each asset a target reads, resolved once; every checksum
+    goes into the report before the target loads anything."""
+    paths = [assets.asset_path(name, args.assets) for name in names]
+    report.asset_checksums = {name: assets.checksum(path)
+                              for name, path in zip(names, paths)}
+    return paths
 
 
 def _reproduce_thm11(args, report: RunReport) -> None:
     # imported here, the one place that needs it, so that no other command
     # pays for loading the module at start-up
     from .pocklington import check_certificate, load_certificates
-    report.asset_checksums = _checksums(
-        [assets.COVER_ODD173, assets.PRIME_TABLE, assets.PRIME_CERTIFICATES],
-        args.assets)
-    cover = assets.odd_cover_173(args.assets)
-    cover_result = _sieve(cover, assets.asset_path(assets.COVER_ODD173, args.assets),
-                          args.budget)
+    cover_path, table_path, certificates_path = _asset_paths(
+        report, args, assets.COVER_ODD173, assets.PRIME_TABLE, assets.PRIME_CERTIFICATES)
+    cover = load_cover(cover_path)
+    cover_result = _sieve(cover, cover_path, args.budget)
     _note(report, check="cover", classes=len(cover.classes),
           lcm=cover_result.lcm, is_cover=cover_result.is_cover)
     if not (cover_result.is_cover and cover_result.lcm == 675675
             and len(cover.classes) == 173):
         report.outcome = "fail"
         return
-    table = assets.prime_table(args.assets)
-    certificates = load_certificates(
-        assets.asset_path(assets.PRIME_CERTIFICATES, args.assets))
+    table = load_prime_table(table_path)
+    certificates = load_certificates(certificates_path)
     # a failed certificate fails the run but not its row, which falls back
     # to the Miller-Rabin test: it must never set off the errata search
     proven = set()
@@ -161,23 +163,19 @@ def _reproduce_thm11(args, report: RunReport) -> None:
 
 
 def _reproduce_thm13(args, report: RunReport) -> None:
-    report.asset_checksums = _checksums([assets.TWO_PRIME_CLASS], args.assets)
-    data = assets.two_prime_data(args.assets)
-    combined, checks = _two_prime_class(args, report, data)
+    [path] = _asset_paths(report, args, assets.TWO_PRIME_CLASS)
+    combined, checks = _two_prime_class(args, report, path, load_two_prime_data(path))
     _note(report, checks=len(checks), failures=sum(not row.ok for row in checks))
     _note(report, a=combined.a, M=combined.n)
 
 
-def _two_prime_class(args, report: RunReport, data):
+def _two_prime_class(args, report: RunReport, path, data):
     """Build the two-prime class; note every check, and fail the run on any.
     An over-budget link sieve is refused naming the odd-cover class that takes
     the lcm past the budget: class t + 1 of the doubled cover is odd class t."""
     doubled = build_doubled_cover(data.cover).classes[1:]   # 1(2) adds nothing
     for system in (data.cover, CoveringSystem(doubled)):
-        where, why = lcm_refusal(system, args.budget, field="$.odd_cover")
-        if why:
-            path = assets.asset_path(assets.TWO_PRIME_CLASS, args.assets)
-            raise codec.FormatError(f"{path}: {where}: {why}")
+        codec.refuse(path, lcm_refusal(system, args.budget, field="$.odd_cover"))
     combined, checks = build_two_prime_class(data, enumeration_budget=args.budget)
     for row in checks:
         _note(report, check=row.name, ok=row.ok, detail=row.detail)
@@ -187,9 +185,9 @@ def _two_prime_class(args, report: RunReport, data):
 
 
 def _reproduce_cases(args, report: RunReport) -> None:
-    report.asset_checksums = _checksums([assets.TWO_PRIME_CLASS], args.assets)
-    data = assets.two_prime_data(args.assets)
-    _two_prime_class(args, report, data)
+    [path] = _asset_paths(report, args, assets.TWO_PRIME_CLASS)
+    data = load_two_prime_data(path)
+    _two_prime_class(args, report, path, data)
     certificates = certify_all_cases(data)
     valid = sum(1 for c in certificates if c.valid)
     if valid < len(certificates):
@@ -201,10 +199,10 @@ def _reproduce_cases(args, report: RunReport) -> None:
 
 
 def _reproduce_erdos(args, report: RunReport) -> None:
-    report.asset_checksums = _checksums([assets.COVER_ERDOS], args.assets)
-    cover = assets.erdos_cover(args.assets)
-    cover_result = _sieve(cover, assets.asset_path(assets.COVER_ERDOS, args.assets),
-                          args.budget)
+    [path] = _asset_paths(report, args, assets.COVER_ERDOS)
+    cover = load_cover(path)
+    codec.refuse(path, erdos_refusal(cover))
+    cover_result = _sieve(cover, path, args.budget)
     _note(report, check="cover", classes=len(cover.classes),
           lcm=cover_result.lcm, is_cover=cover_result.is_cover)
     cls = build_erdos_class(cover)

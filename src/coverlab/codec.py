@@ -4,8 +4,9 @@ Data files and reports alike are written by `encode`: integers as decimal
 strings, so that bigints survive any JSON reader, and bools as "true" or
 "false".  On reading, a JSON integer is accepted too, but never a bool, a
 float or a string that is not plain decimal.  Every format failure --
-invalid JSON, a missing field, a value of the wrong type -- raises one
-FormatError naming the file and the JSON path of the offending field.
+invalid JSON, a missing field, a value of the wrong type, a field that breaks
+an input rule (`refuse`) -- raises one FormatError naming the file and the
+JSON path of the offending field.
 """
 
 from __future__ import annotations
@@ -90,6 +91,14 @@ def load(path) -> Field:
             # bad JSON, bad UTF-8, a huge literal, or nesting too deep to parse
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     return Field(raw, str(path))
+
+
+def refuse(path, refusal: tuple[str, str]) -> None:
+    """Raise the FormatError of an input rule's `(json_path, why)` refusal,
+    naming the file; a rule returns ("", "") when it accepts."""
+    where, why = refusal
+    if why:
+        raise Field(None, str(path), where).error(why)
 
 
 def encode(value):

@@ -116,9 +116,7 @@ def load_two_prime_data(path) -> TwoPrimeData:
         expected_a=raw["expected_a"].int(),
         expected_m=raw["expected_m"].int(),
     )
-    where, why = _two_prime_refusal(data)
-    if why:
-        raise codec.FormatError(f"{path}: {where}: {why}")
+    codec.refuse(path, _two_prime_refusal(data))
     return data
 
 

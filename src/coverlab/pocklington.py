@@ -166,7 +166,9 @@ def write_certificates(certs: list[Certificate], path) -> None:
 def _regenerate() -> None:
     """Certify every table prime at or above 2^64 that the budget allows."""
     from . import assets
-    primes = [p for p in assets.prime_table().all_primes() if p >= DETERMINISTIC_LIMIT]
+    from .mersenne import load_prime_table
+    table = load_prime_table(assets.asset_path(assets.PRIME_TABLE))
+    primes = [p for p in table.all_primes() if p >= DETERMINISTIC_LIMIT]
     certs = [c for c in map(build_certificate, primes) if c is not None]
     write_certificates(certs, assets.asset_dir() / assets.PRIME_CERTIFICATES)
     print(f"certified {len(certs)} of {len(primes)} table primes at or above 2^64")

@@ -13,7 +13,8 @@ import json
 import math
 
 from coverlab import cli
-from coverlab.assets import two_prime_data
+from coverlab.assets import TWO_PRIME_CLASS, asset_path
+from coverlab.construct import load_two_prime_data
 
 
 @contextlib.contextmanager
@@ -94,7 +95,7 @@ def test_criterion_03_doubled_cover(tmp_path):
 def test_criterion_04_ranks_of_apparition(tmp_path):
     with criterion("4: rank of every target prime is exactly 2*m_t, < 10 s"):
         report = reproduce("thm13", tmp_path)
-        data = two_prime_data()
+        data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
         moduli = [2] + [2 * c.n for c in data.cover.classes]
         ranks = checks(report, "rank t=")
         assert [r["check"] for r in ranks] == [f"rank t={t}" for t in range(25)]
@@ -107,7 +108,7 @@ def test_criterion_04_ranks_of_apparition(tmp_path):
 def test_criterion_05_golden_constants(tmp_path):
     with criterion("5: CRT reproduces the 80-digit class digit-for-digit"):
         report = reproduce("thm13", tmp_path)
-        data = two_prime_data()
+        data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
         row(report, a=str(data.expected_a), M=str(data.expected_m))
         for name in ("a-digit-exact", "M-digit-exact", "M-is-prime-product"):
             row(report, check=name, ok="true")

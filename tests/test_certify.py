@@ -5,18 +5,19 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
 
 from coverlab import codec
-from coverlab.assets import SAMPLE_CASE, asset_path, two_prime_data
+from coverlab.assets import SAMPLE_CASE, TWO_PRIME_CLASS, asset_path
 import coverlab.certify as certify
 from coverlab.certify import (DEFAULT_Q_POOL, AuxEvidence, AuxPrime,
                               CertificateReport, ExclusionCase,
                               build_standard_cases,
                               certify_all_cases, check_exclusion, load_case)
-from coverlab.construct import TwoPrimeData, build_two_prime_class
+from coverlab.construct import TwoPrimeData, build_two_prime_class, load_two_prime_data
 from coverlab.covers import CoveringSystem, ResidueClass
 from coverlab.lucas import LucasSpec, iter_terms_mod, period_mod, u_term_mod
 
@@ -110,7 +111,7 @@ def test_combination_budget_caps_the_period_walk(tmp_path):
 
 
 def test_monotonicity_of_aux_sets():
-    data = two_prime_data()
+    data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
     residue_of = {r.n: r.a for r in data.residues}
     base = ExclusionCase(label="base", r=12, m=14, p=29,
                          aux=(AuxPrime(31, residue_of[31]),))
@@ -130,7 +131,7 @@ def test_reports_are_deterministic():
 
 
 def test_standard_cases_shape():
-    data = two_prime_data()
+    data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
     cases = build_standard_cases(data)
     assert len(cases) == 25
     assert (cases[0].r, cases[0].m, cases[0].p) == (1, 2, 2)
@@ -175,19 +176,19 @@ STANDARD_CASES = [
 
 
 def test_standard_cases_golden():
-    cases = build_standard_cases(two_prime_data())
+    cases = build_standard_cases(load_two_prime_data(asset_path(TWO_PRIME_CLASS)))
     assert [(c.label, c.r, c.m, c.p) for c in cases] == STANDARD_CASES
 
 
 def test_certify_all_cases_valid():
-    reports = certify_all_cases(two_prime_data())
+    reports = certify_all_cases(load_two_prime_data(asset_path(TWO_PRIME_CLASS)))
     assert len(reports) == 25
     assert all(r.valid for r in reports)
 
 
 def test_certify_all_cases_reports_invalid_on_weak_pool(monkeypatch):
     monkeypatch.setattr(certify, "DEFAULT_Q_POOL", (19,))
-    reports = certify_all_cases(two_prime_data())
+    reports = certify_all_cases(load_two_prime_data(asset_path(TWO_PRIME_CLASS)))
     assert len(reports) == 25
     assert any(not r.valid for r in reports)
 
@@ -196,7 +197,7 @@ def test_pool_primes_must_carry_residues(monkeypatch):
     # 23 is no modulus of the data, so it is no auxiliary of any case;
     # 11 is one, and the case with target 11 loses it
     monkeypatch.setattr(certify, "DEFAULT_Q_POOL", (11, 23))
-    cases = build_standard_cases(two_prime_data())
+    cases = build_standard_cases(load_two_prime_data(asset_path(TWO_PRIME_CLASS)))
     assert len(cases) == 25
     for case in cases:
         want = () if case.p == 11 else (11,)
@@ -217,7 +218,7 @@ def test_nonzero_guard():
                             residues=[ResidueClass(1, 2), ResidueClass(a, p)],
                             expected_a=0, expected_m=0)
 
-    assert members_exceed_2(two_prime_data())
+    assert members_exceed_2(load_two_prime_data(asset_path(TWO_PRIME_CLASS)))
     assert not members_exceed_2(one_class(1, 5))    # 1 is a member
     assert not members_exceed_2(one_class(6, 7))    # -1 = 13 (mod 14) is a member
     assert members_exceed_2(one_class(3, 7))        # members 3, -11, 17, ...
@@ -324,7 +325,8 @@ def test_check_exclusion_agrees_with_direct_enumeration():
         checked_invalid += not report.valid
     assert checked_valid and checked_invalid   # both outcomes were exercised
 
-    cases = build_standard_cases(two_prime_data()) + [load_case(asset_path(SAMPLE_CASE))]
+    cases = (build_standard_cases(load_two_prime_data(asset_path(TWO_PRIME_CLASS)))
+             + [load_case(asset_path(SAMPLE_CASE))])
     for case in cases:
         assert (check_exclusion(case).to_dict()
                 == _report_by_direct_enumeration(case).to_dict()), case.label
@@ -356,3 +358,21 @@ def test_large_b_span_is_solved_not_enumerated():
             for q, xq in zip(qs, x):
                 assert (xq * xq - u_term_mod(U4, n, q)) % q == sign * pow(7, b, q) % q
     assert seen == {True, False}
+
+
+def test_discrete_log_tables_wait_for_a_key_that_can_be_solved():
+    # 3 has order 200,004 mod 400,009, and m = pi_q leaves one key, 1 - u_1 = 0,
+    # which no sign makes a power of 3: the case is valid without any table,
+    # where a table of all 200,004 powers takes about 28 MiB
+    q = 400_009
+    m = period_mod(U4, q)
+    assert m == 66_668
+    case = ExclusionCase(label="one-key", r=1, m=m, p=3, aux=(AuxPrime(q, 1),))
+    tracemalloc.start()
+    try:
+        report = check_exclusion(case)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.valid and report.combinations == 2 * 200_004
+    assert peak < 8 * 2**20, peak

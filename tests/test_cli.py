@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import coverlab
 from coverlab import arith, assets, certify, cli
 from coverlab.arith import FactorBudget
 from coverlab.lucas import LucasSpec
-from coverlab.mersenne import MERSENNE, cyclotomic_mersenne
+from coverlab.mersenne import MERSENNE, cyclotomic_mersenne, load_prime_table
 from coverlab.pocklington import load_certificates
 
 
@@ -217,7 +218,6 @@ def test_json_output_roundtrips(capsys):
     assert payload["schema"] == "coverlab.report/1"
     assert payload["command"] == "reproduce"
     assert payload["outcome"] == "pass"
-    assert assets.TWO_PRIME_CLASS in payload["asset_checksums"]
 
 
 def test_out_file(tmp_path, capsys):
@@ -284,6 +284,28 @@ def _assets_copy(tmp_path):
     for name in assets.ALL_ASSETS:
         shutil.copy(assets.asset_path(name), custom / name)
     return custom
+
+
+@pytest.mark.parametrize("target, names", [
+    ("thm11", [assets.COVER_ODD173, assets.PRIME_TABLE, assets.PRIME_CERTIFICATES]),
+    ("thm13", [assets.TWO_PRIME_CLASS]),
+    ("cases", [assets.TWO_PRIME_CLASS]),
+    ("erdos", [assets.COVER_ERDOS]),
+    ("lemma41", []),
+])
+def test_asset_checksums_name_each_file_a_target_reads(tmp_path, capsys, target, names):
+    # a trailing newline makes every copied file differ from the packaged one,
+    # so each checksum must come from the file in --assets
+    custom = _assets_copy(tmp_path)
+    for name in assets.ALL_ASSETS:
+        (custom / name).write_text((custom / name).read_text() + "\n")
+    code, out = run(["reproduce", target, "--assets", str(custom), "--json"], capsys)
+    assert code == 0
+    checksums = json.loads(out)["asset_checksums"]
+    assert list(checksums) == names
+    for name in names:
+        digest = hashlib.sha256((custom / name).read_bytes()).hexdigest()
+        assert checksums[name] == digest != assets.checksum(assets.asset_path(name))
 
 
 def test_reproduce_thm13_fails_on_corrupted_expectation(tmp_path, capsys):
@@ -368,7 +390,8 @@ def test_miller_rabin_above_2_64_runs_only_on_uncertified_primes(monkeypatch, ca
             monkeypatch.setattr(module, "is_probable_prime", counted)
     assert cli.main(["reproduce", "thm11"]) == 0
     certified = set(load_certificates(assets.asset_path(assets.PRIME_CERTIFICATES)))
-    uncertified = [p for p in assets.prime_table().all_primes()
+    table = load_prime_table(assets.asset_path(assets.PRIME_TABLE))
+    uncertified = [p for p in table.all_primes()
                    if p >= arith.DETERMINISTIC_LIMIT and p not in certified]
     assert len(uncertified) == 9
     assert sorted(large) == sorted(uncertified)
@@ -442,7 +465,6 @@ def test_reproduce_erdos_reads_the_cover_asset(capsys):
     code, out = run(["reproduce", "erdos", "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert list(payload["asset_checksums"]) == [assets.COVER_ERDOS]
     assert payload["detail"][0] == {"check": "cover", "classes": "6",
                                     "lcm": "24", "is_cover": "true"}
 

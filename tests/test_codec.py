@@ -60,6 +60,19 @@ def test_load_case_refuses_in_the_words_of_check_exclusion(tmp_path, edit, field
     assert str(loaded.value).removeprefix(prefix) == str(direct.value)
 
 
+@pytest.mark.parametrize("refusal, message", [
+    (("", ""), None),
+    (("$.x", "why"), "F: $.x: why"),
+], ids=["accepted", "refused"])
+def test_refuse_names_the_file_and_the_field(refusal, message):
+    try:
+        codec.refuse("F", refusal)
+    except FormatError as exc:
+        assert str(exc) == message
+    else:
+        assert message is None
+
+
 def test_cover_roundtrip(tmp_path):
     # bigints leave as decimal strings and come back as ints, in class order;
     # a report-like field rides along, which the loader ignores

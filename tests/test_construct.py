@@ -5,18 +5,19 @@ import random
 import pytest
 
 from coverlab.arith import factor, is_probable_prime
-from coverlab.assets import erdos_cover, two_prime_data
+from coverlab.assets import COVER_ERDOS, TWO_PRIME_CLASS, asset_path
 from coverlab.construct import (ERDOS_WITNESS_PRIMES, build_erdos_class,
                                 build_two_prime_class,
                                 check_divisibility_mechanics,
-                                erdos_witness_primes, prime_power_hits)
-from coverlab.covers import CoveringSystem, ResidueClass
+                                erdos_witness_primes, load_two_prime_data,
+                                prime_power_hits)
+from coverlab.covers import CoveringSystem, ResidueClass, load_cover
 from coverlab.lucas import LucasSpec, u_term_mod, u_terms
 from coverlab.mersenne import find_primitive_divisors
 
 
 def test_build_erdos_class_residues():
-    cls = build_erdos_class(erdos_cover())
+    cls = build_erdos_class(load_cover(asset_path(COVER_ERDOS)))
     assert cls.n == 2 * 3 * 5 * 7 * 13 * 17 * 31 * 241
     assert cls.a % 2 == 1
     assert cls.a % 31 == 3
@@ -29,7 +30,7 @@ def test_build_erdos_class_residues():
 
 
 def test_erdos_mechanics_window():
-    cover = erdos_cover()
+    cover = load_cover(asset_path(COVER_ERDOS))
     cls = build_erdos_class(cover)
     primes = erdos_witness_primes(cover)
     assert check_divisibility_mechanics(cls, cover, primes, n_range=range(0, 2001)) == []
@@ -39,7 +40,7 @@ def test_erdos_mechanics_window():
 
 
 def test_mechanics_flags_uncovered():
-    cls = build_erdos_class(erdos_cover())
+    cls = build_erdos_class(load_cover(asset_path(COVER_ERDOS)))
     cover = CoveringSystem([ResidueClass(0, 2)])       # evens only
     failures = check_divisibility_mechanics(cls, cover, [3], n_range=range(0, 10))
     bad = [n for n, why in failures if why == "not covered by any class"]
@@ -63,7 +64,7 @@ def test_mechanics_rejects_a_witness_that_is_not_a_prime_of_2n_minus_1():
 
 
 def test_build_two_prime_class_golden():
-    data = two_prime_data()
+    data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
     combined, checks = build_two_prime_class(data)
     assert [c for c in checks if not c.ok] == []
     assert combined.a == data.expected_a
@@ -75,7 +76,7 @@ def test_build_two_prime_class_golden():
 
 
 def test_two_prime_square_residues_and_members():
-    data = two_prime_data()
+    data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
     combined, _ = build_two_prime_class(data)
     a, M = combined.a, combined.n
     assert a % 2 == 1
@@ -95,7 +96,7 @@ def test_two_prime_square_residues_and_members():
 
 
 def test_build_two_prime_class_link_rows():
-    _, checks = build_two_prime_class(two_prime_data())
+    _, checks = build_two_prime_class(load_two_prime_data(asset_path(TWO_PRIME_CLASS)))
     rows = {c.name: c for c in checks}
     assert len(checks) == 82
     assert rows["odd-cover"].ok and rows["odd-cover"].detail == "lcm 315"
@@ -142,25 +143,25 @@ def test_erdos_witness_primes_have_exact_order():
     for n, p in ERDOS_WITNESS_PRIMES.items():
         assert pow(2, n, p) == 1
         assert all(pow(2, d, p) != 1 for d in range(1, n))
-    assert erdos_witness_primes(erdos_cover()) == [3, 7, 5, 17, 13, 241]
+    assert erdos_witness_primes(load_cover(asset_path(COVER_ERDOS))) == [3, 7, 5, 17, 13, 241]
     with pytest.raises(ValueError, match=r"moduli \[5, 7\]"):
         erdos_witness_primes(CoveringSystem([ResidueClass(0, 7), ResidueClass(0, 5),
                                              ResidueClass(0, 2)]))
 
 
 def test_build_two_prime_class_validation():
-    data = two_prime_data()
+    data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
     data.primes = data.primes[:-1]
     with pytest.raises(ValueError):
         build_two_prime_class(data)
-    data = two_prime_data()
+    data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
     data.residues[3] = ResidueClass(1, 7)
     with pytest.raises(ValueError, match="modulus"):
         build_two_prime_class(data)
 
 
 def test_build_two_prime_class_reports_mismatch():
-    data = two_prime_data()
+    data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
     data.expected_a += 1
     _, checks = build_two_prime_class(data)
     assert [c.name for c in checks if not c.ok] == ["a-digit-exact"]

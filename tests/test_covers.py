@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from coverlab.assets import erdos_cover, odd_cover_173, two_prime_data
+from coverlab.assets import COVER_ERDOS, COVER_ODD173, TWO_PRIME_CLASS, asset_path
 from coverlab.codec import FormatError
+from coverlab.construct import load_two_prime_data
 from coverlab.covers import (CoveringSystem, ResidueClass, build_doubled_cover,
                              load_cover, verify_cover)
 
 
 def test_verify_cover_erdos():
-    report = verify_cover(erdos_cover())
+    report = verify_cover(load_cover(asset_path(COVER_ERDOS)))
     assert report.is_cover
     assert report.lcm == 24
     assert report.uncovered_witness is None
@@ -19,7 +20,7 @@ def test_verify_cover_erdos():
 
 
 def test_verify_cover_odd173():
-    cover = odd_cover_173()
+    cover = load_cover(asset_path(COVER_ODD173))
     assert len(cover.classes) == 173
     assert cover.lcm() == 675675
     report = verify_cover(cover)
@@ -148,7 +149,8 @@ def test_verify_cover_tiles_counts_and_wraps_across_period_steps():
 def test_verify_cover_refined_erdos_cover_at_scale():
     # the lcm-24 cover with a(n) replaced by (a + n*b)(n*m) for each b(m) of
     # the odd cover: x = a + n*y lies in the new class exactly when y is in b(m)
-    erdos, odd = erdos_cover(), odd_cover_173()
+    erdos = load_cover(asset_path(COVER_ERDOS))
+    odd = load_cover(asset_path(COVER_ODD173))
     for target, lcm, max_mult in ((ResidueClass(0, 3), 16_216_200, 7),
                                   (ResidueClass(0, 2), 5_405_400, 6)):
         a, n = target.a, target.n
@@ -166,7 +168,7 @@ def test_verify_cover_refined_erdos_cover_at_scale():
 
 
 def test_build_doubled_cover():
-    odd = two_prime_data().cover
+    odd = load_two_prime_data(asset_path(TWO_PRIME_CLASS)).cover
     doubled = build_doubled_cover(odd)
     assert len(doubled.classes) == 25
     assert doubled.classes == [ResidueClass(1, 2)] + [
@@ -204,7 +206,7 @@ def test_build_doubled_cover_examples():
 
 def test_doubling_membership_property():
     rng = random.Random(21)
-    systems = [two_prime_data().cover]
+    systems = [load_two_prime_data(asset_path(TWO_PRIME_CLASS)).cover]
     for _ in range(20):
         k = rng.randrange(1, 5)
         systems.append(CoveringSystem(
@@ -243,7 +245,7 @@ def test_load_cover_rejects_bad_files(tmp_path):
 
 
 def test_perturbing_a_uniquely_covering_class_is_detected():
-    cover = two_prime_data().cover
+    cover = load_two_prime_data(asset_path(TWO_PRIME_CLASS)).cover
     period = cover.lcm()
     counts = [sum(c.contains(x) for c in cover.classes) for x in range(period)]
     x = counts.index(1)

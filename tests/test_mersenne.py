@@ -6,8 +6,8 @@ import pytest
 
 from coverlab import arith, assets, codec, mersenne
 from coverlab.arith import factor, is_probable_prime, order_dividing
-from coverlab.assets import odd_cover_173, prime_table
-from coverlab.covers import CoveringSystem, ResidueClass
+from coverlab.assets import COVER_ODD173, PRIME_TABLE, asset_path
+from coverlab.covers import CoveringSystem, ResidueClass, load_cover
 from coverlab.mersenne import (PrimeTable, PrimitiveDivisorWitness,
                                cyclotomic_mersenne, find_primitive_divisors,
                                load_prime_table, mersenne_valuation,
@@ -197,7 +197,8 @@ def test_verify_prime_table_tiny_pass():
 
 
 def test_proof_levels_leave_rows_and_errata_as_they_are():
-    cover, table = odd_cover_173(), prime_table()
+    cover = load_cover(asset_path(COVER_ODD173))
+    table = load_prime_table(asset_path(PRIME_TABLE))
     proven = frozenset(load_certificates(assets.asset_path(assets.PRIME_CERTIFICATES)))
     plain = verify_prime_table(cover, table)
     certified = verify_prime_table(cover, table, proven)
@@ -270,8 +271,8 @@ def test_errata_search_at_675675_factors_nothing(monkeypatch):
 
 
 def test_verify_prime_table_real_assets():
-    table = prime_table()
-    report = verify_prime_table(odd_cover_173(), table)
+    table = load_prime_table(asset_path(PRIME_TABLE))
+    report = verify_prime_table(load_cover(asset_path(COVER_ODD173)), table)
     assert report.passed
     assert not report.count_mismatches
     assert not report.duplicates

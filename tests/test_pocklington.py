@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from coverlab import assets, codec
+from coverlab.mersenne import load_prime_table
 from coverlab.arith import DETERMINISTIC_LIMIT, factor, is_probable_prime
 from coverlab.pocklington import (Certificate, Factor, build_certificate,
                                   check_certificate, load_certificates,
@@ -30,7 +31,8 @@ def _flat():
 def test_every_shipped_certificate_checks():
     certs = _shipped()
     assert all(check_certificate(c) == "" for c in certs.values())
-    large = [p for p in assets.prime_table().all_primes() if p >= DETERMINISTIC_LIMIT]
+    table = load_prime_table(assets.asset_path(assets.PRIME_TABLE))
+    large = [p for p in table.all_primes() if p >= DETERMINISTIC_LIMIT]
     assert len(large) == 44
     assert set(certs) <= set(large)
     assert len(certs) >= 35
