@@ -1,10 +1,12 @@
 """Command-line front end: verification runs and their JSON reports.
 
 A command resolves each file it reads once and passes the path to the layer's
-loader and to `codec.refuse`.  Exit codes: 0 = all checks passed, 1 = a
-verification failed, 2 = input error (unreadable/malformed file or bad
-arguments).  Every report carries a schema version and is encoded by
-`codec.encode`, in text, `--json` and `--out`.
+loader and to `codec.refuse`.  Each check is a detail row noted with its
+verdict, and a row noted as failed is the only thing that fails a run.  Exit
+codes: 0 = every row passed, 1 = some row failed, 2 = input error (an
+unreadable or malformed file, a bad argument, or a refusal over budget).
+Every report carries a schema version and is encoded by `codec.encode`, in
+text, `--json` and `--out`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .construct import (build_erdos_class, build_two_prime_class,
                         load_two_prime_data)
 from .covers import (CoveringSystem, build_doubled_cover, lcm_refusal, load_cover,
                      verify_cover)
-from .lucas import LucasSpec, check_rank_periodicity
+from .lucas import LucasSpec, period_mod, rank_of_apparition
 from .mersenne import (MERSENNE, cyclotomic_mersenne, find_primitive_divisors,
                        load_prime_table, verify_prime_table)
 
@@ -59,9 +61,12 @@ class RunReport:
         return 0 if self.outcome == "pass" else 1
 
 
-def _note(report: RunReport, **kw) -> None:
-    """Append a detail row; `RunReport.to_dict` encodes it."""
-    report.detail.append(kw)
+def _note(report: RunReport, passed: bool = True, **row) -> None:
+    """Append a detail row, which `RunReport.to_dict` encodes; a row that did
+    not pass fails the run."""
+    report.detail.append(row)
+    if not passed:
+        report.outcome = "fail"
 
 
 def _sieve(system, path, budget: int):
@@ -80,8 +85,7 @@ def _cmd_verify_cover(args) -> RunReport:
           min_multiplicity=result.min_multiplicity,
           max_multiplicity=result.max_multiplicity)
     if not result.is_cover:
-        _note(report, uncovered_witness=result.uncovered_witness)
-        report.outcome = "fail"
+        _note(report, passed=False, uncovered_witness=result.uncovered_witness)
     return report
 
 
@@ -123,11 +127,11 @@ def _reproduce_thm11(args, report: RunReport) -> None:
         report, args, assets.COVER_ODD173, assets.PRIME_TABLE, assets.PRIME_CERTIFICATES)
     cover = load_cover(cover_path)
     cover_result = _sieve(cover, cover_path, args.budget)
-    _note(report, check="cover", classes=len(cover.classes),
+    passed = (cover_result.is_cover and cover_result.lcm == 675675
+              and len(cover.classes) == 173)
+    _note(report, passed=passed, check="cover", classes=len(cover.classes),
           lcm=cover_result.lcm, is_cover=cover_result.is_cover)
-    if not (cover_result.is_cover and cover_result.lcm == 675675
-            and len(cover.classes) == 173):
-        report.outcome = "fail"
+    if not passed:
         return
     table = load_prime_table(table_path)
     certificates = load_certificates(certificates_path)
@@ -137,12 +141,12 @@ def _reproduce_thm11(args, report: RunReport) -> None:
     for p, certificate in certificates.items():
         reason = check_certificate(certificate)
         if reason:
-            _note(report, check="prime-certificate", p=p, ok=False, reason=reason)
-            report.outcome = "fail"
+            _note(report, passed=False, check="prime-certificate", p=p, ok=False,
+                  reason=reason)
         else:
             proven.add(p)
     audit = verify_prime_table(cover, table, frozenset(proven))
-    _note(report, check="prime-table", entries=len(table.all_primes()),
+    _note(report, passed=audit.passed, check="prime-table", entries=len(table.all_primes()),
           failing_rows=len(audit.failing_rows),
           duplicates=len(audit.duplicates),
           count_mismatches=len(audit.count_mismatches),
@@ -158,8 +162,6 @@ def _reproduce_thm11(args, report: RunReport) -> None:
               replacement_verified=erratum.verified)
     for w in audit.wieferich:
         _note(report, check="wieferich", n=w.n, p=w.p, alpha=w.alpha)
-    if not audit.passed:
-        report.outcome = "fail"
 
 
 def _reproduce_thm13(args, report: RunReport) -> None:
@@ -170,7 +172,7 @@ def _reproduce_thm13(args, report: RunReport) -> None:
 
 
 def _two_prime_class(args, report: RunReport, path, data):
-    """Build the two-prime class; note every check, and fail the run on any.
+    """Build the two-prime class and note every check with its verdict.
     An over-budget link sieve is refused naming the odd-cover class that takes
     the lcm past the budget: class t + 1 of the doubled cover is odd class t."""
     doubled = build_doubled_cover(data.cover).classes[1:]   # 1(2) adds nothing
@@ -178,9 +180,7 @@ def _two_prime_class(args, report: RunReport, path, data):
         codec.refuse(path, lcm_refusal(system, args.budget, field="$.odd_cover"))
     combined, checks = build_two_prime_class(data, enumeration_budget=args.budget)
     for row in checks:
-        _note(report, check=row.name, ok=row.ok, detail=row.detail)
-        if not row.ok:
-            report.outcome = "fail"
+        _note(report, passed=row.ok, check=row.name, ok=row.ok, detail=row.detail)
     return combined, checks
 
 
@@ -189,12 +189,9 @@ def _reproduce_cases(args, report: RunReport) -> None:
     data = load_two_prime_data(path)
     _two_prime_class(args, report, path, data)
     certificates = certify_all_cases(data)
-    valid = sum(1 for c in certificates if c.valid)
-    if valid < len(certificates):
-        report.outcome = "fail"
     for c in certificates:
-        _note(report, case=c.label, valid=c.valid,
-              combinations=c.combinations)
+        _note(report, passed=c.valid, case=c.label, valid=c.valid, combinations=c.combinations)
+    valid = sum(1 for c in certificates if c.valid)
     _note(report, valid_cases=f"{valid}/{len(certificates)}")
 
 
@@ -203,34 +200,31 @@ def _reproduce_erdos(args, report: RunReport) -> None:
     cover = load_cover(path)
     codec.refuse(path, erdos_refusal(cover))
     cover_result = _sieve(cover, path, args.budget)
-    _note(report, check="cover", classes=len(cover.classes),
-          lcm=cover_result.lcm, is_cover=cover_result.is_cover)
+    _note(report, passed=cover_result.is_cover, check="cover",
+          classes=len(cover.classes), lcm=cover_result.lcm, is_cover=cover_result.is_cover)
     cls = build_erdos_class(cover)
     _note(report, a=cls.a, M=cls.n)
-    ok = cls.a % 2 == 1 and cls.a % 31 == 3
     window = range(0, 2001)
     failures = check_divisibility_mechanics(cls, cover, erdos_witness_primes(cover),
                                             n_range=window)
-    _note(report, mechanics_checked=len(window), mechanics_failures=len(failures),
+    _note(report, passed=not failures and cls.a % 2 == 1 and cls.a % 31 == 3,
+          mechanics_checked=len(window), mechanics_failures=len(failures),
           odd=cls.a % 2 == 1, mod31=cls.a % 31)
-    if not (ok and not failures and cover_result.is_cover):
-        report.outcome = "fail"
 
 
 def _reproduce_lemma41(args, report: RunReport) -> None:
-    failures = 0
     for c in range(1, 7):
         spec = LucasSpec(c)
         for n in (2, 6, 10, 14):
             witnesses, complete = find_primitive_divisors(n, spec=spec)
-            primitive = [w.p for w in witnesses]
-            bad = [p for p in primitive if not check_rank_periodicity(spec, n, p)]
-            # an unfactored cofactor may hide a primitive prime never checked
-            failed = len(bad) + (not complete)
-            failures += failed
-            _note(report, c=c, n=n, primitive_primes=len(primitive), failures=failed)
-    if failures:
-        report.outcome = "fail"
+            # Lemma 4.1: a primitive prime p of U_n has rank n and U mod p has
+            # period exactly n.  An unfactored cofactor may hide a primitive
+            # prime never checked.
+            failed = (not complete) + sum(
+                rank_of_apparition(spec, w.p, n) != n or period_mod(spec, w.p, max_steps=n) != n
+                for w in witnesses)
+            _note(report, passed=not failed, c=c, n=n, primitive_primes=len(witnesses),
+                  failures=failed)
 
 
 _REPRODUCE = {
@@ -253,9 +247,7 @@ def _cmd_certify(args) -> RunReport:
     report.asset_checksums = {str(args.case_file): assets.checksum(args.case_file)}
     case = load_case(args.case_file)
     certificate = check_exclusion(case, combination_budget=args.budget)
-    report.detail.append(certificate.to_dict())
-    if not certificate.valid:
-        report.outcome = "fail"
+    _note(report, passed=certificate.valid, **certificate.to_dict())
     return report
 
 

@@ -113,21 +113,3 @@ def rank_of_apparition(spec: LucasSpec, p: int, search_bound: int) -> int | None
             return n
     return None
 
-
-def check_rank_periodicity(spec: LucasSpec, n: int, p: int) -> bool:
-    """Verify that U is purely periodic mod p with period exactly n.
-
-    Preconditions (checked, violations raise): n = 2 (mod 4), p prime, and p
-    divides U_n but none of U_1..U_{n-1}.  Then rank(p) = n divides the
-    period of U mod p, so the claim U_{kn+r} = U_r (mod p) for every k and r
-    holds exactly when the period, computed by period_mod, is n.
-    """
-    if n <= 0 or n % 4 != 2:
-        raise ValueError(f"index {n} is not = 2 (mod 4)")
-    rank = rank_of_apparition(spec, p, n)
-    # U is a divisibility sequence: p | U_n exactly when rank(p) | n
-    if rank is None or n % rank:
-        raise ValueError(f"{p} does not divide U_{n}")
-    if rank != n:
-        raise ValueError(f"{p} divides U_{rank}, so it is not primitive at {n}")
-    return period_mod(spec, p, max_steps=n) == n

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,8 @@ import coverlab
 from coverlab import arith, assets, certify, cli
 from coverlab.arith import FactorBudget
 from coverlab.lucas import LucasSpec
-from coverlab.mersenne import MERSENNE, cyclotomic_mersenne, load_prime_table
+from coverlab.mersenne import (MERSENNE, PrimitiveDivisorWitness, cyclotomic_mersenne,
+                               load_prime_table)
 from coverlab.pocklington import load_certificates
 
 
@@ -183,6 +185,24 @@ def test_reproduce_lemma41_fails_on_an_incomplete_factorization(capsys, monkeypa
     assert "c=1  n=2  primitive_primes=0  failures=1" in out
 
 
+def test_reproduce_lemma41_fails_on_a_prime_that_is_not_primitive(capsys, monkeypatch):
+    # 3 first divides F_4 = 3, so it does not divide F_6 = 8: a finder that
+    # lists it at c = 1, n = 6 fails that row, and the run is not refused
+    found = cli.find_primitive_divisors
+
+    def finder(n, spec):
+        witnesses, complete = found(n, spec=spec)
+        if (spec.c, n) == (1, 6):
+            witnesses = witnesses + [PrimitiveDivisorWitness(6, 3, 1)]
+        return witnesses, complete
+
+    monkeypatch.setattr(cli, "find_primitive_divisors", finder)
+    code, out = run(["reproduce", "lemma41"], capsys)
+    assert code == 1
+    assert "c=1  n=6  primitive_primes=1  failures=1" in out
+    assert out.count("failures=0") == 23
+
+
 def test_reproduce_lemma41(capsys):
     code, out = run(["reproduce", "lemma41"], capsys)
     assert code == 0
@@ -340,6 +360,17 @@ def test_reproduce_thm11_fails_on_dropped_prime(tmp_path, capsys):
     assert code == 1
 
 
+def test_reproduce_thm11_fails_on_a_cover_of_another_shape(tmp_path, capsys):
+    # the Erdős cover is a cover, but not the 173-class one of lcm 675675:
+    # its cover row fails the run, and the table is never read
+    custom = _assets_copy(tmp_path)
+    shutil.copy(custom / assets.COVER_ERDOS, custom / assets.COVER_ODD173)
+    code, out = run(["reproduce", "thm11", "--assets", str(custom)], capsys)
+    assert code == 1
+    assert "check=cover  classes=6  lcm=24  is_cover=true" in out
+    assert "prime-table" not in out
+
+
 def _errata_rows(out):
     return [row for row in json.loads(out)["detail"] if "erratum_n" in row]
 
@@ -459,6 +490,30 @@ def test_reproduce_erdos_names_a_broken_cover(tmp_path, capsys):
     code, out = run(["reproduce", "erdos", "--assets", str(custom)], capsys)
     assert code == 1
     assert "check=cover  classes=5  lcm=24  is_cover=false" in out
+
+
+def test_reproduce_erdos_fails_on_its_cover_row_alone(capsys, monkeypatch):
+    # a sieve that reports a gap at 5: the class and its mechanics stay right,
+    # so the cover row is the only one that fails
+    sieve = cli.verify_cover
+
+    def gap(system, enumeration_budget):
+        result = sieve(system, enumeration_budget=enumeration_budget)
+        return dataclasses.replace(result, is_cover=False, uncovered_witness=5)
+
+    monkeypatch.setattr(cli, "verify_cover", gap)
+    code, out = run(["reproduce", "erdos"], capsys)
+    assert code == 1
+    assert "check=cover  classes=6  lcm=24  is_cover=false" in out
+    assert "mechanics_failures=0" in out
+
+
+def test_reproduce_erdos_fails_on_a_failed_mechanics_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_divisibility_mechanics",
+                        lambda *args, **kwargs: [(7, "congruence failed")])
+    code, out = run(["reproduce", "erdos"], capsys)
+    assert code == 1
+    assert "is_cover=true" in out and "mechanics_failures=1" in out
 
 
 def test_reproduce_erdos_reads_the_cover_asset(capsys):

@@ -5,8 +5,8 @@ import pytest
 from coverlab import mersenne
 from coverlab.arith import (FactorBudget, Factorization, factor, is_probable_prime,
                             order_dividing)
-from coverlab.lucas import (LucasSpec, check_rank_periodicity, iter_terms_mod,
-                            period_mod, rank_of_apparition, u_term_mod, u_terms)
+from coverlab.lucas import (LucasSpec, iter_terms_mod, period_mod, rank_of_apparition,
+                            u_term_mod, u_terms)
 from coverlab.mersenne import (MERSENNE, PrimitiveDivisorWitness,
                                find_primitive_divisors)
 
@@ -165,18 +165,18 @@ def test_u_identity():
         assert 2 * u_term(U4, n) == sympy.fibonacci(3 * n), n
 
 
+def lemma41(spec, n, p):
+    """The check `reproduce lemma41` makes of a primitive prime p of U_n:
+    rank n, and period exactly n."""
+    return rank_of_apparition(spec, p, n) == n and period_mod(spec, p, max_steps=n) == n
+
+
 def test_rank_periodicity_examples():
-    assert check_rank_periodicity(FIB, 10, 11)
+    assert lemma41(FIB, 10, 11)
     assert (u_term(FIB, 12) - u_term(FIB, 2)) % 11 == 0
-    assert check_rank_periodicity(U4, 10, 31)
-    with pytest.raises(ValueError, match="mod 4"):
-        check_rank_periodicity(U4, 4, 5)
-    with pytest.raises(ValueError, match="not prime"):
-        check_rank_periodicity(U4, 10, 341)
-    with pytest.raises(ValueError, match="does not divide"):
-        check_rank_periodicity(U4, 10, 19)
-    with pytest.raises(ValueError, match="not primitive"):
-        check_rank_periodicity(U4, 6, 2)   # 2 | u_2 already
+    assert lemma41(U4, 10, 31)
+    assert not lemma41(U4, 10, 19)     # rank 6: 19 does not divide u_10
+    assert not lemma41(U4, 6, 2)       # 2 | u_2 already
 
 
 def test_rank_periodicity_suite():
@@ -191,7 +191,7 @@ def test_rank_periodicity_suite():
                 if p >= 10**6:
                     continue
                 if rank_of_apparition(spec, p, n) == n:
-                    assert check_rank_periodicity(spec, n, p), (c, n, p)
+                    assert lemma41(spec, n, p), (c, n, p)
 
 
 def _window_periodic(spec, n, p, k_max=5):
@@ -210,8 +210,7 @@ def test_rank_periodicity_matches_brute_window():
             n = rank_of_apparition(spec, p, 58)
             if n is not None and n % 4 == 2:
                 checked += 1
-                assert check_rank_periodicity(spec, n, p) == _window_periodic(spec, n, p), \
-                    (c, n, p)
+                assert lemma41(spec, n, p) == _window_periodic(spec, n, p), (c, n, p)
     assert checked > 50
 
 
