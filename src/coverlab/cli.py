@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import assets, codec
-from .arith import FactorBudget
+from .arith import FactorBudget, is_probable_prime
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
 from .certify import certify_all_cases, check_exclusion, load_case
 from .construct import (build_erdos_class, build_two_prime_class,
@@ -218,10 +218,11 @@ def _reproduce_lemma41(args, report: RunReport) -> None:
         for n in (2, 6, 10, 14):
             witnesses, complete = find_primitive_divisors(n, spec=spec)
             # Lemma 4.1: a primitive prime p of U_n has rank n and U mod p has
-            # period exactly n.  An unfactored cofactor may hide a primitive
-            # prime never checked.
+            # period exactly n.  A listed number that is not prime fails, and
+            # an unfactored cofactor may hide a primitive prime never checked.
             failed = (not complete) + sum(
-                rank_of_apparition(spec, w.p, n) != n or period_mod(spec, w.p, max_steps=n) != n
+                not is_probable_prime(w.p) or rank_of_apparition(spec, w.p, n) != n
+                or period_mod(spec, w.p, max_steps=n) != n
                 for w in witnesses)
             _note(report, passed=not failed, c=c, n=n, primitive_primes=len(witnesses),
                   failures=failed)

@@ -4,17 +4,20 @@ A system {a_1(n_1), ..., a_k(n_k)} covers Z iff it covers one full period
 0..lcm(n_1..n_k)-1, so coverage is decided by a counting sieve over that
 period.  No inclusion-exclusion shortcut is used: every system this package
 ships has a small lcm (24, 630, 675675) and the sieve is the transparent
-check.  The sieve holds one byte per period cell and keeps counts past 255
-exact by detecting wraps.  Each class is sieved on the smallest period that
-holds it, and the bytes are tiled up to the lcm as larger moduli come in.
-At the default budget, lcm 10^8, a 41-class cover whose smallest modulus is
-2 is checked in about 0.1 s and peaks at about 115 MiB of RSS, the period
-and the interpreter (2 vCPU Xeon at 2.1 GHz, Python 3.11.7).
+check.  The sieve keeps one byte per cell and keeps counts past 255 exact
+by detecting wraps.  Each class is sieved on the smallest period that holds
+it, and the bytes are tiled up to the lcm as larger moduli come in, up to
+one segment of 2^20 cells; a larger period is sieved one segment at a time,
+so the sieve never holds the whole period.  At the default budget, lcm
+10^8, a 41-class cover whose smallest modulus is 2 is checked in about
+0.02 s and peaks at about 21 MiB of RSS, nearly all of it the interpreter
+(2 vCPU Xeon at 2.1 GHz, Python 3.11.7).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import codec
@@ -55,6 +58,9 @@ class CoveringSystem:
 
 # Byte v -> v + 1 mod 256: one class's increment of its slice, at C speed.
 _INC = bytes(range(1, 256)) + b"\0"
+# Cells per segment once the period outgrows one: the segment and a class's
+# slice of it stay in cache while the class is sieved.
+_SEGMENT = 1 << 20
 
 
 @dataclass
@@ -82,24 +88,82 @@ def lcm_refusal(system: CoveringSystem, enumeration_budget: int,
     return "", ""
 
 
+def _add(cells: bytearray, s: int, n: int, top: int, wraps: dict[int, int]) -> int:
+    """Add 1 to cells s, s + n, s + 2n, ... with one `translate`, add 256 to
+    `wraps[x]` for each cell x that wrapped to 0, and return `top`, the
+    largest count while no cell has wrapped, brought up to date."""
+    hit = cells[s::n].translate(_INC)
+    cells[s::n] = hit
+    if top < 255 and top + 1 in hit:
+        top += 1
+    j = hit.find(0)                 # only a cell that was at 255 reads 0 now
+    while j >= 0:
+        x = s + j * n
+        wraps[x] = wraps.get(x, 0) + 256
+        j = hit.find(0, j + 1)
+    return top
+
+
+def _extremes(cells: bytearray, size: int, tile_wraps: dict[int, int],
+              wraps: dict[int, int], top: int) -> tuple[int, int]:
+    """The least and largest count in a segment of whole tiles of `size` cells.
+
+    A cell's count is its byte plus the wraps of its tile cell
+    (`tile_wraps`, by cell mod `size`) and its own (`wraps`).  Each wrapped
+    cell is then set to 255, which is >= every unwrapped count and never 0,
+    so the segment's first 0 is its first uncovered cell.  A tile cell's
+    wraps are read through one strided slice of the segment, not cell by cell.
+    """
+    tiles = len(cells) // size
+    # counts of wrapped cells, then each run's extremes for those of its cells
+    counts = [tile_wraps.get(j % size, 0) + w + cells[j] for j, w in wraps.items()]
+    for j in wraps:
+        cells[j] = 255
+    own = Counter(j % size for j in wraps)
+    wrapped = len(tile_wraps) * tiles + sum(j % size not in tile_wraps for j in wraps)
+    everywhere = wrapped == len(cells)  # then the least count is a wrapped one
+    masked = b"\xff" * tiles if tile_wraps else b""
+    for x, w in tile_wraps.items():
+        run = cells[x::size]
+        if own[x] < tiles:          # some cell of the run has no own wraps, and
+            counts.append(w + max(run))     # those that do read 255
+            if everywhere:
+                counts.append(w + min(run))
+        cells[x::size] = masked
+    if everywhere:
+        return min(counts), max(counts)
+    least = 0
+    while least not in cells:
+        least += 1
+    return least, max(counts) if counts else top
+
+
 def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> CoverReport:
     """Sieve one full period and report coverage and multiplicity extremes.
 
     Each period cell is one byte, and each class adds 1 to its slice of
     cells with one `translate`.  Classes are sieved in ascending modulus
-    order on the smallest period that holds them: the counts of classes
-    whose moduli divide `size` repeat every `size` cells, so before a class
-    whose modulus does not divide it, the `size` bytes are tiled up to
-    lcm(size, n) and sieving goes on there.  The last modulus brings `size`
-    to the full lcm.  Tiling writes each period byte once, and a class of
-    modulus n costs lcm(n_1..n)/n cells, not lcm/n, where n_1..n are the
-    moduli up to its own.
+    order on the smallest period that holds them, the tile: the counts of
+    classes whose moduli divide `size` repeat every `size` cells, so before
+    a class whose modulus does not divide it, the tile is repeated up to
+    lcm(size, n) cells and sieving goes on there.  A class of modulus n
+    thus costs lcm(n_1..n)/n cells, not lcm/n, where n_1..n are the moduli
+    tiled up to its own.
+
+    Tiling stops at one segment of `_SEGMENT` cells.  A class whose modulus
+    would take the tile past it is sieved on each segment of the period in
+    turn, a fresh copy of the tile, and costs lcm/n cells; each segment's
+    extremes and first uncovered cell are read before the next is built, so
+    no more than the tile and one segment are held.  A period that fits in
+    one segment is sieved in place.
 
     A cell hit for the 256th time reads 0 again; such wraps are found in the
-    slice just updated and kept in a dict, which is tiled with the bytes, so
-    every count, witness and extreme is exact at any multiplicity.  Each
-    wrapped cell costs one dict entry.  A class of modulus 1 holds every
-    cell, so it is not sieved: it adds 1 to both extremes at the end.
+    slice just updated and kept in a dict by cell, so every count, witness
+    and extreme is exact at any multiplicity.  A wrap of a tiled class costs
+    one entry per tile cell, however many period cells repeat it, and one of
+    a later class one entry per segment cell, dropped with its segment.  A
+    class of modulus 1 holds every cell, so it is not sieved: it adds 1 to
+    both extremes at the end.
 
     `enumeration_budget` bounds the lcm of the moduli; a larger lcm raises
     the refusal of `lcm_refusal` as ValueError instead of silently grinding.
@@ -108,48 +172,47 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
     if period > enumeration_budget:
         _, why = lcm_refusal(system, enumeration_budget)
         raise ValueError(why)
-    counts = bytearray(1)
-    size = 1                        # counts holds the period of the classes so far
-    wrapped: dict[int, int] = {}    # cell -> 256 per wrap, then its true count
-    top = 0                         # the largest count while no cell has wrapped
-    whole = 0                       # classes of modulus 1, which hold every cell
+    tile = bytearray(1)
+    size = 1                          # tile holds the period of the classes tiled so far
+    tile_wraps: dict[int, int] = {}   # tile cell -> 256 per wrap
+    top = 0                           # the largest count while no cell has wrapped
+    whole = 0                         # classes of modulus 1, which hold every cell
+    late = []                         # classes sieved segment by segment
     for c in sorted(system.classes, key=lambda c: c.n):
         if c.n == 1:
             whole += 1
-            continue
-        if size % c.n:
-            tiles = c.n // math.gcd(size, c.n)
-            counts *= tiles
-            # cells outermost: tiles can be near lcm while wrapped is empty
-            wrapped = {x + size * i: extra for x, extra in wrapped.items() for i in range(tiles)}
-            size *= tiles
-        s = c.a % c.n
-        cells = counts[s::c.n].translate(_INC)
-        counts[s::c.n] = cells
-        if top < 255 and top + 1 in cells:
-            top += 1
-        j = cells.find(0)           # only a cell that was at 255 reads 0 now
-        while j >= 0:
-            x = s + j * c.n
-            wrapped[x] = wrapped.get(x, 0) + 256
-            j = cells.find(0, j + 1)
-    for x, extra in wrapped.items():
-        wrapped[x] = extra + counts[x]
-        counts[x] = 255             # >= every unwrapped count, and never 0
-    if len(wrapped) == period:
-        min_mult = min(wrapped.values())
-    else:
-        min_mult = 0
-        while min_mult not in counts:
-            min_mult += 1
-    max_mult = max(wrapped.values()) if wrapped else top
-    witness = counts.find(0) if whole == 0 else -1
+        elif math.lcm(size, c.n) > _SEGMENT:
+            late.append(c)
+        else:
+            if size % c.n:
+                tiles = c.n // math.gcd(size, c.n)
+                tile *= tiles
+                # cells outermost: tiles can be near _SEGMENT while tile_wraps is empty
+                tile_wraps = {x + size * i: w for x, w in tile_wraps.items()
+                              for i in range(tiles)}
+                size *= tiles
+            top = _add(tile, c.a % c.n, c.n, top, tile_wraps)
+    step = _SEGMENT // size * size
+    lows, highs, witness = [], [], -1
+    for start in range(0, period, step):
+        # a period that fits in one segment is the tile, sieved in place
+        cells = tile if size == period else tile * (min(step, period - start) // size)
+        wraps: dict[int, int] = {}    # segment cell -> 256 per wrap
+        cells_top = top
+        for c in late:
+            cells_top = _add(cells, (c.a - start) % c.n, c.n, cells_top, wraps)
+        low, high = _extremes(cells, size, tile_wraps, wraps, cells_top)
+        if low == 0 and witness < 0:
+            witness = start + cells.find(0)
+        lows.append(low)
+        highs.append(high)
+    low, high = min(lows) + whole, max(highs) + whole
     return CoverReport(
-        is_cover=min_mult + whole >= 1,
+        is_cover=low >= 1,
         lcm=period,
-        uncovered_witness=witness if witness >= 0 else None,
-        min_multiplicity=min_mult + whole,
-        max_multiplicity=max_mult + whole,
+        uncovered_witness=None if low >= 1 else witness,
+        min_multiplicity=low,
+        max_multiplicity=high,
     )
 
 

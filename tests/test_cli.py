@@ -203,6 +203,23 @@ def test_reproduce_lemma41_fails_on_a_prime_that_is_not_primitive(capsys, monkey
     assert out.count("failures=0") == 23
 
 
+def test_reproduce_lemma41_fails_on_a_listed_composite(capsys, monkeypatch):
+    # 15 is not prime: the row fails (exit 1); the run is not refused (exit 2)
+    found = cli.find_primitive_divisors
+
+    def finder(n, spec):
+        witnesses, complete = found(n, spec=spec)
+        if (spec.c, n) == (1, 6):
+            witnesses = witnesses + [PrimitiveDivisorWitness(6, 15, 1)]
+        return witnesses, complete
+
+    monkeypatch.setattr(cli, "find_primitive_divisors", finder)
+    code, out = run(["reproduce", "lemma41"], capsys)
+    assert code == 1
+    assert "c=1  n=6  primitive_primes=1  failures=1" in out
+    assert out.count("failures=0") == 23
+
+
 def test_reproduce_lemma41(capsys):
     code, out = run(["reproduce", "lemma41"], capsys)
     assert code == 0

@@ -1,9 +1,11 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
+from coverlab import covers
 from coverlab.assets import COVER_ERDOS, COVER_ODD173, TWO_PRIME_CLASS, asset_path
 from coverlab.codec import FormatError
 from coverlab.construct import load_two_prime_data
@@ -74,13 +76,14 @@ def test_verify_cover_counts_past_255():
     assert (report.min_multiplicity, report.max_multiplicity) == (300, 301)
 
 
-def test_verify_cover_counts_modulus_1_classes_without_sieving_them():
-    def direct(classes):
-        counts = [sum(c.contains(x) for c in classes)
-                  for x in range(CoveringSystem(classes).lcm())]
-        return (all(counts), min(counts), max(counts),
-                counts.index(0) if 0 in counts else None)
+def _direct(classes):
+    """(is_cover, min, max, witness) from the membership count of every cell."""
+    counts = [sum(c.contains(x) for c in classes)
+              for x in range(CoveringSystem(classes).lcm())]
+    return all(counts), min(counts), max(counts), counts.index(0) if 0 in counts else None
 
+
+def test_verify_cover_counts_modulus_1_classes_without_sieving_them():
     rng = random.Random(1)
     whole = ResidueClass(0, 1)
     systems = [[whole] * k for k in (1, 2, 255, 256, 300)]           # only 0(1)
@@ -95,7 +98,7 @@ def test_verify_cover_counts_modulus_1_classes_without_sieving_them():
     for classes in systems:
         report = verify_cover(CoveringSystem(classes))
         assert (report.is_cover, report.min_multiplicity, report.max_multiplicity,
-                report.uncovered_witness) == direct(classes), classes
+                report.uncovered_witness) == _direct(classes), classes
 
 
 def test_verify_cover_matches_direct_counts_at_any_multiplicity():
@@ -165,6 +168,77 @@ def test_verify_cover_refined_erdos_cover_at_scale():
         report = verify_cover(twin)
         assert not report.is_cover and report.lcm == lcm
         assert report.uncovered_witness == 23 and report.min_multiplicity == 0
+
+
+@pytest.mark.parametrize("segment", [1, 7, 64])
+def test_verify_cover_segment_by_segment_matches_direct_counts(monkeypatch, segment):
+    # with the segment shrunk to a few cells, every class whose modulus
+    # takes the tile past it is sieved on each segment in turn
+    monkeypatch.setattr(covers, "_SEGMENT", segment)
+    R = ResidueClass
+    systems = [
+        # the tile's cell 0 wraps, so every even cell of every segment has
+        # wrapped; 1(15) and 3(10) x 256 then wrap cells segment by segment
+        [R(0, 2)] * 256 + [R(1, 15)] + [R(3, 10)] * 256,
+        # 0(10) x 6 takes the tile's count of 250 past 255 in some segments
+        [R(0, 2)] * 250 + [R(0, 10)] * 6 + [R(5, 9)],
+        # every cell wraps, in the tile or in its segment
+        [R(0, 2)] * 256 + [R(1, 2)] * 255 + [R(x, 10) for x in (1, 3, 5, 7, 9)]
+        + [R(1, 6)] * 3,
+        # every cell wraps in the tile and again in its segment, so no cell
+        # of a tile cell's run is without wraps of its own
+        [R(0, 2)] * 256 + [R(1, 2)] * 256 + [R(x, 8) for x in range(8)] * 256,
+        # classes of modulus 1 are counted, not sieved, beside a wrap
+        [R(0, 1)] * 2 + [R(1, 3)] * 256 + [R(7, 1), R(2, 9)],
+        # tiles of 8 cells in segments of 64 cells over a period of 72
+        [R(1, 2), R(0, 4), R(2, 8), R(6, 9)],
+        # tiles of 3 cells in segments of 6 cells over a period of 15
+        [R(0, 3), R(1, 5), R(2, 5)],
+        # the only uncovered cell, 89, lies in the last segment
+        [R(x, 90) for x in range(89)] + [R(0, 2)],
+    ]
+    rng = random.Random(segment)
+    for _ in range(25):
+        stack = [(R(rng.randrange(-20, 20), rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15])),
+                  rng.choice([1, 1, 2, 255, 256, 300]))
+                 for _ in range(rng.randrange(1, 6))]
+        classes = [c for c, copies in stack for _ in range(copies)][:400]
+        rng.shuffle(classes)
+        systems.append(classes)
+    for classes in systems:
+        report = verify_cover(CoveringSystem(classes))
+        assert report.lcm == CoveringSystem(classes).lcm()
+        assert (report.is_cover, report.min_multiplicity, report.max_multiplicity,
+                report.uncovered_witness) == _direct(classes), classes
+
+
+def _traced_peak(system):
+    tracemalloc.start()
+    try:
+        report = verify_cover(system)
+        return report, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_cover_holds_one_segment_not_the_period():
+    # lcm 16,216,200: the whole period would be 16 MB of bytes
+    erdos = load_cover(asset_path(COVER_ERDOS))
+    odd = load_cover(asset_path(COVER_ODD173))
+    cover = CoveringSystem(
+        [c for c in erdos.classes if c != ResidueClass(0, 3)]
+        + [ResidueClass(3 * b.a % (3 * b.n), 3 * b.n) for b in odd.classes])
+    report, peak = _traced_peak(cover)
+    assert report.is_cover and report.lcm == 16_216_200
+    assert peak < 4 * 2**20
+
+    # every even cell has wrapped: the wraps are kept by tile cell, not by
+    # each of the 5 million even cells of the period
+    report, peak = _traced_peak(CoveringSystem([ResidueClass(0, 2)] * 256
+                                               + [ResidueClass(1, 10**7)]))
+    assert (report.is_cover, report.uncovered_witness) == (False, 3)
+    assert (report.min_multiplicity, report.max_multiplicity) == (0, 256)
+    assert peak < 4 * 2**20
 
 
 def test_build_doubled_cover():
