@@ -7,6 +7,7 @@ types.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -56,7 +57,10 @@ class FactorBudget:
     """Effort limits for factor().
 
     trial_bound is the largest number trial division tries: every prime up
-    to it is divided out before rho starts.  rho_iterations caps the steps
+    to it is divided out before rho starts.  Below 2^20, a trial_bound of
+    at least 1021, the largest prime below sqrt(2^20), already factors n
+    completely, and factor() reads each least prime factor from a sieved
+    table instead, with the same result.  rho_iterations caps the steps
     of one Brent-Pollard rho attempt; an x^2 + c step is one modular
     squaring, and every composite cofactor gets _RHO_ATTEMPTS attempts.
     When factor() is given a step above 2 and rho_iterations is at least
@@ -87,6 +91,10 @@ _PM1_B1 = 1 << 16
 _PM1_B2 = 1 << 20
 _PM1_SQUARINGS = 250_000
 _SIEVE_SEGMENT = 1 << 14     # odd numbers per segment of the prime sieve
+# factor() reads the least prime factor of n < 2^20 from a table sieved by
+# the odd primes up to 1021, the largest prime below sqrt(2^20)
+_TABLE_LIMIT = 1 << 20
+_TABLE_BOUND = 1021
 
 
 def is_probable_prime(n: int) -> bool:
@@ -186,13 +194,18 @@ def factor(n: int, budget: FactorBudget | None = None,
            step: int = 2) -> Factorization:
     """Factor n by trial division, then Pollard P-1 and rho, within the budget.
 
-    Trial division tries the primes up to budget.trial_bound.  A remainder
-    with no prime factor below s and smaller than s^2 is itself prime, so it
-    is recorded without a primality test; any other remainder goes to
-    is_probable_prime and rho.  Every extracted factor is therefore proven
-    by trial division or passes is_probable_prime.  When the budget runs out
-    the remaining (composite) cofactor is reported and complete is False;
-    incompleteness is a result state, not an error.
+    Trial division tries the primes up to budget.trial_bound, but holds
+    none above 2 sqrt(n) or the default bound, whichever is larger.  A
+    remainder with no prime factor below s and smaller than s^2 is itself
+    prime, so it is recorded without a primality test; any other remainder
+    goes to is_probable_prime and rho.  Below 2^20 with a trial_bound of at
+    least 1021, trial division is a lookup in a table of least prime
+    factors, sieved one segment of 2^15 numbers at a time as calls reach
+    it, with the same result: every odd composite below 2^20 has a prime
+    factor up to 1021.  Every extracted factor is therefore proven by trial
+    division or by the sieve, or passes is_probable_prime.  When the budget
+    runs out the remaining (composite) cofactor is reported and complete is
+    False; incompleteness is a result state, not an error.
 
     `step` is a fact the caller states: every prime factor of n left after
     trial division is = 1 (mod step).  The default 2 holds for every odd
@@ -214,10 +227,16 @@ def factor(n: int, budget: FactorBudget | None = None,
         raise ValueError(f"factor() needs step >= 2, got {step}")
     if budget is None:
         budget = _DEFAULT_BUDGET
+    if n < _TABLE_LIMIT and budget.trial_bound >= _TABLE_BOUND:
+        return _factor_by_table(n)
+    # the primes held stop at the power of 2 above sqrt(n), or at the
+    # default bound, whose one cached tuple every default call reads
+    bound = min(budget.trial_bound,
+                max(_DEFAULT_BUDGET.trial_bound, 1 << math.isqrt(n).bit_length()))
     found: dict[int, int] = {}
     rest = n
-    least = budget.trial_bound + 1   # least prime factor rest can still have
-    for p in _primes_up_to(budget.trial_bound):
+    least = bound + 1   # least prime factor rest can still have
+    for p in _primes_up_to(bound):
         if p * p > rest:
             least = p
             break
@@ -262,25 +281,83 @@ def _odd_prime_segments(lo: int, hi: int):
     """The odd primes p with lo < p <= hi, ascending, one segment of the
     sieve of Eratosthenes at a time.
 
-    Each segment is an iterator over its primes.  The sieve holds one byte
-    per odd number, _SIEVE_SEGMENT of them at a time, so P-1 never holds
-    the 82,025 primes below 2^20 at once.
+    Each segment is an iterator over its primes, the cells that _strike
+    leaves 0.  The sieve holds one byte per odd number, _SIEVE_SEGMENT of
+    them at a time, so P-1 never holds the 82,025 primes below 2^20 at once.
     """
     small = _primes_up_to(math.isqrt(hi))[1:]
     start = (lo + 1) | 1                 # the least odd number above lo
     while start <= hi:
         size = min(_SIEVE_SEGMENT, (hi - start) // 2 + 1)
-        cells = bytearray([1]) * size    # cell i stands for start + 2*i
-        for p in small:
-            m = max(p * p, -(-start // p) * p)
-            if m % 2 == 0:
-                m += p                   # the first odd multiple to strike
-            i = (m - start) // 2
-            cells[i::p] = bytes(len(range(i, size, p)))
+        cells = _strike(start, size, small)
         if start == 1:
-            cells[0] = 0                 # 1 is not prime
-        yield itertools.compress(range(start, start + 2 * size, 2), cells)
+            cells[0] = 1                 # 1 is not prime
+        yield itertools.compress(range(start, start + 2 * size, 2),
+                                 cells.translate(_ZERO_CELLS))
         start += 2 * size
+
+
+_ZERO_CELLS = bytes([1]) + bytes(255)   # translate table: 0 -> 1, the rest -> 0
+_MARKS = tuple(bytes((v,)) for v in range(256))   # the one-byte strings, by value
+
+
+def _strike(start: int, size: int, small: tuple[int, ...]) -> bytearray:
+    """One segment of the sieve of Eratosthenes: a byte for each odd number
+    start + 2*i, i < size, with start odd and `small` ascending odd primes.
+
+    Each p of small strikes its odd multiples from p^2 on, from the largest
+    p to the least, so a struck cell ends with 1 + the index in small of the
+    least p that struck it, capped at 255.  A cell is left 0 when no p of
+    small has p | m and p^2 <= m for its number m: with every odd prime up
+    to sqrt(start + 2*size) in small, when m is 1 or prime.
+    """
+    cells = bytearray(size)              # cell i stands for start + 2*i
+    last = start + 2 * (size - 1)
+    # a p whose square is past the segment's last number strikes nothing
+    for k in range(bisect.bisect(small, math.isqrt(last)) - 1, -1, -1):
+        p = small[k]
+        m = max(p * p, -(-start // p) * p)
+        if m % 2 == 0:
+            m += p                       # the first odd multiple to strike
+        i = (m - start) // 2
+        cells[i::p] = _MARKS[k + 1 if k < 255 else 255] * len(range(i, size, p))
+    return cells
+
+
+@functools.lru_cache(maxsize=None)   # at most 32 segments of 16 KiB
+def _least_factor_segment(k: int) -> bytearray:
+    """The table of least prime factors for the odd numbers of
+    [k * 2^15, (k + 1) * 2^15): the cell of odd n, at (n >> 1) mod 2^14, is
+    0 when n is 1 or prime, and otherwise the index in _primes_up_to(1021)
+    of the least prime factor of n.  Below 2^20 < 1031^2, where it is read,
+    the odd primes up to 1021 are all the sieve needs.
+    """
+    return _strike(2 * k * _SIEVE_SEGMENT + 1, _SIEVE_SEGMENT,
+                   _primes_up_to(_TABLE_BOUND)[1:])
+
+
+def _factor_by_table(n: int) -> Factorization:
+    """factor(n) for 1 <= n < _TABLE_LIMIT, by least-factor lookups."""
+    pairs = []
+    twos = (n & -n).bit_length() - 1
+    if twos:
+        pairs.append((2, twos))
+        n >>= twos
+    primes = _primes_up_to(_TABLE_BOUND)
+    while n > 1:
+        # a segment holds 2^15 numbers, _SIEVE_SEGMENT of them odd
+        cell = _least_factor_segment(n >> 15)[(n >> 1) & (_SIEVE_SEGMENT - 1)]
+        if not cell:                     # n is prime
+            pairs.append((n, 1))
+            break
+        p = primes[cell]
+        n //= p
+        e = 1
+        while n % p == 0:
+            n //= p
+            e += 1
+        pairs.append((p, e))
+    return Factorization(tuple(pairs))
 
 
 @functools.lru_cache(maxsize=1)

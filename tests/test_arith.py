@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -472,11 +473,88 @@ def test_factor_budget_exhaustion_is_a_state():
 
 
 def test_factor_reassembly_exhaustive():
-    # spot the full range once; product reassembly must be exact
-    for n in range(1, 10**6 + 1):
+    # every n up to 2^20, the least-factor table's whole range and its
+    # first number above, against a plain sieve of least prime factors
+    limit = 1 << 20
+    least = [0] * (limit + 1)
+    for p in range(2, limit + 1):
+        if least[p] == 0:
+            least[p] = p
+            for m in range(p * p, limit + 1, p):
+                if least[m] == 0:
+                    least[m] = p
+    for n in range(1, limit + 1):
+        pairs = []
+        m = n
+        while m > 1:
+            p, e = least[m], 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            pairs.append((p, e))
         f = factor(n)
-        assert f.complete
-        assert math.prod(p**e for p, e in f.factors) * f.cofactor == n
+        assert f.factors == tuple(pairs) and f.cofactor == 1, n
+
+
+def test_odd_prime_segments_match_a_plain_sieve(monkeypatch):
+    # the striking loop the least-factor table shares: segments of a few
+    # cells whose last number is a prime's square, and the squares of the
+    # odd primes at index 254 and 255 and above, which all strike with 255
+    limit = 3 * 10**6
+    plain = bytearray([1]) * (limit + 1)
+    plain[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if plain[p]:
+            plain[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    odd = [p for p in range(3, math.isqrt(limit) + 1) if plain[p]]
+    ranges = [(0, 2000), (8, 9), (24, 49), (1019**2 - 50, 1021**2), (limit - 2000, limit)]
+    ranges += [(odd[k] ** 2 - 100, odd[k] ** 2) for k in (254, 255, 256)]
+    for segment in (1, 3, 7, 1 << 14):
+        monkeypatch.setattr(arith, "_SIEVE_SEGMENT", segment)
+        for lo, hi in ranges:
+            got = [list(primes) for primes in arith._odd_prime_segments(lo, hi)]
+            assert all(len(primes) <= segment for primes in got), (segment, lo, hi)
+            expected = [p for p in range(max(lo + 1, 3), hi + 1) if plain[p]]
+            assert list(itertools.chain.from_iterable(got)) == expected, (segment, lo, hi)
+
+
+def test_factor_by_table_agrees_with_trial_division_at_the_gate():
+    # below 2^20 a trial bound of 1021 or more reads the least-factor table;
+    # 1020 keeps the trial loop, which must give the same factorizations
+    rng = random.Random(27)
+    edges = [1, 2, 2**19, 2**20 - 1, 2**20, 2**20 + 1, 1021**2, 1019 * 1021, 1048573]
+    loop, gate = FactorBudget(trial_bound=1020), FactorBudget(trial_bound=1021)
+    starved = FactorBudget(trial_bound=1021, rho_iterations=0)
+    for n in edges + [rng.randrange(1, 2**20) for _ in range(10**4)]:
+        expected = factor(n)
+        assert factor(n, loop) == factor(n, gate) == expected, n
+        assert factor(n, starved).complete, n
+        for s in (4, 6, 110):
+            assert factor(n, None, s) == expected, (n, s)
+
+
+def test_factor_by_table_builds_only_the_segments_it_reads():
+    # the table is sieved one segment of 2^15 numbers at a time, on demand
+    arith._least_factor_segment.cache_clear()
+    assert factor(2 * 3 * 5 * 1021) == Factorization(((2, 1), (3, 1), (5, 1), (1021, 1)))
+    assert arith._least_factor_segment.cache_info().currsize == 1
+
+
+def test_trial_division_holds_no_primes_past_the_root(monkeypatch):
+    # a trial bound of 10^7 on a number just above 2^20 must not sieve the
+    # 664,579 primes up to 10^7: the number needs those up to 1024
+    bounds = []
+    primes_up_to = arith._primes_up_to
+
+    def spy(bound):
+        bounds.append(bound)
+        return primes_up_to(bound)
+
+    monkeypatch.setattr(arith, "_primes_up_to", spy)
+    n = 2**20 + 2                        # 2 * 3 * 174763
+    f = factor(n, FactorBudget(trial_bound=10**7))
+    assert f == Factorization(((2, 1), (3, 1), (174763, 1)))
+    assert bounds and max(bounds) <= FactorBudget().trial_bound, bounds
 
 
 def test_factor_reassembly_random_64bit():
