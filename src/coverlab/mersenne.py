@@ -12,7 +12,8 @@ pow(2, n, q) before the row check, which each replacement must pass.  A
 table prime whose Pocklington certificate the caller has checked skips the
 primality test.  The audit also names each table prime that is a Wieferich
 prime.  Row checks compute orders modulo p; only a Wieferich row is lifted
-to p^2, p^3, ... for its valuation.
+to p^2, p^3, ... for its valuation.  The audit reports facts; `cli` decides
+the verdicts.
 """
 
 from __future__ import annotations
@@ -75,10 +76,10 @@ def load_prime_table(path) -> PrimeTable:
 def mersenne_valuation(p: int, n: int) -> int:
     """Largest a with p^a | 2^n - 1, by lifting the modulus p, p^2, ...
 
-    Returns 0 when p does not divide 2^n - 1 at all.
+    Returns 0 when p does not divide 2^n - 1 at all.  The caller proves p prime.
     """
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {p}")
     if n < 1:
         raise ValueError(f"exponent must be >= 1, got {n}")
     if pow(2, n, p) != 1:
@@ -171,24 +172,14 @@ def find_primitive_divisors(
 
 @dataclass
 class TableRow:
-    """One audited table entry; `proof` says how p's primality was decided:
-    "deterministic" (below 2^64), "certified" (a checked Pocklington
-    certificate) or "probable" (40 Miller-Rabin rounds)."""
+    """One audited table entry: `reason` is why it fails, "" if it passes;
+    `proof` is how p's primality was decided: "deterministic" (below 2^64),
+    "certified" (a checked Pocklington certificate) or "probable" (40 MR rounds)."""
 
     n: int
     p: int
-    ok: bool
     reason: str = ""
     proof: str = "deterministic"
-
-
-@dataclass
-class Erratum:
-    n: int
-    bad_value: int
-    reason: str
-    replacement: int | None
-    verified: bool
 
 
 @dataclass
@@ -197,19 +188,8 @@ class PrimeTableReport:
     count_mismatches: list[tuple[int, int, int]]   # (n, listed, expected)
     duplicates: list[int]
     omitted_consistent: bool
-    errata: list[Erratum]
+    errata: list[tuple[TableRow, int | None]]   # (failing row, replacement)
     wieferich: list[PrimitiveDivisorWitness]   # passed rows with p^2 | 2^n - 1
-
-    @property
-    def failing_rows(self) -> list[TableRow]:
-        return [r for r in self.rows if not r.ok]
-
-    @property
-    def passed(self) -> bool:
-        if self.count_mismatches or self.duplicates or not self.omitted_consistent:
-            return False
-        explained = {(e.n, e.bad_value) for e in self.errata if e.verified}
-        return all((r.n, r.p) in explained for r in self.failing_rows)
 
 
 def _row_reason(n: int, p: int, proven: frozenset[int] = frozenset()) -> str:
@@ -255,13 +235,14 @@ def verify_prime_table(cover: CoveringSystem, table: PrimeTable,
     treated as transcription errata: for each one the replacement is the
     least prime q = k*step + 1 with k <= _ERRATA_STEPS that passes the same
     row check and is not already listed or used, never silently substituted;
-    where there is none the erratum has no replacement and is not verified.
+    where there is none the erratum's replacement is None.
     Each row that passed is also tested for Wieferich's condition
     2^(p-1) = 1 (mod p^2), in the cheaper form p^2 | 2^n - 1: the order of
     2 mod p^2 is n or n*p, and p does not divide p - 1, so both say it is n.
     A hit is recorded with its valuation.  A listed prime in `proven`,
     the primes whose certificates the caller has checked, skips the
     primality test; every other p at or above 2^64 takes its 40 rounds.
+    The report holds these facts only; the caller decides what passes.
     """
     multiplicity = Counter(c.n for c in cover.classes)
 
@@ -275,7 +256,7 @@ def verify_prime_table(cover: CoveringSystem, table: PrimeTable,
             reason = _row_reason(n, p, proven)
             proof = ("deterministic" if p < DETERMINISTIC_LIMIT
                      else "certified" if p in proven else "probable")
-            rows.append(TableRow(n, p, not reason, reason, proof))
+            rows.append(TableRow(n, p, reason, proof))
 
     listed = table.all_primes()
     seen: set[int] = set()
@@ -290,19 +271,18 @@ def verify_prime_table(cover: CoveringSystem, table: PrimeTable,
         sorted(table.omitted) == expected_omitted
         and all(multiplicity[n] == 1 for n in expected_omitted))
 
-    errata: list[Erratum] = []
+    errata = []
     taken = set(listed)
     for row in rows:
-        if row.ok:
+        if not row.reason:
             continue
         replacement = next((q for q in _order_walk(row.n) if q not in taken), None)
         if replacement is not None:
             taken.add(replacement)
-        errata.append(Erratum(n=row.n, bad_value=row.p, reason=row.reason,
-                              replacement=replacement, verified=replacement is not None))
+        errata.append((row, replacement))
 
     wieferich = [PrimitiveDivisorWitness(r.n, r.p, mersenne_valuation(r.p, r.n))
-                 for r in rows if r.ok and pow(2, r.n, r.p * r.p) == 1]
+                 for r in rows if not r.reason and pow(2, r.n, r.p * r.p) == 1]
 
     return PrimeTableReport(
         rows=rows,

@@ -10,7 +10,7 @@ from dataclasses import asdict
 
 import pytest
 
-from coverlab import codec
+from coverlab import cli, codec
 from coverlab.assets import SAMPLE_CASE, TWO_PRIME_CLASS, asset_path
 import coverlab.certify as certify
 from coverlab.certify import (DEFAULT_Q_POOL, AuxEvidence, AuxPrime,
@@ -85,11 +85,24 @@ def test_repeated_aux_prime_rejected():
         check_exclusion(case)
 
 
-def test_combination_budget():
+def test_combination_budget(tmp_path, capsys):
+    # u_n mod 31 has period 10 and 29 has order 10 mod 31: lcm(14, 10) / 14
+    # = 5 residues of n, 2 signs and 10 exponents b make 100 combinations
     case = ExclusionCase(label="tight", r=12, m=14, p=29,
                          aux=(AuxPrime(31, 14),))
     with pytest.raises(ValueError, match="exceed"):
-        check_exclusion(case, combination_budget=5)
+        check_exclusion(case, combination_budget=5)    # stops the period walk
+    for budget in (10, 99):
+        with pytest.raises(ValueError,
+                           match=f"^100 combinations exceed the budget {budget}$"):
+            check_exclusion(case, combination_budget=budget)
+    assert check_exclusion(case, combination_budget=100).combinations == 100
+    # the command line turns the refusal into exit 2 and one line on stderr
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps({"label": "tight", "r": "12", "m": "14", "p": "29",
+                                "aux": [{"q": "31", "x_mod_q": "14"}]}))
+    assert cli.main(["certify", str(path), "--budget", "99"]) == 2
+    assert capsys.readouterr().err == "coverlab: 100 combinations exceed the budget 99\n"
 
 
 def test_combination_budget_caps_the_period_walk(tmp_path):

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import coverlab
-from coverlab import arith, assets, certify, cli
+from coverlab import arith, assets, certify, cli, mersenne
 from coverlab.arith import FactorBudget
 from coverlab.lucas import LucasSpec
 from coverlab.mersenne import (MERSENNE, PrimitiveDivisorWitness, cyclotomic_mersenne,
@@ -386,6 +386,21 @@ def test_reproduce_thm11_fails_on_a_cover_of_another_shape(tmp_path, capsys):
     assert code == 1
     assert "check=cover  classes=6  lcm=24  is_cover=true" in out
     assert "prime-table" not in out
+
+
+def test_reproduce_thm11_fails_on_an_erratum_without_replacement(monkeypatch, capsys):
+    # with no progression steps the errata walk finds nothing: the erratum
+    # row fails the run, and the table's shape still passes its own row
+    monkeypatch.setattr(mersenne, "_ERRATA_STEPS", 0)
+    code, out = run(["reproduce", "thm11", "--json"], capsys)
+    assert code == 1
+    assert _errata_rows(out) == [
+        {"erratum_n": "1755", "bad_value": "196911", "reason": "not prime",
+         "replacement": None, "replacement_verified": "false"}]
+    table = next(row for row in json.loads(out)["detail"]
+                 if row.get("check") == "prime-table")
+    assert (table["failing_rows"], table["duplicates"], table["count_mismatches"],
+            table["omitted_consistent"]) == ("1", "0", "0", "true")
 
 
 def _errata_rows(out):

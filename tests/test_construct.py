@@ -55,6 +55,18 @@ def test_mechanics_tests_the_witness_prime_not_its_power():
                                         n_range=range(6, 30, 6)) == []
 
 
+def test_mechanics_flags_a_failed_congruence_and_a_difference_equal_to_the_witness():
+    # x = 0 is never 2^n mod 3, whichever class holds n
+    cover = CoveringSystem([ResidueClass(0, 2), ResidueClass(1, 2)])
+    assert check_divisibility_mechanics(ResidueClass(0, 3), cover, [3, 3], range(6)) == [
+        (n, "congruence failed") for n in range(6)]
+    # x = 4: 3 divides 4 - 2^n for even n, but 4 - 1 = 3 and 4 - 4 = 0 are
+    # not composite, while 4 - 16 = -12 is
+    assert check_divisibility_mechanics(ResidueClass(4, 9), CoveringSystem(
+        [ResidueClass(0, 2)]), [3], range(0, 6, 2)) == [
+        (0, "difference equals the witness"), (2, "difference equals the witness")]
+
+
 def test_mechanics_rejects_a_witness_that_is_not_a_prime_of_2n_minus_1():
     cover = CoveringSystem([ResidueClass(0, 6)])
     with pytest.raises(ValueError, match="9 is not prime"):

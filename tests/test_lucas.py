@@ -113,8 +113,13 @@ def test_rank_examples():
             assert rank_of_apparition(MERSENNE, p, p) == order_dividing(2, p, p - 1), p
     assert rank_of_apparition(MERSENNE, 2, 100) is None
     assert rank_of_apparition(U4, 1009, 3) is None   # bound too small
-    with pytest.raises(ValueError):
-        rank_of_apparition(U4, 15, 100)
+    # a composite modulus has a rank too: brute force over the exact terms
+    for spec in (FIB, U4):
+        assert rank_of_apparition(spec, 15, 100) == 20
+        assert next(n for n, u in enumerate(u_terms(spec)) if n and u % 15 == 0) == 20
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError):
+            rank_of_apparition(U4, m, 100)
 
 
 def test_find_primitive_divisors_rank_rule():

@@ -125,13 +125,24 @@ def test_find_primitive_divisors_falls_back_to_rho_where_pm1_fails():
         assert all(w.alpha == 1 for w in witnesses), n
 
 
+def _facts(report):
+    """What the audit found: count mismatches, duplicates, whether the omitted
+    exponents are consistent, and each erratum as (n, bad p, reason,
+    replacement)."""
+    return (report.count_mismatches, report.duplicates, report.omitted_consistent,
+            [(row.n, row.p, row.reason, replacement) for row, replacement in report.errata])
+
+
+CLEAN = ([], [], True, [])
+
+
 def test_wieferich_examples():
     # 1093 and 3511 are the two known Wieferich primes, of orders 364 and 1755
     cover = CoveringSystem([ResidueClass(0, 3), ResidueClass(1, 364),
                             ResidueClass(2, 1755)])
     table = PrimeTable(entries={3: [7], 364: [1093], 1755: [3511]}, omitted=[])
     report = verify_prime_table(cover, table)
-    assert report.passed
+    assert _facts(report) == CLEAN
     assert report.wieferich == [PrimitiveDivisorWitness(364, 1093, 2),
                                 PrimitiveDivisorWitness(1755, 3511, 2)]
     assert pow(2, 1092, 1093**2) == 1 and pow(2, 6, 49) != 1
@@ -141,7 +152,7 @@ def test_wieferich_contract():
     # only rows that passed are scanned: 1093 misplaced at n = 3 is not one
     cover = CoveringSystem([ResidueClass(0, 3)])
     report = verify_prime_table(cover, PrimeTable(entries={3: [1093]}, omitted=[]))
-    assert [(r.n, r.p) for r in report.failing_rows] == [(3, 1093)]
+    assert [(row.n, row.p) for row, _ in report.errata] == [(3, 1093)]
     assert report.wieferich == []
 
 
@@ -155,10 +166,11 @@ def test_mersenne_valuation_examples():
     # cross-check by modular lifting
     assert pow(2, 3510, 3511**2) == 1
     assert pow(2, 3510, 3511**3) != 1
-    with pytest.raises(ValueError):
-        mersenne_valuation(6, 36)
-    with pytest.raises(ValueError):
-        mersenne_valuation(3, 0)
+    # p is taken as prime, so 6 is lifted like any p: 6 does not divide 2^36 - 1
+    assert mersenne_valuation(6, 36) == 0
+    for p, n in ((1, 3), (0, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            mersenne_valuation(p, n)
     # oracle: repeated division of 2^n - 1 itself
     rng = random.Random(3)
     for _ in range(100):
@@ -191,9 +203,8 @@ def _tiny_cover_and_table():
 def test_verify_prime_table_tiny_pass():
     cover, table = _tiny_cover_and_table()
     report = verify_prime_table(cover, table)
-    assert report.passed
-    assert not report.failing_rows
-    assert report.omitted_consistent
+    assert _facts(report) == CLEAN
+    assert [r.reason for r in report.rows] == ["", "", ""]
 
 
 def test_proof_levels_leave_rows_and_errata_as_they_are():
@@ -202,9 +213,10 @@ def test_proof_levels_leave_rows_and_errata_as_they_are():
     proven = frozenset(load_certificates(assets.asset_path(assets.PRIME_CERTIFICATES)))
     plain = verify_prime_table(cover, table)
     certified = verify_prime_table(cover, table, proven)
-    strip = [(r.n, r.p, r.ok, r.reason) for r in plain.rows]
-    assert strip == [(r.n, r.p, r.ok, r.reason) for r in certified.rows]
-    assert plain.errata == certified.errata and certified.passed
+    strip = [(r.n, r.p, r.reason) for r in plain.rows]
+    assert strip == [(r.n, r.p, r.reason) for r in certified.rows]
+    assert _facts(plain) == _facts(certified) == (
+        [], [], True, [(1755, 196911, "not prime", 1969111)])
     assert Counter(r.proof for r in plain.rows) == {"deterministic": 120,
                                                     "probable": 44}
     assert Counter(r.proof for r in certified.rows) == {
@@ -212,7 +224,7 @@ def test_proof_levels_leave_rows_and_errata_as_they_are():
     assert all((r.proof == "certified") == (r.p in proven) for r in certified.rows)
     # a proven p skips the primality test, and nothing else
     fake = verify_prime_table(cover, table, frozenset({196911}))
-    assert [r.reason for r in fake.rows if not r.ok] == ["does not divide 2^1755-1"]
+    assert [r.reason for r in fake.rows if r.reason] == ["does not divide 2^1755-1"]
 
 
 def test_verify_prime_table_misplaced_prime():
@@ -221,27 +233,21 @@ def test_verify_prime_table_misplaced_prime():
         [ResidueClass(0, 3), ResidueClass(7, 11), ResidueClass(23, 33)])
     table = PrimeTable(entries={3: [7], 11: [23], 33: [89]}, omitted=[])
     report = verify_prime_table(cover, table)
-    assert not report.duplicates
-    bad = report.failing_rows
-    assert len(bad) == 1 and bad[0].n == 33 and bad[0].p == 89
-    assert "order of 2 is 11" in bad[0].reason
     # the errata search still digs up the honest replacement
-    erratum = report.errata[0]
-    assert erratum.replacement == 599479 and erratum.verified
-    assert report.passed
+    assert _facts(report) == (
+        [], [], True, [(33, 89, "order of 2 is 11, not 33", 599479)])
+    assert [(r.n, r.p) for r in report.rows if r.reason] == [(33, 89)]
 
 
 def test_verify_prime_table_detects_count_and_duplicates():
     cover, table = _tiny_cover_and_table()
     short = PrimeTable(entries={3: [7], 11: [23]}, omitted=[])
     report = verify_prime_table(cover, short)
-    assert report.count_mismatches == [(11, 1, 2)]
-    assert not report.passed
+    assert _facts(report) == ([(11, 1, 2)], [], True, [])
 
     doubled = PrimeTable(entries={3: [7], 11: [23, 23]}, omitted=[])
     report = verify_prime_table(cover, doubled)
-    assert report.duplicates == [23]
-    assert not report.passed
+    assert _facts(report) == ([], [23], True, [])
 
 
 def test_verify_prime_table_omitted_consistency():
@@ -263,27 +269,15 @@ def test_errata_search_at_675675_factors_nothing(monkeypatch):
     cover = CoveringSystem([ResidueClass(0, 3), ResidueClass(1, 675675)])
     table = PrimeTable(entries={3: [7], 675675: [31]}, omitted=[])
     report = verify_prime_table(cover, table)
-    assert [(r.n, r.p) for r in report.failing_rows] == [(675675, 31)]
-    erratum = report.errata[0]
-    assert erratum.reason == "order of 2 is 5, not 675675"
-    assert erratum.replacement is None and not erratum.verified
-    assert not report.passed
+    assert _facts(report) == (
+        [], [], True, [(675675, 31, "order of 2 is 5, not 675675", None)])
 
 
 def test_verify_prime_table_real_assets():
     table = load_prime_table(asset_path(PRIME_TABLE))
     report = verify_prime_table(load_cover(asset_path(COVER_ODD173)), table)
-    assert report.passed
-    assert not report.count_mismatches
-    assert not report.duplicates
-    assert report.omitted_consistent
+    assert _facts(report) == ([], [], True, [(1755, 196911, "not prime", 1969111)])
     assert table.omitted == [1485, 3003, 3465, 3861, 5005, 5775, 6435, 10395, 675675]
-    assert len(report.failing_rows) == 1
-    row = report.failing_rows[0]
-    assert (row.n, row.p) == (1755, 196911)
-    assert row.reason == "not prime"
-    erratum = report.errata[0]
-    assert erratum.replacement == 1969111
-    assert erratum.verified
+    assert [(r.n, r.p) for r in report.rows if r.reason] == [(1755, 196911)]
     assert is_probable_prime(1969111)
     assert order_dividing(2, 1969111, 1755) == 1755
