@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .covers import ResidueClass
 
@@ -25,14 +26,14 @@ _MR_ROUNDS = 40   # Miller-Rabin bases in all at and above 2^64
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """prime-power factors, a leftover cofactor, and what they multiply to.
 
     Invariants: every listed prime passes is_probable_prime, primes are in
     increasing order, exponents are positive, and product(p^e) * cofactor ==
     the factored value.  The factorization is complete exactly when the
-    cofactor is 1.
+    cofactor is 1.  It is a tuple (factors, cofactor): it unpacks, and it
+    compares equal to a plain tuple of the same two fields.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -41,15 +42,6 @@ class Factorization:
     @property
     def complete(self) -> bool:
         return self.cofactor == 1
-
-    def primes(self) -> list[int]:
-        return [p for p, _ in self.factors]
-
-    @staticmethod
-    def of_known(pairs: dict[int, int] | list[tuple[int, int]],
-                 cofactor: int = 1) -> "Factorization":
-        items = sorted(dict(pairs).items())
-        return Factorization(tuple(items), cofactor)
 
 
 @dataclass(frozen=True)
@@ -139,7 +131,7 @@ def prime_divisors(n: int) -> list[int]:
     f = factor(n)
     if not f.complete:
         raise ValueError(f"could not fully factor exponent {n}")
-    return f.primes()
+    return [p for p, _ in f.factors]
 
 
 def order_dividing(a: int, m: int, n: int) -> int | None:
@@ -246,7 +238,7 @@ def factor(n: int, budget: FactorBudget | None = None,
     if rest < least * least:
         if rest > 1:
             found[rest] = 1
-        return Factorization.of_known(found)
+        return Factorization(tuple(sorted(found.items())))
 
     pending = [rest]
     leftover = 1
@@ -266,7 +258,7 @@ def factor(n: int, budget: FactorBudget | None = None,
             continue
         pending.append(d)
         pending.append(c // d)
-    return Factorization.of_known(found, cofactor=leftover)
+    return Factorization(tuple(sorted(found.items())), leftover)
 
 
 @functools.lru_cache(maxsize=8)   # a few bounds are in use; a one-off one is not pinned
@@ -442,10 +434,10 @@ def _rho_split(n: int, limit: int) -> int | None:
     c = 1, 2, ..., _RHO_ATTEMPTS; it finds a prime p of n in about sqrt(p)
     steps.
     An attempt takes at most `limit` steps, counting the ones that move y
-    ahead of the saved point x as well as the batched ones, in batches of at
-    most 128 that end at the limit, so an attempt stops inside a doubling
-    round.  A batch whose gcd is n is replayed one step at a time, at most
-    one batch more.
+    ahead of the saved point x as well as those of the gcd loop.  The gcd
+    loop takes one gcd per batch of at most 128 steps, and its batches end
+    at the limit, so an attempt stops inside a doubling round.  A batch
+    whose gcd is n is replayed one step at a time, at most one batch more.
 
     https://en.wikipedia.org/wiki/Pollard%27s_rho_algorithm
     """
@@ -458,13 +450,10 @@ def _rho_split(n: int, limit: int) -> int | None:
         count = batch = 0
         while g == 1 and count < limit:
             x = y
-            k = 0
-            while k < r and count < limit:          # move y r steps past x
-                batch = min(128, r - k, limit - count)
-                for _ in range(batch):
-                    y = (y * y + c) % n
-                k += batch
-                count += batch
+            steps = min(r, limit - count)           # move y r steps past x
+            for _ in range(steps):
+                y = (y * y + c) % n
+            count += steps
             k = 0
             while k < r and g == 1 and count < limit:
                 ys = y

@@ -208,11 +208,6 @@ def build_standard_cases(data: TwoPrimeData) -> list[ExclusionCase]:
     return cases
 
 
-def certify_all_cases(data: TwoPrimeData) -> list[CertificateReport]:
-    """Run every standard case and return its report, valid or not."""
-    return [check_exclusion(case) for case in build_standard_cases(data)]
-
-
 def load_case(path) -> ExclusionCase:
     """Read a case file: {"label", "r", "m", "p", "aux": [{"q", "x_mod_q"}]};
     a case that breaks a rule of `_refusal` is refused naming the field."""

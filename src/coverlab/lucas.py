@@ -3,8 +3,10 @@
 With Q = -1 (the default), c=4 gives the halved every-third-Fibonacci
 sequence (2*U_n = F_{3n}) whose terms the residue-class certificates track,
 and c=1 is Fibonacci itself.  (c, Q) = (3, 2) gives U_n = 2^n - 1, so the
-primitive-divisor finder of `mersenne` serves both families.  The module
-imports only the standard library; every modulus m >= 2 is allowed, prime or not.
+primitive-divisor finder of `mersenne` serves both families.  u_term_mod
+jumps to U_n by Lucas's doubling identities on the pair (U_k, U_{k+1}); the
+other walks step the recurrence one term at a time.  The module imports
+only the standard library; every modulus m >= 2 is allowed, prime or not.
 """
 
 from __future__ import annotations
@@ -53,30 +55,22 @@ def iter_terms_mod(spec: LucasSpec, m: int, count: int) -> list[int]:
 
 
 def u_term_mod(spec: LucasSpec, n: int, m: int) -> int:
-    """U_n mod m in O(log n) steps via 2x2 matrix powering.
+    """U_n mod m in O(log n) steps by the doubling chain on (U_k, U_{k+1}).
 
-    [[c,-Q],[1,0]]^n = [[U_{n+1}, -Q*U_n], [U_n, -Q*U_{n-1}]], so the
-    lower-left entry of the powered matrix is the answer.
+    Lucas's identities U_2k = U_k(2U_{k+1} - cU_k) and U_{2k+1} =
+    U_{k+1}^2 - QU_k^2 take k to 2k for each bit of n, from the top; where
+    the bit is 1, one recurrence step then takes 2k to 2k + 1.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return 0
-    a, b, c2, d = spec.c % m, -spec.Q % m, 1 % m, 0   # the companion matrix
-    r00, r01, r10, r11 = 1 % m, 0, 0, 1 % m           # identity
-    e = n
-    while e:
-        if e & 1:
-            r00, r01, r10, r11 = (
-                (r00 * a + r01 * c2) % m, (r00 * b + r01 * d) % m,
-                (r10 * a + r11 * c2) % m, (r10 * b + r11 * d) % m)
-        a, b, c2, d = (
-            (a * a + b * c2) % m, (a * b + b * d) % m,
-            (c2 * a + d * c2) % m, (c2 * b + d * d) % m)
-        e >>= 1
-    return r10
+    x, y = 0, 1 % m                      # (U_k, U_{k+1}) at k = 0
+    for bit in bin(n)[2:]:
+        x, y = x * (2 * y - spec.c * x) % m, (y * y - spec.Q * x * x) % m
+        if bit == "1":
+            x, y = y, (spec.c * y - spec.Q * x) % m
+    return x
 
 
 def period_mod(spec: LucasSpec, m: int, max_steps: int | None = None) -> int | None:

@@ -32,7 +32,7 @@ def test_prime_divisors(monkeypatch):
     assert prime_divisors(2**20) == [2]
     # an exponent factor() gives up on must raise, not yield a partial list
     monkeypatch.setattr(arith, "factor",
-                        lambda n: Factorization.of_known({3: 1}, cofactor=n // 3))
+                        lambda n: Factorization(((3, 1),), n // 3))
     with pytest.raises(ValueError, match="could not fully factor exponent 1755"):
         prime_divisors(1755)
 
@@ -52,7 +52,7 @@ def test_order_dividing_property():
         d = order_dividing(a, m, n)
         assert d == n
         assert pow(a, d, m) == 1
-        for ell in set(factor(d).primes()):
+        for ell in [p for p, _ in factor(d).factors]:
             assert pow(a, d // ell, m) != 1
 
 
@@ -153,7 +153,7 @@ def test_factor_examples():
     assert dict(f.factors) == {3: 2, 5: 1, 7: 1, 13: 1, 17: 1, 241: 1}
     # every prime of the classical exponent-cover list shows up
     for p in (3, 7, 5, 17, 13, 241):
-        assert p in f.primes()
+        assert p in [q for q, _ in f.factors]
     assert dict(factor(63).factors) == {3: 2, 7: 1}
     f49 = factor(2**49 - 1)
     assert f49.complete
@@ -176,7 +176,7 @@ def test_factor_budget_rejects_negative_fields():
         for n in range(1, 3000):
             f = factor(n, budget)
             assert math.prod(p**e for p, e in f.factors) * f.cofactor == n
-            assert all(is_probable_prime(p) for p in f.primes()), (bound, n)
+            assert all(is_probable_prime(p) for p, _ in f.factors), (bound, n)
 
 
 def test_factor_rho_splits_beyond_trial_range():
@@ -237,7 +237,7 @@ def test_factor_step_with_a_prime_off_the_progression():
     value = cyclotomic_mersenne(110)
     budget = FactorBudget(trial_bound=10)
     f = factor(value, budget, step=110)
-    assert f.complete and 11 in f.primes()
+    assert f.complete and 11 in [p for p, _ in f.factors]
     assert f == factor(value, budget)
 
 
@@ -247,7 +247,7 @@ def test_factor_runs_pm1_only_from_its_largest_cost(monkeypatch):
     # needs 462,075 steps.  Below P-1's cost the step is not used at all
     pq = 269089806001 * 4710883168879506001
     budget = FactorBudget(rho_iterations=60_000)
-    assert factor(pq, budget, step=250) == factor(pq, budget) == Factorization.of_known({}, pq)
+    assert factor(pq, budget, step=250) == factor(pq, budget) == Factorization((), pq)
     pm1_calls = 0
     pm1_split = arith._pm1_split
 
@@ -462,6 +462,13 @@ def test_pm1_matches_sympy_on_semiprimes_of_the_progression():
 def test_factor_rejects_step_below_2():
     with pytest.raises(ValueError, match="step >= 2"):
         factor(15, None, 1)
+
+
+def test_factor_and_the_cyclotomic_layer_refuse_0():
+    for call, why in ((factor, "needs n >= 1"), (cyclotomic_mersenne, "need n >= 1"),
+                      (find_primitive_divisors, "exponent must be >= 1")):
+        with pytest.raises(ValueError, match=why):
+            call(0)
 
 
 def test_factor_budget_exhaustion_is_a_state():

@@ -15,8 +15,7 @@ from coverlab.assets import SAMPLE_CASE, TWO_PRIME_CLASS, asset_path
 import coverlab.certify as certify
 from coverlab.certify import (DEFAULT_Q_POOL, AuxEvidence, AuxPrime,
                               CertificateReport, ExclusionCase,
-                              build_standard_cases,
-                              certify_all_cases, check_exclusion, load_case)
+                              build_standard_cases, check_exclusion, load_case)
 from coverlab.construct import TwoPrimeData, build_two_prime_class, load_two_prime_data
 from coverlab.covers import CoveringSystem, ResidueClass
 from coverlab.lucas import LucasSpec, iter_terms_mod, period_mod, u_term_mod
@@ -194,14 +193,16 @@ def test_standard_cases_golden():
 
 
 def test_certify_all_cases_valid():
-    reports = certify_all_cases(load_two_prime_data(asset_path(TWO_PRIME_CLASS)))
+    cases = build_standard_cases(load_two_prime_data(asset_path(TWO_PRIME_CLASS)))
+    reports = [check_exclusion(case) for case in cases]
     assert len(reports) == 25
     assert all(r.valid for r in reports)
 
 
 def test_certify_all_cases_reports_invalid_on_weak_pool(monkeypatch):
     monkeypatch.setattr(certify, "DEFAULT_Q_POOL", (19,))
-    reports = certify_all_cases(load_two_prime_data(asset_path(TWO_PRIME_CLASS)))
+    cases = build_standard_cases(load_two_prime_data(asset_path(TWO_PRIME_CLASS)))
+    reports = [check_exclusion(case) for case in cases]
     assert len(reports) == 25
     assert any(not r.valid for r in reports)
 

@@ -127,7 +127,7 @@ def test_primitive_factor_budget_default(monkeypatch):
                     (FactorBudget(), LucasSpec(4))]
 
 
-def test_primitive_flag_validation():
+def test_primitive_flag_validation(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["primitive", "--n", "11"])
     assert err.value.code == 2
@@ -142,6 +142,10 @@ def test_primitive_flag_validation():
             cli.main(["primitive", "--base", "2", "--n", "67",
                       "--factor-budget", budget])
         assert err.value.code == 2
+    # a Lucas sequence outside the primitive-divisor theory is refused
+    assert cli.main(["primitive", "--lucas-c", "0", "--n", "5"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "coverlab: need c >= 1, c^2 > 4Q, Q != 0 and gcd(c, Q) = 1, got c = 0, Q = -1\n")
 
 
 def test_reproduce_thm11(capsys):

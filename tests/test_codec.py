@@ -38,6 +38,18 @@ def test_certify_rejects_malformed_case(tmp_path, capsys, doc, field):
     assert f"{path}: {field}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m, why", [
+    # Python 3.10 words it "(4300)", 3.11 "(4300 digits)"
+    ("9" * 5000, "Exceeds the limit (4300"),
+    ({}, "expected an integer as a decimal string, got an object"),
+], ids=["m-past-the-digit-limit", "m-an-object"])
+def test_certify_says_why_a_field_is_no_integer(tmp_path, capsys, m, why):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({**CASE, "m": m}))
+    assert cli.main(["certify", str(path)]) == 2
+    assert f"{path}: $.m: {why}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit, field", [
     ({"m": "0"}, "$.m"),
     ({"p": "4"}, "$.p"),

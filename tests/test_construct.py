@@ -73,6 +73,8 @@ def test_mechanics_rejects_a_witness_that_is_not_a_prime_of_2n_minus_1():
         check_divisibility_mechanics(ResidueClass(4, 9), cover, [9], range(6))
     with pytest.raises(ValueError, match="5 does not divide 2"):
         check_divisibility_mechanics(ResidueClass(4, 9), cover, [5], range(6))
+    with pytest.raises(ValueError, match="need exactly one prime per cover class"):
+        check_divisibility_mechanics(ResidueClass(4, 9), cover, [3, 7], range(6))
 
 
 def test_build_two_prime_class_golden():

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 
 import pytest
 
@@ -12,6 +14,22 @@ from coverlab.mersenne import (MERSENNE, PrimitiveDivisorWitness,
 
 U4 = LucasSpec(4)
 FIB = LucasSpec(1)
+
+
+LUCAS_SOURCE = pathlib.Path(__file__).resolve().parents[1] / "src" / "coverlab" / "lucas.py"
+
+
+def test_lucas_imports_only_the_standard_library():
+    # the Lucas layer stands alone: no relative import and no import of coverlab
+    for node in ast.walk(ast.parse(LUCAS_SOURCE.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            modules = [node.module]
+        else:
+            continue
+        assert all(m.split(".")[0] != "coverlab" for m in modules), ast.unparse(node)
 
 
 def first_terms(spec, count):
@@ -117,9 +135,14 @@ def test_rank_examples():
     for spec in (FIB, U4):
         assert rank_of_apparition(spec, 15, 100) == 20
         assert next(n for n, u in enumerate(u_terms(spec)) if n and u % 15 == 0) == 20
+    # every walk refuses a modulus below 2, and u_term_mod an index below 0
     for m in (1, 0, -3):
-        with pytest.raises(ValueError):
-            rank_of_apparition(U4, m, 100)
+        for walk, args in ((rank_of_apparition, (U4, m, 100)), (iter_terms_mod, (U4, m, 5)),
+                           (u_term_mod, (U4, 5, m)), (period_mod, (U4, m))):
+            with pytest.raises(ValueError, match="modulus must be >= 2"):
+                walk(*args)
+    with pytest.raises(ValueError, match="index must be nonnegative"):
+        u_term_mod(U4, -1, 7)
 
 
 def test_find_primitive_divisors_rank_rule():
@@ -192,7 +215,7 @@ def test_rank_periodicity_suite():
             value = u_term(spec, n)
             if value <= 1:
                 continue
-            for p in factor(value).primes():
+            for p, _ in factor(value).factors:
                 if p >= 10**6:
                     continue
                 if rank_of_apparition(spec, p, n) == n:

@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from coverlab import assets, codec
+from coverlab import assets, codec, pocklington
 from coverlab.mersenne import load_prime_table
-from coverlab.arith import DETERMINISTIC_LIMIT, factor, is_probable_prime
+from coverlab.arith import DETERMINISTIC_LIMIT, Factorization, factor, is_probable_prime
 from coverlab.pocklington import (Certificate, Factor, build_certificate,
                                   check_certificate, load_certificates,
                                   write_certificates)
@@ -57,6 +57,23 @@ def test_rebuilding_the_shipped_certificates_below_2_100_gives_them_exactly():
     assert len(small) >= 15
     for cert in small:
         assert build_certificate(cert.n) == cert
+
+
+def test_build_certificate_skips_an_unproven_large_q_and_gives_up_on_too_little(monkeypatch):
+    # N - 1 = 2^117 * q with q = 2^64 + 13 prime and 2^117 > q: with q - 1
+    # left unsplit, q gets no certificate of its own and is skipped, and
+    # 2^117 alone proves N
+    q = DETERMINISTIC_LIMIT + 13
+    n = (q << 117) + 1
+    assert is_probable_prime(q) and is_probable_prime(n)
+    monkeypatch.setattr(pocklington, "factor", lambda m, budget: (
+        Factorization(((2, 117), (q, 1))) if m == n - 1 else Factorization((), m)))
+    cert = build_certificate(n)
+    assert cert.factors == (Factor(2, 117, None),) and check_certificate(cert) == ""
+    # a factored part of N - 1 at most sqrt(N) gives no certificate
+    monkeypatch.setattr(pocklington, "factor",
+                        lambda m, budget: Factorization(((2, 1),), m // 2))
+    assert build_certificate(n) is None
 
 
 def test_repeated_q_rejected():
