@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .covers import ResidueClass
@@ -44,8 +44,7 @@ class Factorization(NamedTuple):
         return self.cofactor == 1
 
 
-@dataclass(frozen=True)
-class FactorBudget:
+class FactorBudget(namedtuple("FactorBudget", "trial_bound rho_iterations")):
     """Effort limits for factor().
 
     trial_bound is the largest number trial division tries: every prime up
@@ -60,16 +59,15 @@ class FactorBudget:
     rho on every composite cofactor; that run is not charged to any attempt.
     """
 
-    trial_bound: int = 1 << 12
-    rho_iterations: int = 10**7
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, trial_bound: int = 1 << 12, rho_iterations: int = 10**7):
         # a negative trial_bound would make factor() take a composite
         # remainder below (trial_bound + 1)^2 as proven prime
-        for name in ("trial_bound", "rho_iterations"):
-            value = getattr(self, name)
+        for name, value in zip(cls._fields, (trial_bound, rho_iterations)):
             if value < 0:
                 raise ValueError(f"FactorBudget.{name} must be >= 0, got {value}")
+        return super().__new__(cls, trial_bound, rho_iterations)
 
 
 _DEFAULT_BUDGET = FactorBudget()   # built once: factor() is called per small n in tight loops
@@ -238,7 +236,7 @@ def factor(n: int, budget: FactorBudget | None = None,
     if rest < least * least:
         if rest > 1:
             found[rest] = 1
-        return Factorization(tuple(sorted(found.items())))
+        return Factorization(tuple(found.items()))   # ascending: rest exceeds every p
 
     pending = [rest]
     leftover = 1

@@ -16,7 +16,7 @@ discrete-log lookup per q and a CRT join of the classes b mod o_q follow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import codec
 from .arith import crt_combine, is_probable_prime, order_dividing
@@ -30,14 +30,12 @@ DEFAULT_Q_POOL: tuple[int, ...] = (11, 19, 29, 31, 71, 181)
 _U4 = LucasSpec(4)
 
 
-@dataclass(frozen=True)
-class AuxPrime:
+class AuxPrime(NamedTuple):
     q: int
     x_mod_q: int
 
 
-@dataclass(frozen=True)
-class ExclusionCase:
+class ExclusionCase(NamedTuple):
     """Claim: x^2 - u_n != +-p^b for n = r (mod m), given x mod q for q in aux."""
 
     label: str
@@ -47,15 +45,13 @@ class ExclusionCase:
     aux: tuple[AuxPrime, ...]
 
 
-@dataclass(frozen=True)
-class AuxEvidence:
+class AuxEvidence(NamedTuple):
     q: int
     period: int
     order: int
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     label: str
     valid: bool
     combinations: int
@@ -141,12 +137,11 @@ def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> Cer
     # with pi_q and p^b mod q with o_q
     r0 = case.r % case.m
     aux_list = list(case.aux)
-    terms = {a.q: iter_terms_mod(_U4, a.q, periods[a.q]) for a in aux_list}
+    sides = [(a.x_mod_q * a.x_mod_q, a.q, periods[a.q], iter_terms_mod(_U4, a.q, periods[a.q]))
+             for a in aux_list]     # x_q^2, q, pi_q and u_n mod q for n < pi_q
     deficits: dict[tuple[int, ...], int] = {}
-    for j in range(n_count):
-        n = r0 + case.m * j
-        key = tuple((a.x_mod_q * a.x_mod_q - terms[a.q][n % periods[a.q]]) % a.q
-                    for a in aux_list)
+    for n in range(r0, r0 + case.m * n_count, case.m):
+        key = tuple((square - terms[n % period]) % q for square, q, period, terms in sides)
         deficits.setdefault(key, n)
 
     # (Z/q)^* is cyclic, so sign * d is a power of p mod q exactly when its

@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import assets, codec
 from .arith import FactorBudget, is_probable_prime
@@ -36,14 +35,16 @@ from .mersenne import (MERSENNE, cyclotomic_mersenne, find_primitive_divisors,
 REPORT_SCHEMA = "coverlab.report/1"
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: dict
-    outcome: str = "pass"                 # pass | fail | partial
-    detail: list[dict] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    asset_checksums: dict = field(default_factory=dict)
+    def __init__(self, command: str, inputs: dict, outcome: str = "pass",
+                 detail: list[dict] | None = None, wall_time_s: float = 0.0,
+                 asset_checksums: dict | None = None):
+        self.command = command
+        self.inputs = inputs
+        self.outcome = outcome            # pass | fail | partial
+        self.detail = [] if detail is None else detail
+        self.wall_time_s = wall_time_s
+        self.asset_checksums = {} if asset_checksums is None else asset_checksums
 
     def to_dict(self) -> dict:
         return codec.encode({
@@ -121,7 +122,7 @@ def _asset_paths(report: RunReport, args, *names: str) -> list:
 
 def _reproduce_thm11(args, report: RunReport) -> None:
     # imported here, the one place that needs it, so that no other command
-    # pays for loading the module at start-up
+    # pays at start-up for compiling the module and building its two records
     from .pocklington import check_certificate, load_certificates
     cover_path, table_path, certificates_path = _asset_paths(
         report, args, assets.COVER_ODD173, assets.PRIME_TABLE, assets.PRIME_CERTIFICATES)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import codec
 from .arith import crt_combine, is_probable_prime
@@ -71,7 +71,6 @@ def build_erdos_class(cover: CoveringSystem) -> ResidueClass:
 # two-prime square class
 
 
-@dataclass
 class TwoPrimeData:
     """Inputs of the 25-class intersection: odd cover, primes, residues.
 
@@ -80,11 +79,13 @@ class TwoPrimeData:
     residues[t] is the constraint on x mod primes[t].
     """
 
-    cover: CoveringSystem                 # the 24 odd classes b_t(m_t)
-    primes: list[int]                     # 25 pairwise distinct primes
-    residues: list[ResidueClass]          # 25 classes r_t(p_t), aligned
-    expected_a: int
-    expected_m: int
+    def __init__(self, cover: CoveringSystem, primes: list[int],
+                 residues: list[ResidueClass], expected_a: int, expected_m: int):
+        self.cover = cover                # the 24 odd classes b_t(m_t)
+        self.primes = primes              # 25 pairwise distinct primes
+        self.residues = residues          # 25 classes r_t(p_t), aligned
+        self.expected_a = expected_a
+        self.expected_m = expected_m
 
 
 def _two_prime_refusal(data: TwoPrimeData) -> tuple[str, str]:
@@ -120,8 +121,7 @@ def load_two_prime_data(path) -> TwoPrimeData:
     return data
 
 
-@dataclass
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

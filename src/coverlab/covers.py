@@ -17,22 +17,22 @@ so the sieve never holds the whole period.  At the default budget, lcm
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from typing import NamedTuple
 
 from . import codec
 
 
-@dataclass(frozen=True, order=True)
-class ResidueClass:
-    """The set {x in Z : x = a (mod n)}, written a(n)."""
+class ResidueClass(namedtuple("ResidueClass", "a n")):
+    """The set {x in Z : x = a (mod n)}, written a(n).  It is the tuple (a, n),
+    so classes sort by a, then n."""
 
-    a: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.n}")
+    def __new__(cls, a: int, n: int):
+        if n < 1:
+            raise ValueError(f"modulus must be >= 1, got {n}")
+        return super().__new__(cls, a, n)
 
     def contains(self, x: int) -> bool:
         return (x - self.a) % self.n == 0
@@ -41,16 +41,14 @@ class ResidueClass:
         return f"{self.a}({self.n})"
 
 
-@dataclass
 class CoveringSystem:
     """An ordered, finite list of residue classes with a human label."""
 
-    classes: list[ResidueClass]
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.classes:
+    def __init__(self, classes: list[ResidueClass], label: str = ""):
+        if not classes:
             raise ValueError("a covering system needs at least one class")
+        self.classes = classes
+        self.label = label
 
     def lcm(self) -> int:
         return math.lcm(*(c.n for c in self.classes))
@@ -63,8 +61,7 @@ _INC = bytes(range(1, 256)) + b"\0"
 _SEGMENT = 1 << 20
 
 
-@dataclass
-class CoverReport:
+class CoverReport(NamedTuple):
     """Outcome of sieving a system over one full period."""
 
     is_cover: bool
@@ -199,8 +196,8 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
         cells = tile if size == period else tile * (min(step, period - start) // size)
         wraps: dict[int, int] = {}    # segment cell -> 256 per wrap
         cells_top = top
-        for c in late:
-            cells_top = _add(cells, (c.a - start) % c.n, c.n, cells_top, wraps)
+        for a, n in late:
+            cells_top = _add(cells, (a - start) % n, n, cells_top, wraps)
         low, high = _extremes(cells, size, tile_wraps, wraps, cells_top)
         if low == 0 and witness < 0:
             witness = start + cells.find(0)

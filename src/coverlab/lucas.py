@@ -12,45 +12,45 @@ only the standard library; every modulus m >= 2 is allowed, prime or not.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class LucasSpec:
+class LucasSpec(namedtuple("LucasSpec", "c Q")):
     """Parameters c and Q of U_{n+1} = c*U_n - Q*U_{n-1}.
 
     c >= 1 and c^2 > 4Q keep U_1, U_2, ... positive; Q != 0 and
     gcd(c, Q) = 1 are what the primitive-divisor theory assumes.
     """
 
-    c: int = 4
-    Q: int = -1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.c < 1 or self.Q == 0 or self.c**2 <= 4 * self.Q
-                or math.gcd(self.c, self.Q) != 1):
+    def __new__(cls, c: int = 4, Q: int = -1):
+        if c < 1 or Q == 0 or c**2 <= 4 * Q or math.gcd(c, Q) != 1:
             raise ValueError(f"need c >= 1, c^2 > 4Q, Q != 0 and gcd(c, Q) = 1, "
-                             f"got c = {self.c}, Q = {self.Q}")
+                             f"got c = {c}, Q = {Q}")
+        return super().__new__(cls, c, Q)
 
 
 def u_terms(spec: LucasSpec) -> Iterator[int]:
     """The exact terms U_0, U_1, U_2, ... by plain iteration, without end."""
+    c, Q = spec
     x, y = 0, 1
     while True:
         yield x
-        x, y = y, spec.c * y - spec.Q * x
+        x, y = y, c * y - Q * x
 
 
 def iter_terms_mod(spec: LucasSpec, m: int, count: int) -> list[int]:
     """[U_0 mod m, ..., U_{count-1} mod m] by iteration."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
+    c, Q = spec
     out = []
     x, y = 0, 1 % m
     for _ in range(count):
         out.append(x)
-        x, y = y, (spec.c * y - spec.Q * x) % m
+        x, y = y, (c * y - Q * x) % m
     return out
 
 
@@ -65,11 +65,12 @@ def u_term_mod(spec: LucasSpec, n: int, m: int) -> int:
         raise ValueError(f"modulus must be >= 2, got {m}")
     if n < 0:
         raise ValueError("index must be nonnegative")
+    c, Q = spec
     x, y = 0, 1 % m                      # (U_k, U_{k+1}) at k = 0
     for bit in bin(n)[2:]:
-        x, y = x * (2 * y - spec.c * x) % m, (y * y - spec.Q * x * x) % m
+        x, y = x * (2 * y - c * x) % m, (y * y - Q * x * x) % m
         if bit == "1":
-            x, y = y, (spec.c * y - spec.Q * x) % m
+            x, y = y, (c * y - Q * x) % m
     return x
 
 
@@ -84,13 +85,14 @@ def period_mod(spec: LucasSpec, m: int, max_steps: int | None = None) -> int | N
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    if math.gcd(spec.Q, m) != 1:
-        raise ValueError(f"Q = {spec.Q} is not a unit mod {m}")
-    x, y, n = 1, spec.c % m, 1
+    c, Q = spec
+    if math.gcd(Q, m) != 1:
+        raise ValueError(f"Q = {Q} is not a unit mod {m}")
+    x, y, n = 1, c % m, 1
     while x != 0 or y != 1:
         if max_steps is not None and n >= max_steps:
             return None
-        x, y = y, (spec.c * y - spec.Q * x) % m
+        x, y = y, (c * y - Q * x) % m
         n += 1
     return n
 
@@ -100,9 +102,10 @@ def rank_of_apparition(spec: LucasSpec, p: int, search_bound: int) -> int | None
     U_20 for c = 1 and c = 4), or None if none occurs up to the bound."""
     if p < 2:
         raise ValueError(f"modulus must be >= 2, got {p}")
+    c, Q = spec
     x, y = 0, 1 % p
     for n in range(1, search_bound + 1):
-        x, y = y, (spec.c * y - spec.Q * x) % p
+        x, y = y, (c * y - Q * x) % p
         if x == 0:
             return n
     return None

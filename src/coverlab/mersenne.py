@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import codec
 from .arith import (DETERMINISTIC_LIMIT, FactorBudget, factor, is_probable_prime,
@@ -34,8 +34,7 @@ MERSENNE = LucasSpec(3, 2)   # U_n = 2^n - 1
 _ERRATA_STEPS = 10_000   # progression steps the errata walk takes
 
 
-@dataclass(frozen=True)
-class PrimitiveDivisorWitness:
+class PrimitiveDivisorWitness(NamedTuple):
     """(exponent n, prime p, valuation of p in U_n)."""
 
     n: int
@@ -43,7 +42,6 @@ class PrimitiveDivisorWitness:
     alpha: int
 
 
-@dataclass
 class PrimeTable:
     """Claimed primitive prime divisors per exponent, plus omitted exponents.
 
@@ -51,8 +49,9 @@ class PrimeTable:
     exponents whose (single) primitive prime is not recorded.
     """
 
-    entries: dict[int, list[int]]
-    omitted: list[int]
+    def __init__(self, entries: dict[int, list[int]], omitted: list[int]):
+        self.entries = entries
+        self.omitted = omitted
 
     def all_primes(self) -> list[int]:
         return [p for primes in self.entries.values() for p in primes]
@@ -170,8 +169,7 @@ def find_primitive_divisors(
     return witnesses, rest == 1
 
 
-@dataclass
-class TableRow:
+class TableRow(NamedTuple):
     """One audited table entry: `reason` is why it fails, "" if it passes;
     `proof` is how p's primality was decided: "deterministic" (below 2^64),
     "certified" (a checked Pocklington certificate) or "probable" (40 MR rounds)."""
@@ -182,14 +180,18 @@ class TableRow:
     proof: str = "deterministic"
 
 
-@dataclass
 class PrimeTableReport:
-    rows: list[TableRow]
-    count_mismatches: list[tuple[int, int, int]]   # (n, listed, expected)
-    duplicates: list[int]
-    omitted_consistent: bool
-    errata: list[tuple[TableRow, int | None]]   # (failing row, replacement)
-    wieferich: list[PrimitiveDivisorWitness]   # passed rows with p^2 | 2^n - 1
+    def __init__(self, rows: list[TableRow],
+                 count_mismatches: list[tuple[int, int, int]],   # (n, listed, expected)
+                 duplicates: list[int], omitted_consistent: bool,
+                 errata: list[tuple[TableRow, int | None]],   # (failing row, replacement)
+                 wieferich: list[PrimitiveDivisorWitness]):   # passed rows with p^2 | 2^n - 1
+        self.rows = rows
+        self.count_mismatches = count_mismatches
+        self.duplicates = duplicates
+        self.omitted_consistent = omitted_consistent
+        self.errata = errata
+        self.wieferich = wieferich
 
 
 def _row_reason(n: int, p: int, proven: frozenset[int] = frozenset()) -> str:

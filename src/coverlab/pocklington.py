@@ -21,7 +21,7 @@ budget.  The shipped file of table-prime certificates is regenerated
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import codec
 from .arith import DETERMINISTIC_LIMIT, FactorBudget, factor, is_probable_prime
@@ -31,8 +31,7 @@ from .arith import DETERMINISTIC_LIMIT, FactorBudget, factor, is_probable_prime
 _BUILD_BUDGET = FactorBudget(rho_iterations=10**6)
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """q^e in the factored part of N - 1; `proof` certifies q >= 2^64."""
 
     q: int
@@ -40,8 +39,7 @@ class Factor:
     proof: Certificate | None = None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A claimed proof that n is prime: a base and the factored part of n - 1."""
 
     n: int

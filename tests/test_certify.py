@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
 
 import pytest
 
@@ -299,7 +298,8 @@ def test_case_file_roundtrip(tmp_path):
     case = ExclusionCase(label="rt", r=8, m=14, p=211,
                          aux=(AuxPrime(29, 5), AuxPrime(31, 14)))
     path = tmp_path / "case.json"
-    codec.dump(asdict(case), path)
+    codec.dump({"label": case.label, "r": case.r, "m": case.m, "p": case.p,
+                "aux": [{"q": a.q, "x_mod_q": a.x_mod_q} for a in case.aux]}, path)
     assert load_case(path) == case
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -535,7 +534,7 @@ def test_reproduce_erdos_fails_on_its_cover_row_alone(capsys, monkeypatch):
 
     def gap(system, enumeration_budget):
         result = sieve(system, enumeration_budget=enumeration_budget)
-        return dataclasses.replace(result, is_cover=False, uncovered_witness=5)
+        return result._replace(is_cover=False, uncovered_witness=5)
 
     monkeypatch.setattr(cli, "verify_cover", gap)
     code, out = run(["reproduce", "erdos"], capsys)
