@@ -93,8 +93,9 @@ def is_probable_prime(n: int) -> bool:
     Below 2^64 the fixed 12-prime witness set decides exactly.  Above, the
     witnesses are the same 12 primes plus pseudorandom bases drawn from an
     RNG seeded by n itself, 40 bases in total, so results are reproducible.
-    No prime is ever rejected; a composite slips through with probability at
-    most 4**-40.
+    No prime is ever rejected.  Only the 28 drawn bases carry the bound of
+    1/4 per round, so a composite slips through with probability at most
+    4**-28.
     """
     if n < 2:
         return False

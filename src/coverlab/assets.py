@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from pathlib import Path
 
 from .covers import load_cover  # noqa: F401 -- module attribute the perfbench tracer patches
 
@@ -27,15 +26,15 @@ ALL_ASSETS = (COVER_ERDOS, COVER_ODD173, PRIME_TABLE, TWO_PRIME_CLASS,
               SAMPLE_CASE, PRIME_CERTIFICATES)
 
 
-def asset_dir(override: str | os.PathLike | None = None) -> Path:
+def asset_dir(override: str | os.PathLike | None = None) -> str:
     if override is not None:
-        return Path(override)
-    return Path(__file__).parent / "assets"
+        return os.fspath(override)
+    return os.path.join(os.path.dirname(__file__), "assets")
 
 
-def asset_path(name: str, override: str | os.PathLike | None = None) -> Path:
-    path = asset_dir(override) / name
-    if not path.is_file():
+def asset_path(name: str, override: str | os.PathLike | None = None) -> str:
+    path = os.path.join(asset_dir(override), name)
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"asset {name} not found in {asset_dir(override)}")
     return path
 

@@ -13,14 +13,24 @@ at and above 2^64.
 
 `build_certificate` makes one from what factor(N - 1) finds within a
 budget.  The shipped file of table-prime certificates is regenerated
-(about 100 s) with
+(about 30 s) with
 
     PYTHONPATH=src python -m coverlab.pocklington
+
+which keeps every certificate already in the file that still checks and
+builds only the missing or failing ones, so a regeneration never drops a
+proof it could not rebuild.  factor() cannot split N - 1 for the primes at
+n = 385, 455, 693, 715, 819 and the 142-bit prime at 825 within its
+budgets; their certificates were built the same way from sympy's
+factorint (ECM), outside the package, in 0.4 to 64 s each on a 2 vCPU
+Xeon, and are kept by every regeneration.  Only the checker is trusted,
+never the factoring.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import NamedTuple
 
 from . import codec
@@ -161,14 +171,31 @@ def write_certificates(certs: list[Certificate], path) -> None:
     codec.dump({"certificates": [_layout(c) for c in certs]}, path)
 
 
+def keep_or_build(primes: list[int],
+                  current: dict[int, Certificate]) -> list[Certificate]:
+    """Certificates for `primes`, in their order: a current one that checks is
+    kept, any other is built afresh, and a prime neither gives is left out."""
+    certs = []
+    for p in primes:
+        cert = current.get(p)
+        if cert is None or check_certificate(cert):
+            cert = build_certificate(p)
+        if cert is not None:
+            certs.append(cert)
+    return certs
+
+
 def _regenerate() -> None:
-    """Certify every table prime at or above 2^64 that the budget allows."""
+    """Certify every table prime at or above 2^64 that the budget allows,
+    keeping each certificate of the current file that checks."""
     from . import assets
     from .mersenne import load_prime_table
     table = load_prime_table(assets.asset_path(assets.PRIME_TABLE))
     primes = [p for p in table.all_primes() if p >= DETERMINISTIC_LIMIT]
-    certs = [c for c in map(build_certificate, primes) if c is not None]
-    write_certificates(certs, assets.asset_dir() / assets.PRIME_CERTIFICATES)
+    path = os.path.join(assets.asset_dir(), assets.PRIME_CERTIFICATES)
+    current = load_certificates(path) if os.path.isfile(path) else {}
+    certs = keep_or_build(primes, current)
+    write_certificates(certs, path)
     print(f"certified {len(certs)} of {len(primes)} table primes at or above 2^64")
 
 

@@ -431,7 +431,39 @@ def test_corrupted_certificate_fails_the_run_but_not_its_row(tmp_path, capsys):
     table = next(row for row in detail if row.get("check") == "prime-table")
     assert table["failing_rows"] == "1"
     proofs = next(row for row in detail if row.get("check") == "prime-proofs")
-    assert (proofs["certified"], proofs["probable"]) == ("34", "10")
+    assert (proofs["certified"], proofs["probable"]) == ("40", "4")
+
+
+def test_corrupted_certificate_deep_in_a_nested_chain_fails_only_its_prime(tmp_path, capsys):
+    _, clean = run(["reproduce", "thm11", "--json"], capsys)
+    table = load_prime_table(assets.asset_path(assets.PRIME_TABLE))
+    [p] = [p for p in table.entries[693] if p >= arith.DETERMINISTIC_LIMIT]
+    custom = _assets_copy(tmp_path)
+    path = custom / assets.PRIME_CERTIFICATES
+    raw = json.loads(path.read_text())
+    # walk the chain of nested certificates down to its innermost one
+    cert = next(c for c in raw["certificates"] if c["n"] == str(p))
+    chain = [cert]
+    while nested := [f["certificate"] for f in chain[-1]["factors"] if "certificate" in f]:
+        [inner] = nested
+        chain.append(inner)
+    assert len(chain) == 4
+    chain[-1]["base"] = chain[-1]["n"]
+    path.write_text(json.dumps(raw))
+    code, out = run(["reproduce", "thm11", "--assets", str(custom), "--json"], capsys)
+    assert code == 1
+    detail = json.loads(out)["detail"]
+    prefix = "".join(f"q = {c['n']}: " for c in chain[1:])
+    assert [row for row in detail if row.get("check") == "prime-certificate"] == [
+        {"check": "prime-certificate", "p": str(p), "ok": "false",
+         "reason": f"{prefix}base {chain[-1]['n']}: a^(N-1) is not 1 mod N"}]
+    # the prime falls back to Miller-Rabin: its row passes, no erratum is added
+    assert _errata_rows(out) == _errata_rows(clean)
+    table_row = next(row for row in detail if row.get("check") == "prime-table")
+    assert table_row["failing_rows"] == "1"
+    proofs = next(row for row in detail if row.get("check") == "prime-proofs")
+    assert (proofs["certified"], proofs["probable"]) == ("40", "4")
+    assert "693" in proofs["probable_n"]
 
 
 def test_missing_certificate_file_is_an_input_error(tmp_path, capsys):
@@ -459,7 +491,7 @@ def test_miller_rabin_above_2_64_runs_only_on_uncertified_primes(monkeypatch, ca
     table = load_prime_table(assets.asset_path(assets.PRIME_TABLE))
     uncertified = [p for p in table.all_primes()
                    if p >= arith.DETERMINISTIC_LIMIT and p not in certified]
-    assert len(uncertified) == 9
+    assert len(uncertified) == 3
     assert sorted(large) == sorted(uncertified)
 
 

@@ -240,7 +240,8 @@ def _paths(node, path=()):
 def test_loaders_return_or_raise_format_error(tmp_path, loader, name):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    original = json.loads(assets.asset_path(name).read_text())
+    with open(assets.asset_path(name), encoding="utf-8") as fh:
+        original = json.load(fh)
     target = tmp_path / name
     junk = st.one_of(
         st.booleans(), st.floats(), st.none(),
@@ -282,7 +283,8 @@ CHANGES = {"v+1": lambda v: v + 1, "v-1": lambda v: v - 1, "0": lambda v: 0,
 
 def _decimal_fields(name):
     """The JSON path of every decimal field of the packaged asset `name`."""
-    doc = json.loads(assets.asset_path(name).read_text())
+    with open(assets.asset_path(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
     fields = []
     for path in _paths(doc):
         value = doc

@@ -7,12 +7,17 @@ from coverlab import assets, codec, pocklington
 from coverlab.mersenne import load_prime_table
 from coverlab.arith import DETERMINISTIC_LIMIT, Factorization, factor, is_probable_prime
 from coverlab.pocklington import (Certificate, Factor, build_certificate,
-                                  check_certificate, load_certificates,
-                                  write_certificates)
+                                  check_certificate, keep_or_build,
+                                  load_certificates, write_certificates)
 
 
 def _shipped():
     return load_certificates(assets.asset_path(assets.PRIME_CERTIFICATES))
+
+
+def _large_table_primes():
+    table = load_prime_table(assets.asset_path(assets.PRIME_TABLE))
+    return [p for p in table.all_primes() if p >= DETERMINISTIC_LIMIT]
 
 
 def _nested():
@@ -30,11 +35,10 @@ def _flat():
 def test_every_shipped_certificate_checks():
     certs = _shipped()
     assert all(check_certificate(c) == "" for c in certs.values())
-    table = load_prime_table(assets.asset_path(assets.PRIME_TABLE))
-    large = [p for p in table.all_primes() if p >= DETERMINISTIC_LIMIT]
+    large = _large_table_primes()
     assert len(large) == 44
     assert set(certs) <= set(large)
-    assert len(certs) >= 35
+    assert len(certs) == 41
 
 
 def test_every_shipped_certificate_is_for_a_sympy_prime():
@@ -226,14 +230,51 @@ def test_certificates_round_trip_through_the_file(tmp_path):
     path = tmp_path / "certs.json"
     write_certificates(certs, path)
     assert list(load_certificates(path).values()) == certs
-    assert path.read_bytes() == assets.asset_path(assets.PRIME_CERTIFICATES).read_bytes()
+    with open(assets.asset_path(assets.PRIME_CERTIFICATES), "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+def test_regeneration_keeps_every_checked_certificate_in_table_order(tmp_path, monkeypatch):
+    # nothing can be rebuilt, and the file to regenerate from is in reverse
+    # order: every shipped certificate is still kept, in table order, and
+    # only the primes without one are sent to build_certificate
+    asked = []
+    monkeypatch.setattr(pocklington, "build_certificate", lambda n: asked.append(n))
+    shipped = _shipped()
+    path = tmp_path / "certs.json"
+    write_certificates(list(reversed(shipped.values())), path)
+    primes = _large_table_primes()
+    write_certificates(keep_or_build(primes, load_certificates(path)), path)
+    assert asked == [p for p in primes if p not in shipped]
+    assert list(load_certificates(path)) == [p for p in primes if p in shipped]
+    with open(assets.asset_path(assets.PRIME_CERTIFICATES), "rb") as fh:
+        assert path.read_bytes() == fh.read()
+
+
+def test_regeneration_rebuilds_or_drops_a_certificate_that_fails(tmp_path, monkeypatch):
+    flat, nested = _flat(), _nested()
+    rebuilt = {flat.n: flat}
+    asked = []
+
+    def build(n):
+        asked.append(n)
+        return rebuilt.get(n)
+
+    monkeypatch.setattr(pocklington, "build_certificate", build)
+    path = tmp_path / "certs.json"
+    write_certificates([flat._replace(base=flat.n), nested._replace(base=nested.n)], path)
+    current = load_certificates(path)
+    assert all(check_certificate(c) for c in current.values())
+    assert keep_or_build([nested.n, flat.n], current) == [flat]
+    assert asked == [nested.n, flat.n]
 
 
 def test_an_n_certified_twice_is_a_format_error(tmp_path):
-    raw = json.loads(assets.asset_path(assets.PRIME_CERTIFICATES).read_text())
+    with open(assets.asset_path(assets.PRIME_CERTIFICATES), encoding="utf-8") as fh:
+        raw = json.load(fh)
     raw["certificates"].append(raw["certificates"][0])
     path = tmp_path / "certs.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(codec.FormatError,
-                       match=r"certs\.json: \$\.certificates\[35\]\.n: .* twice"):
+                       match=r"certs\.json: \$\.certificates\[41\]\.n: .* twice"):
         load_certificates(path)

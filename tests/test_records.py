@@ -34,8 +34,10 @@ def test_no_module_imports_dataclasses():
 
 def test_cli_imports_neither_dataclasses_nor_inspect():
     # dataclasses would bring inspect, ast, dis and tokenize into every
-    # command's start-up; -S keeps site-packages from loading them first
-    code = "import sys, coverlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # command's start-up, and pathlib is not needed to join asset paths;
+    # -S keeps site-packages from loading them first
+    code = ("import sys, coverlab.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
     assert done.stdout == "[]\n"
