@@ -5,8 +5,9 @@ loader and to `codec.refuse`.  Each check is a detail row noted with its
 verdict, and a row noted as failed is the only thing that fails a run.  Exit
 codes: 0 = every row passed, 1 = some row failed, 2 = input error (an
 unreadable or malformed file, a bad argument, or a refusal over budget).
-Every report carries a schema version and is encoded by `codec.encode`, in
-text, `--json` and `--out`.
+A run's report is the plain dict it writes, its keys in the order
+`_report` gives them; `main` sets its `wall_time_s` and encodes it once with
+`codec.encode`, for text, `--json` and `--out` alike.
 """
 
 from __future__ import annotations
@@ -35,39 +36,17 @@ from .mersenne import (MERSENNE, cyclotomic_mersenne, find_primitive_divisors,
 REPORT_SCHEMA = "coverlab.report/1"
 
 
-class RunReport:
-    def __init__(self, command: str, inputs: dict, outcome: str = "pass",
-                 detail: list[dict] | None = None, wall_time_s: float = 0.0,
-                 asset_checksums: dict | None = None):
-        self.command = command
-        self.inputs = inputs
-        self.outcome = outcome            # pass | fail | partial
-        self.detail = [] if detail is None else detail
-        self.wall_time_s = wall_time_s
-        self.asset_checksums = {} if asset_checksums is None else asset_checksums
-
-    def to_dict(self) -> dict:
-        return codec.encode({
-            "schema": REPORT_SCHEMA,
-            "command": self.command,
-            "inputs": self.inputs,
-            "outcome": self.outcome,
-            "detail": self.detail,
-            "wall_time_s": round(self.wall_time_s, 3),
-            "asset_checksums": self.asset_checksums,
-        })
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.outcome == "pass" else 1
+def _report(command: str, inputs: dict) -> dict:
+    """A new run's report; its outcome is pass, fail or partial."""
+    return {"schema": REPORT_SCHEMA, "command": command, "inputs": inputs,
+            "outcome": "pass", "detail": [], "wall_time_s": 0.0, "asset_checksums": {}}
 
 
-def _note(report: RunReport, passed: bool = True, **row) -> None:
-    """Append a detail row, which `RunReport.to_dict` encodes; a row that did
-    not pass fails the run."""
-    report.detail.append(row)
+def _note(report: dict, passed: bool = True, **row) -> None:
+    """Append a detail row; a row that did not pass fails the run."""
+    report["detail"].append(row)
     if not passed:
-        report.outcome = "fail"
+        report["outcome"] = "fail"
 
 
 def _sieve(system, path, budget: int):
@@ -76,9 +55,9 @@ def _sieve(system, path, budget: int):
     return verify_cover(system, enumeration_budget=budget)
 
 
-def _cmd_verify_cover(args) -> RunReport:
-    report = RunReport("verify-cover", {"path": str(args.path)})
-    report.asset_checksums = {str(args.path): assets.checksum(args.path)}
+def _cmd_verify_cover(args) -> dict:
+    report = _report("verify-cover", {"path": str(args.path)})
+    report["asset_checksums"] = {str(args.path): assets.checksum(args.path)}
     system = load_cover(args.path)
     result = _sieve(system, args.path, args.budget)
     _note(report, label=system.label, classes=len(system.classes),
@@ -90,37 +69,37 @@ def _cmd_verify_cover(args) -> RunReport:
     return report
 
 
-def _cmd_primitive(args) -> RunReport:
+def _cmd_primitive(args) -> dict:
     budget = FactorBudget()
     if args.factor_budget is not None:
         budget = FactorBudget(trial_bound=args.factor_budget,
                               rho_iterations=10 * args.factor_budget)
     lucas = args.lucas_c is not None
     spec = LucasSpec(args.lucas_c) if lucas else MERSENNE
-    report = RunReport("primitive", {"lucas_c": args.lucas_c} if lucas
-                       else {"base": args.base})
-    report.inputs["n"] = args.n
+    report = _report("primitive", {"lucas_c": args.lucas_c} if lucas
+                     else {"base": args.base})
+    report["inputs"]["n"] = args.n
     witnesses, complete = find_primitive_divisors(args.n, budget, spec)
     for w in witnesses:
         _note(report, p=w.p, alpha=w.alpha)
     if not complete:
-        report.outcome = "partial"
+        report["outcome"] = "partial"
         # what the listed primes leave of the primitive part
         _note(report, unresolved_cofactor=cyclotomic_mersenne(args.n, spec)
               // math.prod(w.p**w.alpha for w in witnesses))
     return report
 
 
-def _asset_paths(report: RunReport, args, *names: str) -> list:
+def _asset_paths(report: dict, args, *names: str) -> list:
     """The path of each asset a target reads, resolved once; every checksum
     goes into the report before the target loads anything."""
     paths = [assets.asset_path(name, args.assets) for name in names]
-    report.asset_checksums = {name: assets.checksum(path)
-                              for name, path in zip(names, paths)}
+    report["asset_checksums"] = {name: assets.checksum(path)
+                                 for name, path in zip(names, paths)}
     return paths
 
 
-def _reproduce_thm11(args, report: RunReport) -> None:
+def _reproduce_thm11(args, report: dict) -> None:
     # imported here, the one place that needs it, so that no other command
     # pays at start-up for compiling the module and building its two records
     from .pocklington import check_certificate, load_certificates
@@ -165,14 +144,14 @@ def _reproduce_thm11(args, report: RunReport) -> None:
         _note(report, check="wieferich", n=w.n, p=w.p, alpha=w.alpha)
 
 
-def _reproduce_thm13(args, report: RunReport) -> None:
+def _reproduce_thm13(args, report: dict) -> None:
     [path] = _asset_paths(report, args, assets.TWO_PRIME_CLASS)
     combined, checks = _two_prime_class(args, report, path, load_two_prime_data(path))
     _note(report, checks=len(checks), failures=sum(not row.ok for row in checks))
     _note(report, a=combined.a, M=combined.n)
 
 
-def _two_prime_class(args, report: RunReport, path, data):
+def _two_prime_class(args, report: dict, path, data):
     """Build the two-prime class and note every check with its verdict.
     An over-budget link sieve is refused naming the odd-cover class that takes
     the lcm past the budget: class t + 1 of the doubled cover is odd class t."""
@@ -185,7 +164,7 @@ def _two_prime_class(args, report: RunReport, path, data):
     return combined, checks
 
 
-def _reproduce_cases(args, report: RunReport) -> None:
+def _reproduce_cases(args, report: dict) -> None:
     [path] = _asset_paths(report, args, assets.TWO_PRIME_CLASS)
     data = load_two_prime_data(path)
     _two_prime_class(args, report, path, data)
@@ -196,7 +175,7 @@ def _reproduce_cases(args, report: RunReport) -> None:
     _note(report, valid_cases=f"{valid}/{len(certificates)}")
 
 
-def _reproduce_erdos(args, report: RunReport) -> None:
+def _reproduce_erdos(args, report: dict) -> None:
     [path] = _asset_paths(report, args, assets.COVER_ERDOS)
     cover = load_cover(path)
     codec.refuse(path, erdos_refusal(cover))
@@ -213,7 +192,7 @@ def _reproduce_erdos(args, report: RunReport) -> None:
           odd=cls.a % 2 == 1, mod31=cls.a % 31)
 
 
-def _reproduce_lemma41(args, report: RunReport) -> None:
+def _reproduce_lemma41(args, report: dict) -> None:
     for c in range(1, 7):
         spec = LucasSpec(c)
         for n in (2, 6, 10, 14):
@@ -238,15 +217,15 @@ _REPRODUCE = {
 }
 
 
-def _cmd_reproduce(args) -> RunReport:
-    report = RunReport("reproduce", {"target": args.target})
+def _cmd_reproduce(args) -> dict:
+    report = _report("reproduce", {"target": args.target})
     _REPRODUCE[args.target](args, report)
     return report
 
 
-def _cmd_certify(args) -> RunReport:
-    report = RunReport("certify", {"case_file": str(args.case_file)})
-    report.asset_checksums = {str(args.case_file): assets.checksum(args.case_file)}
+def _cmd_certify(args) -> dict:
+    report = _report("certify", {"case_file": str(args.case_file)})
+    report["asset_checksums"] = {str(args.case_file): assets.checksum(args.case_file)}
     case = load_case(args.case_file)
     certificate = check_exclusion(case, combination_budget=args.budget)
     _note(report, passed=certificate.valid, **certificate.to_dict())
@@ -258,15 +237,15 @@ def _text(value) -> str:
     return value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
 
 
-def _emit(report: RunReport, args) -> None:
-    payload = report.to_dict()
+def _emit(report: dict, args) -> None:
+    """Print an encoded report, as JSON or as one line per detail row."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report, indent=2))
     else:
-        print(f"{report.command}: {report.outcome}")
-        for row in payload["detail"]:
+        print(f"{report['command']}: {report['outcome']}")
+        for row in report["detail"]:
             print("  " + "  ".join(f"{k}={_text(v)}" for k, v in row.items()))
-        print(f"  ({report.wall_time_s:.2f}s)")
+        print(f"  ({report['wall_time_s']:.2f}s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,9 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = args.run(args)
-        report.wall_time_s = time.perf_counter() - started
+        report["wall_time_s"] = round(time.perf_counter() - started, 3)
+        report = codec.encode(report)
         if args.out:                    # written before anything is printed
-            codec.dump(report.to_dict(), args.out)
+            codec.dump(report, args.out)
     except (codec.FormatError, OSError) as exc:
         print(f"coverlab: input error: {exc}", file=sys.stderr)
         return 2
@@ -349,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader closed stdout early; that is not a failed check.  Point
         # stdout at devnull so the flush at interpreter exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return report.exit_code
+    return 0 if report["outcome"] == "pass" else 1
 
 
 def entry() -> None:

@@ -71,7 +71,7 @@ def build_erdos_class(cover: CoveringSystem) -> ResidueClass:
 # two-prime square class
 
 
-class TwoPrimeData:
+class TwoPrimeData(NamedTuple):
     """Inputs of the 25-class intersection: odd cover, primes, residues.
 
     primes[0] = 2 pairs with the doubled cover's leading class 1(2);
@@ -79,13 +79,11 @@ class TwoPrimeData:
     residues[t] is the constraint on x mod primes[t].
     """
 
-    def __init__(self, cover: CoveringSystem, primes: list[int],
-                 residues: list[ResidueClass], expected_a: int, expected_m: int):
-        self.cover = cover                # the 24 odd classes b_t(m_t)
-        self.primes = primes              # 25 pairwise distinct primes
-        self.residues = residues          # 25 classes r_t(p_t), aligned
-        self.expected_a = expected_a
-        self.expected_m = expected_m
+    cover: CoveringSystem             # the 24 odd classes b_t(m_t)
+    primes: list[int]                 # 25 pairwise distinct primes
+    residues: list[ResidueClass]      # 25 classes r_t(p_t), aligned
+    expected_a: int
+    expected_m: int
 
 
 def _two_prime_refusal(data: TwoPrimeData) -> tuple[str, str]:

@@ -41,14 +41,15 @@ class ResidueClass(namedtuple("ResidueClass", "a n")):
         return f"{self.a}({self.n})"
 
 
-class CoveringSystem:
+class CoveringSystem(namedtuple("CoveringSystem", "classes label")):
     """An ordered, finite list of residue classes with a human label."""
 
-    def __init__(self, classes: list[ResidueClass], label: str = ""):
+    __slots__ = ()
+
+    def __new__(cls, classes: list[ResidueClass], label: str = ""):
         if not classes:
             raise ValueError("a covering system needs at least one class")
-        self.classes = classes
-        self.label = label
+        return super().__new__(cls, classes, label)
 
     def lcm(self) -> int:
         return math.lcm(*(c.n for c in self.classes))

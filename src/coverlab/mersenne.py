@@ -42,16 +42,15 @@ class PrimitiveDivisorWitness(NamedTuple):
     alpha: int
 
 
-class PrimeTable:
+class PrimeTable(NamedTuple):
     """Claimed primitive prime divisors per exponent, plus omitted exponents.
 
     `entries` maps n to the ordered list of claimed primes; `omitted` lists
     exponents whose (single) primitive prime is not recorded.
     """
 
-    def __init__(self, entries: dict[int, list[int]], omitted: list[int]):
-        self.entries = entries
-        self.omitted = omitted
+    entries: dict[int, list[int]]
+    omitted: list[int]
 
     def all_primes(self) -> list[int]:
         return [p for primes in self.entries.values() for p in primes]
@@ -180,18 +179,13 @@ class TableRow(NamedTuple):
     proof: str = "deterministic"
 
 
-class PrimeTableReport:
-    def __init__(self, rows: list[TableRow],
-                 count_mismatches: list[tuple[int, int, int]],   # (n, listed, expected)
-                 duplicates: list[int], omitted_consistent: bool,
-                 errata: list[tuple[TableRow, int | None]],   # (failing row, replacement)
-                 wieferich: list[PrimitiveDivisorWitness]):   # passed rows with p^2 | 2^n - 1
-        self.rows = rows
-        self.count_mismatches = count_mismatches
-        self.duplicates = duplicates
-        self.omitted_consistent = omitted_consistent
-        self.errata = errata
-        self.wieferich = wieferich
+class PrimeTableReport(NamedTuple):
+    rows: list[TableRow]
+    count_mismatches: list[tuple[int, int, int]]     # (n, listed, expected)
+    duplicates: list[int]
+    omitted_consistent: bool
+    errata: list[tuple[TableRow, int | None]]        # (failing row, replacement)
+    wieferich: list[PrimitiveDivisorWitness]         # passed rows with p^2 | 2^n - 1
 
 
 def _row_reason(n: int, p: int, proven: frozenset[int] = frozenset()) -> str:

@@ -165,7 +165,7 @@ def test_erdos_witness_primes_have_exact_order():
 
 def test_build_two_prime_class_validation():
     data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
-    data.primes = data.primes[:-1]
+    data = data._replace(primes=data.primes[:-1])
     with pytest.raises(ValueError):
         build_two_prime_class(data)
     data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
@@ -176,7 +176,7 @@ def test_build_two_prime_class_validation():
 
 def test_build_two_prime_class_reports_mismatch():
     data = load_two_prime_data(asset_path(TWO_PRIME_CLASS))
-    data.expected_a += 1
+    data = data._replace(expected_a=data.expected_a + 1)
     _, checks = build_two_prime_class(data)
     assert [c.name for c in checks if not c.ok] == ["a-digit-exact"]
 

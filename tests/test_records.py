@@ -12,9 +12,10 @@ import pytest
 
 from coverlab.arith import FactorBudget, Factorization
 from coverlab.certify import AuxEvidence, AuxPrime, CertificateReport, ExclusionCase
+from coverlab.construct import TwoPrimeData
 from coverlab.covers import CoveringSystem, ResidueClass
 from coverlab.lucas import LucasSpec
-from coverlab.mersenne import PrimitiveDivisorWitness
+from coverlab.mersenne import PrimeTable, PrimeTableReport, PrimitiveDivisorWitness, TableRow
 from coverlab.pocklington import Certificate, Factor
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -68,6 +69,8 @@ def test_validating_records_keep_their_defaults_and_fields():
     assert (LucasSpec(3, 2).c, LucasSpec(3, 2).Q) == (3, 2)
     system = CoveringSystem([ResidueClass(0, 1)])
     assert (system.classes, system.label) == ([ResidueClass(0, 1)], "")
+    assert CoveringSystem._fields == ("classes", "label")
+    assert system == ([ResidueClass(0, 1)], "")
 
 
 FORMERLY_FROZEN = [
@@ -85,18 +88,38 @@ FORMERLY_FROZEN = [
     (Certificate(7, 3, (Factor(3, 1),)), "n base factors"),
 ]
 
+# records that hold a list or a dict, and so are as unhashable as it is
+HOLDING_CONTAINERS = [
+    (CoveringSystem([ResidueClass(0, 1)], "all"), "classes label"),
+    (TwoPrimeData(CoveringSystem([ResidueClass(0, 1)]), [2], [ResidueClass(1, 2)], 1, 2),
+     "cover primes residues expected_a expected_m"),
+    (PrimeTable({3: [7]}, [5]), "entries omitted"),
+    (PrimeTableReport([TableRow(3, 7)], [(5, 0, 1)], [], False, [(TableRow(3, 6), None)],
+                      [PrimitiveDivisorWitness(3, 7, 1)]),
+     "rows count_mismatches duplicates omitted_consistent errata wieferich"),
+]
+RECORDS = FORMERLY_FROZEN + HOLDING_CONTAINERS
 
-@pytest.mark.parametrize("record, fields", FORMERLY_FROZEN,
-                         ids=[type(r).__name__ for r, _ in FORMERLY_FROZEN])
+
+@pytest.mark.parametrize("record, fields", RECORDS,
+                         ids=[type(r).__name__ for r, _ in RECORDS])
 def test_immutable_records_refuse_assignment(record, fields):
-    for name in fields.split():
+    names = fields.split()
+    for name in names:
         value = getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, value)
         assert getattr(record, name) is value
     with pytest.raises(AttributeError):
         record.extra = 1
-    assert hash(record) == hash(type(record)(*(getattr(record, n) for n in fields.split())))
+    assert type(record)._fields == tuple(names)
+    rebuilt = type(record)(*(getattr(record, n) for n in names))
+    if any(isinstance(getattr(record, n), (list, dict)) for n in names):
+        assert rebuilt == record
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(rebuilt)
 
 
 def test_residue_classes_sort_by_a_then_n():
