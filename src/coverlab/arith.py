@@ -12,7 +12,6 @@ import functools
 import itertools
 import math
 import random
-from collections import namedtuple
 from typing import NamedTuple
 
 from .covers import ResidueClass
@@ -44,33 +43,7 @@ class Factorization(NamedTuple):
         return self.cofactor == 1
 
 
-class FactorBudget(namedtuple("FactorBudget", "trial_bound rho_iterations")):
-    """Effort limits for factor().
-
-    trial_bound is the largest number trial division tries: every prime up
-    to it is divided out before rho starts.  Below 2^20, a trial_bound of
-    at least 1021, the largest prime below sqrt(2^20), already factors n
-    completely, and factor() reads each least prime factor from a sieved
-    table instead, with the same result.  rho_iterations caps the steps
-    of one Brent-Pollard rho attempt; an x^2 + c step is one modular
-    squaring, and every composite cofactor gets _RHO_ATTEMPTS attempts.
-    When factor() is given a step above 2 and rho_iterations is at least
-    P-1's largest cost, about 2.5 * 10^5 squarings, one P-1 run comes before
-    rho on every composite cofactor; that run is not charged to any attempt.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, trial_bound: int = 1 << 12, rho_iterations: int = 10**7):
-        # a negative trial_bound would make factor() take a composite
-        # remainder below (trial_bound + 1)^2 as proven prime
-        for name, value in zip(cls._fields, (trial_bound, rho_iterations)):
-            if value < 0:
-                raise ValueError(f"FactorBudget.{name} must be >= 0, got {value}")
-        return super().__new__(cls, trial_bound, rho_iterations)
-
-
-_DEFAULT_BUDGET = FactorBudget()   # built once: factor() is called per small n in tight loops
+RHO_ITERATIONS = 10**7   # factor()'s default cap on the steps of one rho attempt
 _RHO_ATTEMPTS = 8   # rho attempts per composite cofactor, offsets c = 1..8
 
 # Pollard P-1 bounds.  Stage 1's exponent has about 1.44 * B1 bits and
@@ -81,6 +54,7 @@ _PM1_B1 = 1 << 16
 _PM1_B2 = 1 << 20
 _PM1_SQUARINGS = 250_000
 _SIEVE_SEGMENT = 1 << 14     # odd numbers per segment of the prime sieve
+_TRIAL_BOUND = 4096          # factor() divides out every prime up to it
 # factor() reads the least prime factor of n < 2^20 from a table sieved by
 # the odd primes up to 1021, the largest prime below sqrt(2^20)
 _TABLE_LIMIT = 1 << 20
@@ -181,53 +155,50 @@ def _conflict_message(classes: list[ResidueClass], bad_index: int) -> str:
     return f"inconsistent residue classes: {earlier} and {later} share no integer"
 
 
-def factor(n: int, budget: FactorBudget | None = None,
+def factor(n: int, rho_iterations: int = RHO_ITERATIONS,
            step: int = 2) -> Factorization:
-    """Factor n by trial division, then Pollard P-1 and rho, within the budget.
+    """Factor n by trial division, then Pollard P-1 and rho.
 
-    Trial division tries the primes up to budget.trial_bound, but holds
-    none above 2 sqrt(n) or the default bound, whichever is larger.  A
+    Trial division divides out every prime up to _TRIAL_BOUND = 4096.  A
     remainder with no prime factor below s and smaller than s^2 is itself
     prime, so it is recorded without a primality test; any other remainder
-    goes to is_probable_prime and rho.  Below 2^20 with a trial_bound of at
-    least 1021, trial division is a lookup in a table of least prime
-    factors, sieved one segment of 2^15 numbers at a time as calls reach
-    it, with the same result: every odd composite below 2^20 has a prime
-    factor up to 1021.  Every extracted factor is therefore proven by trial
-    division or by the sieve, or passes is_probable_prime.  When the budget
-    runs out the remaining (composite) cofactor is reported and complete is
-    False; incompleteness is a result state, not an error.
+    goes to is_probable_prime and rho.  Below 2^20, trial division is a
+    lookup in a table of least prime factors, sieved one segment of 2^15
+    numbers at a time as calls reach it, with the same result: every odd
+    composite below 2^20 has a prime factor up to 1021.  Every extracted
+    factor is therefore proven by trial division or by the sieve, or passes
+    is_probable_prime.
+
+    `rho_iterations` caps the steps of one Brent-Pollard rho attempt; an
+    x^2 + c step is one modular squaring, and every composite cofactor gets
+    _RHO_ATTEMPTS attempts.  When they all fail the remaining (composite)
+    cofactor is reported and complete is False; incompleteness is a result
+    state, not an error.
 
     `step` is a fact the caller states: every prime factor of n left after
     trial division is = 1 (mod step).  The default 2 holds for every odd
     prime.  Only Pollard's P-1 method uses a larger step: it runs on each
-    composite cofactor before rho, when budget.rho_iterations is at least
-    its largest cost of about 2.5 * 10^5 squarings (tens of milliseconds,
-    paid only when it splits nothing).  P-1 finds p when (p - 1)/step is
-    2^16-smooth apart from at most one prime up to 2^20, stopping at the
-    first block of primes that splits n, and otherwise leaves the cofactor
-    to rho, which walks x^2 + c whatever the step.  A wrong step never
-    yields a wrong factor: every split is still a gcd divisor of n and
-    every factor still passes the same checks.  It can cost time, and under
-    a finite budget it can change how much of n is factored before the
-    budget runs out.
+    composite cofactor before rho, when rho_iterations is at least its
+    largest cost of about 2.5 * 10^5 squarings (tens of milliseconds, paid
+    only when it splits nothing), and that run is not charged to any rho
+    attempt.  P-1 finds p when (p - 1)/step is 2^16-smooth apart from at
+    most one prime up to 2^20, stopping at the first block of primes that
+    splits n, and otherwise leaves the cofactor to rho, which walks x^2 + c
+    whatever the step.  A wrong step never yields a wrong factor: every
+    split is still a gcd divisor of n and every factor still passes the
+    same checks.  It can cost time, and under a small rho_iterations it can
+    change how much of n is factored.
     """
     if n < 1:
         raise ValueError(f"factor() needs n >= 1, got {n}")
     if step < 2:
         raise ValueError(f"factor() needs step >= 2, got {step}")
-    if budget is None:
-        budget = _DEFAULT_BUDGET
-    if n < _TABLE_LIMIT and budget.trial_bound >= _TABLE_BOUND:
+    if n < _TABLE_LIMIT:
         return _factor_by_table(n)
-    # the primes held stop at the power of 2 above sqrt(n), or at the
-    # default bound, whose one cached tuple every default call reads
-    bound = min(budget.trial_bound,
-                max(_DEFAULT_BUDGET.trial_bound, 1 << math.isqrt(n).bit_length()))
     found: dict[int, int] = {}
     rest = n
-    least = bound + 1   # least prime factor rest can still have
-    for p in _primes_up_to(bound):
+    least = _TRIAL_BOUND + 1   # least prime factor rest can still have
+    for p in _primes_up_to(_TRIAL_BOUND):
         if p * p > rest:
             least = p
             break
@@ -241,7 +212,7 @@ def factor(n: int, budget: FactorBudget | None = None,
 
     pending = [rest]
     leftover = 1
-    pm1 = step > 2 and budget.rho_iterations >= _PM1_SQUARINGS
+    pm1 = step > 2 and rho_iterations >= _PM1_SQUARINGS
     while pending:
         c = pending.pop()
         if c == 1:
@@ -251,7 +222,7 @@ def factor(n: int, budget: FactorBudget | None = None,
             continue
         d = _pm1_split(c, step) if pm1 else None
         if d is None:
-            d = _rho_split(c, budget.rho_iterations)
+            d = _rho_split(c, rho_iterations)
         if d is None:
             leftover *= c
             continue
@@ -260,7 +231,9 @@ def factor(n: int, budget: FactorBudget | None = None,
     return Factorization(tuple(sorted(found.items())), leftover)
 
 
-@functools.lru_cache(maxsize=8)   # a few bounds are in use; a one-off one is not pinned
+# the bounds are fixed: _TRIAL_BOUND, _TABLE_BOUND and the square roots the
+# sieve takes of the ends of its ranges; the ones that recur stay cached
+@functools.lru_cache(maxsize=8)
 def _primes_up_to(bound: int) -> tuple[int, ...]:
     """The primes <= bound, ascending."""
     if bound < 2:

@@ -21,7 +21,7 @@ import time
 from collections import Counter
 
 from . import assets, codec
-from .arith import FactorBudget, is_probable_prime
+from .arith import RHO_ITERATIONS, is_probable_prime
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
 from .certify import build_standard_cases, check_exclusion, load_case
 from .construct import (build_erdos_class, build_two_prime_class,
@@ -70,16 +70,12 @@ def _cmd_verify_cover(args) -> dict:
 
 
 def _cmd_primitive(args) -> dict:
-    budget = FactorBudget()
-    if args.factor_budget is not None:
-        budget = FactorBudget(trial_bound=args.factor_budget,
-                              rho_iterations=10 * args.factor_budget)
     lucas = args.lucas_c is not None
     spec = LucasSpec(args.lucas_c) if lucas else MERSENNE
     report = _report("primitive", {"lucas_c": args.lucas_c} if lucas
                      else {"base": args.base})
     report["inputs"]["n"] = args.n
-    witnesses, complete = find_primitive_divisors(args.n, budget, spec)
+    witnesses, complete = find_primitive_divisors(args.n, args.factor_budget, spec)
     for w in witnesses:
         _note(report, p=w.p, alpha=w.alpha)
     if not complete:
@@ -275,11 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("--lucas-c", type=int, metavar="C",
                         help="search primitive divisors of U_n for this c")
     p_prim.add_argument("--n", type=int, required=True)
-    p_prim.add_argument("--factor-budget", type=int, default=None,
-                        help="largest trial divisor of the factoring step (at "
-                             "least 1); rho then runs up to 10 times this many "
-                             "iterations per attempt (default: the FactorBudget "
-                             "defaults, 4096 and 10^7)")
+    p_prim.add_argument("--factor-budget", type=int, default=RHO_ITERATIONS,
+                        help="most steps of each rho attempt (at least 1; "
+                             "default 10^7); the primes up to 4096 are always "
+                             "divided out")
 
     p_rep = sub.add_parser("reproduce", parents=[output],
                            help="run a full verification target")
@@ -305,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "primitive":
         if args.n < 2:
             parser.error("--n must be at least 2")
-        if args.factor_budget is not None and args.factor_budget < 1:
+        if args.factor_budget < 1:
             parser.error("--factor-budget must be at least 1")
     elif args.budget < 1:
         parser.error("--budget must be at least 1")

@@ -15,6 +15,8 @@ import json
 import re
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+_CHUNK_DIGITS = 4000    # fewer than the 4300 digits str(int) writes at most
+_CHUNK = 10**_CHUNK_DIGITS
 
 
 class FormatError(ValueError):
@@ -101,6 +103,21 @@ def refuse(path, refusal: tuple[str, str]) -> None:
         raise Field(None, str(path), where).error(why)
 
 
+def decimal(n: int) -> str:
+    """n in decimal, however many digits it has: str(n) refuses more than
+    4300, so a longer n is written _CHUNK_DIGITS digits at a time."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + decimal(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def encode(value):
     """Ints become decimal strings and bools "true" or "false", at any depth;
     None, floats and strings stay as they are."""
@@ -111,7 +128,7 @@ def encode(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        return decimal(value)
     return value
 
 

@@ -81,7 +81,8 @@ def lcm_refusal(system: CoveringSystem, enumeration_budget: int,
     for i, c in enumerate(system.classes):
         running = math.lcm(running, c.n)
         if running > enumeration_budget:
-            return f"{field}[{i}].n", (f"lcm of moduli is {system.lcm()}, above the "
+            lcm = codec.decimal(system.lcm())    # may pass str()'s 4300 digits
+            return f"{field}[{i}].n", (f"lcm of moduli is {lcm}, above the "
                                        f"enumeration budget {enumeration_budget}")
     return "", ""
 

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import codec
-from .arith import (DETERMINISTIC_LIMIT, FactorBudget, factor, is_probable_prime,
+from .arith import (DETERMINISTIC_LIMIT, RHO_ITERATIONS, factor, is_probable_prime,
                     order_dividing, prime_divisors)
 from .covers import CoveringSystem
 from .lucas import LucasSpec, rank_of_apparition, u_terms
@@ -126,10 +126,11 @@ def _step(n: int) -> int:
 
 def find_primitive_divisors(
     n: int,
-    budget: FactorBudget | None = None,
+    rho_iterations: int = RHO_ITERATIONS,
     spec: LucasSpec = MERSENNE,
 ) -> tuple[list[PrimitiveDivisorWitness], bool]:
-    """All primitive prime divisors of U_n reachable within the budget.
+    """All primitive prime divisors of U_n that factor() reaches with rho
+    attempts of at most `rho_iterations` steps.
 
     Strategy: factor the primitive part Phi_n.  With D = c^2 - 4Q, an odd
     prime q of rank n that does not divide D has n | q - (D/q), so
@@ -137,8 +138,8 @@ def find_primitive_divisors(
     D is a square, as for 2^n - 1, and q = +-1 otherwise.  (2 has rank at
     most 3, and a prime of D has rank itself, so these few others are
     small.)  When D is a square, factor() is told the step: at the default
-    budget it then runs P-1 before rho on each composite cofactor (for
-    2^n - 1 with n <= 136, P-1 splits them all).  Otherwise factor() gets
+    rho_iterations it then runs P-1 before rho on each composite cofactor
+    (for 2^n - 1 with n <= 136, P-1 splits them all).  Otherwise factor() gets
     step 2 and no P-1 runs.  Rho walks x^2 + c either way.
 
     A prime of Phi_n that does not divide n has rank exactly n (Carmichael
@@ -154,7 +155,7 @@ def find_primitive_divisors(
         raise ValueError(f"exponent must be >= 1, got {n}")
     d = spec.c**2 - 4 * spec.Q
     square = math.isqrt(d) ** 2 == d
-    sub = factor(cyclotomic_mersenne(n, spec), budget, _step(n) if square else 2)
+    sub = factor(cyclotomic_mersenne(n, spec), rho_iterations, _step(n) if square else 2)
     rest = sub.cofactor
 
     witnesses = []

@@ -11,8 +11,8 @@ above 2^64 carries a nested certificate of its own.  A check costs 1 + k
 modular powerings for k primes q_i, against 40 for the Miller-Rabin test
 at and above 2^64.
 
-`build_certificate` makes one from what factor(N - 1) finds within a
-budget.  The shipped file of table-prime certificates is regenerated
+`build_certificate` makes one from what factor(N - 1) finds with a
+capped rho.  The shipped file of table-prime certificates is regenerated
 (about 30 s) with
 
     PYTHONPATH=src python -m coverlab.pocklington
@@ -21,7 +21,7 @@ which keeps every certificate already in the file that still checks and
 builds only the missing or failing ones, so a regeneration never drops a
 proof it could not rebuild.  factor() cannot split N - 1 for the primes at
 n = 385, 455, 693, 715, 819 and the 142-bit prime at 825 within its
-budgets; their certificates were built the same way from sympy's
+rho caps; their certificates were built the same way from sympy's
 factorint (ECM), outside the package, in 0.4 to 64 s each on a 2 vCPU
 Xeon, and are kept by every regeneration.  Only the checker is trusted,
 never the factoring.
@@ -34,11 +34,11 @@ import os
 from typing import NamedTuple
 
 from . import codec
-from .arith import DETERMINISTIC_LIMIT, FactorBudget, factor, is_probable_prime
+from .arith import DETERMINISTIC_LIMIT, factor, is_probable_prime
 
-# Without a deadline in factor(), a smaller rho budget is what keeps the
+# Without a deadline in factor(), a smaller rho cap is what keeps the
 # primes whose N - 1 will not split from running for minutes each.
-_BUILD_BUDGET = FactorBudget(rho_iterations=10**6)
+_BUILD_RHO_ITERATIONS = 10**6
 
 
 class Factor(NamedTuple):
@@ -115,7 +115,7 @@ def build_certificate(n: int) -> Certificate | None:
     it gets a certificate of its own, built the same way.  The base is the
     least a >= 2 that meets the conditions, searched below 1000.
     """
-    found = factor(n - 1, _BUILD_BUDGET)
+    found = factor(n - 1, _BUILD_RHO_ITERATIONS)
     factors: list[Factor] = []
     part = 1
     for q, e in reversed(found.factors):

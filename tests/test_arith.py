@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coverlab import arith
-from coverlab.arith import (FactorBudget, Factorization, crt_combine, factor,
+from coverlab.arith import (Factorization, crt_combine, factor,
                             is_probable_prime, order_dividing, prime_divisors)
 from coverlab.covers import ResidueClass
 from coverlab.mersenne import cyclotomic_mersenne, find_primitive_divisors
@@ -161,24 +161,6 @@ def test_factor_examples():
     assert is_probable_prime(4432676798593)
 
 
-def test_factor_budget_rejects_negative_fields():
-    # a negative trial_bound would let factor(12) list 12 as a prime, and
-    # find_primitive_divisors(18) report 57 = 3 * 19 with complete=True
-    with pytest.raises(ValueError, match="trial_bound"):
-        factor(12, FactorBudget(trial_bound=-5))
-    with pytest.raises(ValueError, match="trial_bound"):
-        find_primitive_divisors(18, FactorBudget(trial_bound=-40, rho_iterations=-400))
-    with pytest.raises(ValueError, match="rho_iterations"):
-        FactorBudget(rho_iterations=-1)
-    # zero is the least budget, and what it lists is still prime
-    for bound in (0, 1, 2):
-        budget = FactorBudget(trial_bound=bound, rho_iterations=0)
-        for n in range(1, 3000):
-            f = factor(n, budget)
-            assert math.prod(p**e for p, e in f.factors) * f.cofactor == n
-            assert all(is_probable_prime(p) for p, _ in f.factors), (bound, n)
-
-
 def test_factor_rho_splits_beyond_trial_range():
     # 4099 and 4111 are the first primes above the default trial bound 4096
     for p, q in ((4099, 4111), (1000003, 1000033)):
@@ -189,14 +171,15 @@ def test_factor_rho_splits_beyond_trial_range():
 
 def test_factor_matches_sympy_at_the_trial_bound():
     sympy = pytest.importorskip("sympy")
-    # p and q are the first primes above the bound: trial division misses
-    # them, so the remainder must not be taken for prime unchecked
-    for bound in (0, 1, 2, 3, 10, 4096, 10**5):
-        p = sympy.nextprime(bound)
-        q = sympy.nextprime(p)
-        for n in (p * p, p * q, p**3, 2 * p * q, p):
-            f = factor(n, FactorBudget(trial_bound=bound))
-            assert f.complete and dict(f.factors) == sympy.factorint(n), (bound, n)
+    # p and q are the first primes above the trial bound 4096: trial
+    # division misses them, so the remainder must not be taken for prime
+    # unchecked.  4091 and 4093 are the last primes it divides out; their
+    # product is below 4097^2, so a loop stopping short would keep it whole
+    p = sympy.nextprime(arith._TRIAL_BOUND)
+    q = sympy.nextprime(p)
+    for n in (p * p, p * q, p**3, 2 * p * q, p, 4093 * p * q, 4093**2 * p**2, 4091 * 4093):
+        f = factor(n)
+        assert f.complete and dict(f.factors) == sympy.factorint(n), n
 
 
 def test_factor_matches_sympy_random_128bit():
@@ -210,10 +193,9 @@ def test_factor_matches_sympy_random_128bit():
         f = factor(n)
         assert f.complete and dict(f.factors) == sympy.factorint(n), n
     # uniform draws under a starved rho: whatever is listed is exact
-    budget = FactorBudget(rho_iterations=2000)
     for _ in range(300):
         n = rng.getrandbits(rng.randrange(1, 129)) + 1
-        f = factor(n, budget)
+        f = factor(n, rho_iterations=2000)
         assert math.prod(p**e for p, e in f.factors) * f.cofactor == n
         for p, e in f.factors:
             assert sympy.isprime(p) and (n // p**e) % p != 0, (n, p)
@@ -228,17 +210,16 @@ def test_factor_step_never_changes_the_result():
         m = rng.randrange(1, 2**50)
         expected = factor(m)
         for s in (4, 6, 10, 202):
-            assert factor(m, None, s) == expected, (m, s)
+            assert factor(m, step=s) == expected, (m, s)
 
 
 def test_factor_step_with_a_prime_off_the_progression():
-    # 11 divides Phi_110(2) but is not = 1 (mod 110); with trial division
-    # stopping at 10 it reaches rho, which must still split it out
-    value = cyclotomic_mersenne(110)
-    budget = FactorBudget(trial_bound=10)
-    f = factor(value, budget, step=110)
-    assert f.complete and 11 in [p for p, _ in f.factors]
-    assert f == factor(value, budget)
+    # neither prime is = 1 (mod 110), and each p - 1 is 2 times a prime
+    # above 2^20, so P-1 at step 110 splits nothing; rho must still split them
+    p, q = 2097779, 2097983
+    f = factor(p * q, step=110)
+    assert f.complete and dict(f.factors) == {p: 1, q: 1}
+    assert f == factor(p * q)
 
 
 def test_factor_runs_pm1_only_from_its_largest_cost(monkeypatch):
@@ -246,8 +227,7 @@ def test_factor_runs_pm1_only_from_its_largest_cost(monkeypatch):
     # splits it; rho walks x^2 + c whatever the step, and its best attempt
     # needs 462,075 steps.  Below P-1's cost the step is not used at all
     pq = 269089806001 * 4710883168879506001
-    budget = FactorBudget(rho_iterations=60_000)
-    assert factor(pq, budget, step=250) == factor(pq, budget) == Factorization((), pq)
+    assert factor(pq, 60_000, step=250) == factor(pq, 60_000) == Factorization((), pq)
     pm1_calls = 0
     pm1_split = arith._pm1_split
 
@@ -258,10 +238,9 @@ def test_factor_runs_pm1_only_from_its_largest_cost(monkeypatch):
 
     monkeypatch.setattr(arith, "_pm1_split", counting_pm1)
     monkeypatch.setattr(arith, "_rho_split", lambda n, limit: None)
-    assert not factor(pq, FactorBudget(rho_iterations=arith._PM1_SQUARINGS - 1),
-                      step=250).complete
+    assert not factor(pq, arith._PM1_SQUARINGS - 1, step=250).complete
     assert pm1_calls == 0
-    f = factor(pq, FactorBudget(rho_iterations=arith._PM1_SQUARINGS), step=250)
+    f = factor(pq, arith._PM1_SQUARINGS, step=250)
     assert f.complete and dict(f.factors) == {269089806001: 1, 4710883168879506001: 1}
     assert pm1_calls == 1
 
@@ -461,7 +440,7 @@ def test_pm1_matches_sympy_on_semiprimes_of_the_progression():
 
 def test_factor_rejects_step_below_2():
     with pytest.raises(ValueError, match="step >= 2"):
-        factor(15, None, 1)
+        factor(15, step=1)
 
 
 def test_factor_and_the_cyclotomic_layer_refuse_0():
@@ -473,7 +452,7 @@ def test_factor_and_the_cyclotomic_layer_refuse_0():
 
 def test_factor_budget_exhaustion_is_a_state():
     semiprime = (2**127 - 1) * (2**89 - 1)
-    f = factor(semiprime, FactorBudget(trial_bound=100, rho_iterations=10))
+    f = factor(semiprime, rho_iterations=10)
     assert not f.complete
     assert math.prod(p**e for p, e in f.factors) * f.cofactor == semiprime
     assert not is_probable_prime(f.cofactor)
@@ -526,18 +505,21 @@ def test_odd_prime_segments_match_a_plain_sieve(monkeypatch):
 
 
 def test_factor_by_table_agrees_with_trial_division_at_the_gate():
-    # below 2^20 a trial bound of 1021 or more reads the least-factor table;
-    # 1020 keeps the trial loop, which must give the same factorizations
+    # below 2^20 factor() reads the least-factor table, from 2^20 on it runs
+    # the trial loop: n * 2^20 must have the odd primes of n, and neither
+    # side needs rho or depends on the step
     rng = random.Random(27)
-    edges = [1, 2, 2**19, 2**20 - 1, 2**20, 2**20 + 1, 1021**2, 1019 * 1021, 1048573]
-    loop, gate = FactorBudget(trial_bound=1020), FactorBudget(trial_bound=1021)
-    starved = FactorBudget(trial_bound=1021, rho_iterations=0)
+    edges = [1, 2, 2**19, 2**20 - 1, 2**20, 2**20 + 1, 1021**2, 1019 * 1021, 1048573,
+             4093**2, 4093 * 4099]
     for n in edges + [rng.randrange(1, 2**20) for _ in range(10**4)]:
         expected = factor(n)
-        assert factor(n, loop) == factor(n, gate) == expected, n
-        assert factor(n, starved).complete, n
+        odd = tuple(pe for pe in expected.factors if pe[0] != 2)
+        twos = (n & -n).bit_length() - 1
+        loop = factor(n << 20, rho_iterations=0)
+        assert loop == Factorization(((2, twos + 20),) + odd), n
+        assert factor(n, rho_iterations=0) == expected and expected.complete, n
         for s in (4, 6, 110):
-            assert factor(n, None, s) == expected, (n, s)
+            assert factor(n, step=s) == expected, (n, s)
 
 
 def test_factor_by_table_builds_only_the_segments_it_reads():
@@ -545,23 +527,6 @@ def test_factor_by_table_builds_only_the_segments_it_reads():
     arith._least_factor_segment.cache_clear()
     assert factor(2 * 3 * 5 * 1021) == Factorization(((2, 1), (3, 1), (5, 1), (1021, 1)))
     assert arith._least_factor_segment.cache_info().currsize == 1
-
-
-def test_trial_division_holds_no_primes_past_the_root(monkeypatch):
-    # a trial bound of 10^7 on a number just above 2^20 must not sieve the
-    # 664,579 primes up to 10^7: the number needs those up to 1024
-    bounds = []
-    primes_up_to = arith._primes_up_to
-
-    def spy(bound):
-        bounds.append(bound)
-        return primes_up_to(bound)
-
-    monkeypatch.setattr(arith, "_primes_up_to", spy)
-    n = 2**20 + 2                        # 2 * 3 * 174763
-    f = factor(n, FactorBudget(trial_bound=10**7))
-    assert f == Factorization(((2, 1), (3, 1), (174763, 1)))
-    assert bounds and max(bounds) <= FactorBudget().trial_bound, bounds
 
 
 def test_factor_reassembly_random_64bit():

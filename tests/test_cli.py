@@ -10,8 +10,7 @@ import sys
 import pytest
 
 import coverlab
-from coverlab import arith, assets, certify, cli, mersenne
-from coverlab.arith import FactorBudget
+from coverlab import arith, assets, certify, cli, codec, mersenne
 from coverlab.lucas import LucasSpec
 from coverlab.mersenne import (MERSENNE, PrimitiveDivisorWitness, cyclotomic_mersenne,
                                load_prime_table)
@@ -82,9 +81,10 @@ def test_primitive_lucas_primitive_part(capsys):
 
 def test_primitive_lucas_unresolved_cofactor(capsys):
     # the cofactor is what the listed primes leave of the primitive part;
-    # rho's 100 steps find three primes, not 39639893 * 433494437
+    # trial division finds 257 and rho's 100 steps 5417 and 8513, not
+    # 39639893 * 433494437
     code, out = run(["primitive", "--lucas-c", "4", "--n", "43",
-                     "--factor-budget", "10", "--json"], capsys)
+                     "--factor-budget", "100", "--json"], capsys)
     report = json.loads(out)
     assert code == 1 and report["outcome"] == "partial"
     *rows, last = report["detail"]
@@ -109,11 +109,23 @@ def test_primitive_incomplete_budget(capsys):
     assert int(last["unresolved_cofactor"]) * found == cyclotomic_mersenne(137)
 
 
+def test_primitive_factor_budget_caps_rho_alone(capsys):
+    # 3511^2 divides Phi_1755(2): trial division finds it at any budget,
+    # even when a single rho step splits nothing else
+    code, out = run(["primitive", "--base", "2", "--n", "1755",
+                     "--factor-budget", "1", "--json"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["outcome"] == "partial"
+    *rows, last = report["detail"]
+    assert rows == [{"p": "3511", "alpha": "2"}]
+    assert int(last["unresolved_cofactor"]) * 3511**2 == cyclotomic_mersenne(1755)
+
+
 def test_primitive_factor_budget_default(monkeypatch):
     seen = []
 
-    def spy(n, budget, spec):
-        seen.append((budget, spec))
+    def spy(n, rho_iterations, spec):
+        seen.append((rho_iterations, spec))
         return [], True
 
     monkeypatch.setattr(cli, "find_primitive_divisors", spy)
@@ -121,9 +133,8 @@ def test_primitive_factor_budget_default(monkeypatch):
     assert cli.main(["primitive", "--base", "2", "--n", "11",
                      "--factor-budget", "1000"]) == 0
     assert cli.main(["primitive", "--lucas-c", "4", "--n", "11"]) == 0
-    assert seen == [(FactorBudget(), MERSENNE),
-                    (FactorBudget(trial_bound=1000, rho_iterations=10000), MERSENNE),
-                    (FactorBudget(), LucasSpec(4))]
+    assert seen == [(arith.RHO_ITERATIONS, MERSENNE), (1000, MERSENNE),
+                    (arith.RHO_ITERATIONS, LucasSpec(4))]
 
 
 def test_primitive_flag_validation(capsys):
@@ -648,6 +659,16 @@ def test_lcm_over_budget_names_the_file_and_the_class(tmp_path, capsys):
     assert cli.main(["verify-cover", asset(assets.COVER_ERDOS), "--budget", "10"]) == 2
     assert (f"{asset(assets.COVER_ERDOS)}: $.classes[2].n: lcm of moduli is 24, "
             "above the enumeration budget 10") in capsys.readouterr().err
+    # 1,200 distinct 5-digit primes: 10007 * 10009 is past the budget, and
+    # the lcm of all of them has more digits than str(int) writes
+    primes = [p for p in range(10007, 100000, 2) if arith.is_probable_prime(p)][:1200]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"classes": [{"a": "0", "n": str(p)} for p in primes]}))
+    assert cli.main(["verify-cover", str(wide)]) == 2
+    lcm = codec.decimal(math.prod(primes))
+    assert len(lcm) > 4300
+    assert capsys.readouterr().err == (f"coverlab: input error: {wide}: $.classes[1].n: lcm of "
+                                       f"moduli is {lcm}, above the enumeration budget 100000000\n")
 
 
 def test_reports_deterministic_apart_from_timing(capsys):

@@ -85,6 +85,20 @@ def test_refuse_names_the_file_and_the_field(refusal, message):
         assert message is None
 
 
+# past the 4300 digits str(int) writes, with a chunk of zeros inside
+LONG = [10**4000 - 1, 10**4000, 10**8000 + 7, -(3**9000)]
+
+
+def _parse_by_chunks(text: str) -> int:
+    """int(text) 1000 digits at a time, below str(int)'s 4300-digit limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10**len(chunk) + int(chunk)
+    return sign * value
+
+
 def test_cover_roundtrip(tmp_path):
     # bigints leave as decimal strings and come back as ints, in class order;
     # a report-like field rides along, which the loader ignores
@@ -95,8 +109,11 @@ def test_cover_roundtrip(tmp_path):
     codec.dump({"label": system.label,
                 "classes": [{"a": c.a, "n": c.n} for c in system.classes],
                 "row": {"ok": [True, False], "none": None, "wall_time_s": 0.25,
-                        "nested": [(-7, {"p": 2**64})]}}, path)
+                        "nested": [(-7, {"p": 2**64})], "long": LONG}}, path)
     written = json.loads(path.read_text())
+    long = written["row"].pop("long")
+    assert long[2] == "1" + "0" * 7999 + "7"
+    assert [_parse_by_chunks(text) for text in long] == LONG
     assert written["classes"][2]["n"] == str(5**100 * 7)
     assert written["row"] == {"ok": ["true", "false"], "none": None, "wall_time_s": 0.25,
                               "nested": [["-7", {"p": str(2**64)}]]}

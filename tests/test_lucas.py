@@ -5,8 +5,7 @@ import pathlib
 import pytest
 
 from coverlab import mersenne
-from coverlab.arith import (FactorBudget, Factorization, factor, is_probable_prime,
-                            order_dividing)
+from coverlab.arith import Factorization, factor, is_probable_prime, order_dividing
 from coverlab.lucas import (LucasSpec, iter_terms_mod, period_mod, rank_of_apparition,
                             u_term_mod, u_terms)
 from coverlab.mersenne import (MERSENNE, PrimitiveDivisorWitness,
@@ -253,15 +252,14 @@ def test_find_primitive_divisors_u_matches_sympy():
                     if all(terms[i] % p for i in range(1, n))]
             witnesses, complete = find_primitive_divisors(n, spec=spec)
             assert complete and [(w.p, w.alpha) for w in witnesses] == want, (spec, n)
-    # trial division to 10^4 with rho attempts of a single step: the
-    # primitive part 229 * 9349 * 95419 of U_38 leaves 95419 < 10^8, proven
-    # prime, so the list is complete
-    small = FactorBudget(trial_bound=10**4, rho_iterations=1)
-    witnesses, complete = find_primitive_divisors(38, small, U4)
+    # rho attempts of at most 1000 steps: trial division finds 229 in the
+    # primitive part 229 * 9349 * 95419 of U_38, and rho splits the rest,
+    # so the list is complete
+    witnesses, complete = find_primitive_divisors(38, 1000, U4)
     assert complete and [w.p for w in witnesses] == [229, 9349, 95419]
-    # at n = 43 the primes 39639893 and 433494437 are beyond the budget: the
+    # at n = 43 rho cannot split 39639893 * 433494437 in 1000 steps: the
     # listed primes keep their exact valuations in U_43
-    witnesses, complete = find_primitive_divisors(43, small, U4)
+    witnesses, complete = find_primitive_divisors(43, 1000, U4)
     assert not complete and [w.p for w in witnesses] == [257, 5417, 8513]
     assert all(w.alpha == sympy.multiplicity(w.p, u_term(U4, 43)) for w in witnesses)
 

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from coverlab.arith import FactorBudget, Factorization
+from coverlab.arith import Factorization
 from coverlab.certify import AuxEvidence, AuxPrime, CertificateReport, ExclusionCase
 from coverlab.construct import TwoPrimeData
 from coverlab.covers import CoveringSystem, ResidueClass
@@ -49,8 +49,6 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     (lambda: ResidueClass(a=3, n=-2), "modulus must be >= 1, got -2"),
     (lambda: CoveringSystem([]), "a covering system needs at least one class"),
     (lambda: CoveringSystem([], label="empty"), "a covering system needs at least one class"),
-    (lambda: FactorBudget(trial_bound=-1), "FactorBudget.trial_bound must be >= 0, got -1"),
-    (lambda: FactorBudget(10, -5), "FactorBudget.rho_iterations must be >= 0, got -5"),
     (lambda: LucasSpec(2, 1),
      "need c >= 1, c^2 > 4Q, Q != 0 and gcd(c, Q) = 1, got c = 2, Q = 1"),
     (lambda: LucasSpec(c=0), "need c >= 1, c^2 > 4Q, Q != 0 and gcd(c, Q) = 1, got c = 0, Q = -1"),
@@ -64,7 +62,6 @@ def test_validating_records_refuse_in_the_same_words(build, message):
 
 
 def test_validating_records_keep_their_defaults_and_fields():
-    assert (FactorBudget().trial_bound, FactorBudget().rho_iterations) == (4096, 10**7)
     assert (LucasSpec().c, LucasSpec().Q) == (4, -1)
     assert (LucasSpec(3, 2).c, LucasSpec(3, 2).Q) == (3, 2)
     system = CoveringSystem([ResidueClass(0, 1)])
@@ -75,7 +72,6 @@ def test_validating_records_keep_their_defaults_and_fields():
 
 FORMERLY_FROZEN = [
     (ResidueClass(1, 2), "a n"),
-    (FactorBudget(), "trial_bound rho_iterations"),
     (LucasSpec(), "c Q"),
     (Factorization(((2, 3),), 5), "factors cofactor"),
     (AuxPrime(11, 3), "q x_mod_q"),
