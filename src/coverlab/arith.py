@@ -16,9 +16,17 @@ from typing import NamedTuple
 
 from .covers import ResidueClass
 
-# The first 12 primes are a complete strong-pseudoprime witness set for
-# n < 3.317e24 (Sorenson-Webster), which comfortably includes all of 2^64.
+# psi_k, the least strong pseudoprime to the first k primes (OEIS A014233;
+# Jaeschke 1993, Sorenson-Webster 2017): every n < psi_k is decided exactly
+# by the first k primes as bases.  psi_9 = psi_10 = psi_11 is a strong
+# pseudoprime to 2..31, so the repeats stay.  The 12 primes below are
+# complete only below psi_12 = 318665857834031151167461 (about 3.19e23),
+# which passes all 12, so throughout 2^64.  The often-quoted 3.317e24 is
+# psi_13, the bound for the first 13 primes, through 41.
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051)
 DETERMINISTIC_LIMIT = 1 << 64
 _MR_ROUNDS = 40   # Miller-Rabin bases in all at and above 2^64
 
@@ -64,12 +72,13 @@ _TABLE_BOUND = 1021
 def is_probable_prime(n: int) -> bool:
     """Primality test: deterministic below 2^64, strong-pseudoprime above.
 
-    Below 2^64 the fixed 12-prime witness set decides exactly.  Above, the
-    witnesses are the same 12 primes plus pseudorandom bases drawn from an
-    RNG seeded by n itself, 40 bases in total, so results are reproducible.
-    No prime is ever rejected.  Only the 28 drawn bases carry the bound of
-    1/4 per round, so a composite slips through with probability at most
-    4**-28.
+    Below 2^64 the first k primes decide exactly, for the least k with
+    n < psi_k (_PSI): n < 2047 takes base 2 alone, and n from psi_11 up
+    all 12 of _SMALL_WITNESSES.  At and above 2^64 the witnesses are the
+    12 primes plus pseudorandom bases drawn from an RNG seeded by n itself,
+    40 bases in total, so results are reproducible.  No prime is ever
+    rejected.  Only the 28 drawn bases carry the bound of 1/4 per round,
+    so a composite slips through with probability at most 4**-28.
     """
     if n < 2:
         return False
@@ -81,7 +90,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    witnesses: list[int] = list(_SMALL_WITNESSES)
+    witnesses = list(_SMALL_WITNESSES[:bisect.bisect(_PSI, n) + 1])
     if n >= DETERMINISTIC_LIMIT:
         rng = random.Random(n)
         while len(witnesses) < _MR_ROUNDS:

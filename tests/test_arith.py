@@ -134,17 +134,77 @@ def test_is_probable_prime_examples():
     assert not is_probable_prime(196911)
 
 
+# psi_1..psi_11 (OEIS A014233), the least strong pseudoprime to the first k
+# primes; psi_9 = psi_10 = psi_11 is below 2^64.  psi_12 and psi_13 lie above.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def test_is_probable_prime_notorious_composites():
     assert not is_probable_prime(561)            # Carmichael
-    assert not is_probable_prime(3215031751)     # strong pseudoprime to 2,3,5,7
     assert not is_probable_prime((1 << 128) - 1)
     assert not is_probable_prime((2**127 - 1) * (2**89 - 1))
+    for n in sorted(set(PSI)) + [PSI_12, PSI_13]:
+        assert not is_probable_prime(n), n
 
 
 def test_is_probable_prime_large_primes():
     assert is_probable_prime(2**127 - 1)
     assert is_probable_prime(2**521 - 1)
     assert is_probable_prime(2**607 - 1)
+
+
+def test_is_probable_prime_near_psi_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for psi in sorted(set(PSI)):
+        for n in range(psi - 10**4, psi + 10**4 + 1):
+            assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_is_probable_prime_log_uniform_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2047)
+    for _ in range(10**5):
+        bits = rng.randint(2, 64)
+        n = rng.randrange(1 << (bits - 1), 1 << bits)
+        assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def spy_on_pow(monkeypatch) -> list[int]:
+    """Record the base of every pow() that arith calls from now on."""
+    bases: list[int] = []
+
+    def counted(a, *args):
+        bases.append(a)
+        return pow(a, *args)
+
+    monkeypatch.setattr(arith, "pow", counted, raising=False)
+    return bases
+
+
+def test_is_probable_prime_bases_at_and_above_2_64(monkeypatch):
+    n = 2**127 - 1
+    rng = random.Random(n)
+    expected = list(SMALL_PRIMES) + [rng.randrange(2, n - 1) for _ in range(28)]
+    bases = spy_on_pow(monkeypatch)
+    assert is_probable_prime(n)
+    assert bases == expected
+
+
+def test_is_probable_prime_takes_k_bases_below_psi_k(monkeypatch):
+    bases = spy_on_pow(monkeypatch)
+    # the largest prime below each distinct psi_k, and below 2^64
+    for p, k in [(2039, 1), (1373639, 2), (25325981, 3), (3215031749, 4),
+                 (2152302898729, 5), (3474749660329, 6), (341550071728289, 7),
+                 (3825123056546412979, 9), (2**64 - 59, 12)]:
+        assert k == 1 + sum(psi <= p for psi in PSI) and p < 2**64
+        bases.clear()
+        assert is_probable_prime(p), p
+        assert bases == list(SMALL_PRIMES[:k]), p
 
 
 def test_factor_examples():
