@@ -139,7 +139,9 @@ def find_primitive_divisors(
     most 3, and a prime of D has rank itself, so these few others are
     small.)  When D is a square, factor() is told the step: at the default
     rho_iterations it then runs P-1 before rho on each composite cofactor
-    (for 2^n - 1 with n <= 136, P-1 splits them all).  Otherwise factor() gets
+    (for 2^n - 1 with n <= 136, P-1 splits all but two, a 36-bit one at
+    n = 108 and a 26-bit one at n = 124, whose gcds give only the whole
+    cofactor, so rho splits those).  Otherwise factor() gets
     step 2 and no P-1 runs.  Rho walks x^2 + c either way.
 
     A prime of Phi_n that does not divide n has rank exactly n (Carmichael

@@ -8,7 +8,7 @@ working directory, and `certify` and `verify-cover` are given bare file
 names, so no machine path enters `inputs` or `asset_checksums`.  A refusal
 run reads a copy of the packaged assets, with at most one field edited, from
 a temporary working directory by the relative path `--assets assets`; its
-stderr is compared with `<name>.txt`.
+stderr is compared with `<name>.txt`.  tests/golden/ holds no other file.
 
 Running this module as a script rewrites the golden files from the current
 code:
@@ -117,6 +117,11 @@ def test_refusal_matches_its_golden_file(name):
     code, text = refusal_text(*REFUSALS[name])
     assert code == 2
     assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_golden_directory_holds_one_file_per_case():
+    expected = {f"{name}.json" for name in INVOCATIONS} | {f"{name}.txt" for name in REFUSALS}
+    assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
 if __name__ == "__main__":
