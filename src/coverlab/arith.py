@@ -224,8 +224,6 @@ def factor(n: int, rho_iterations: int = RHO_ITERATIONS,
     pm1 = step > 2 and rho_iterations >= _PM1_SQUARINGS
     while pending:
         c = pending.pop()
-        if c == 1:
-            continue
         if is_probable_prime(c):
             found[c] = found.get(c, 0) + 1
             continue

@@ -4,20 +4,21 @@ A system {a_1(n_1), ..., a_k(n_k)} covers Z iff it covers one full period
 0..lcm(n_1..n_k)-1, so coverage is decided by a counting sieve over that
 period.  No inclusion-exclusion shortcut is used: every system this package
 ships has a small lcm (24, 630, 675675) and the sieve is the transparent
-check.  The sieve keeps one byte per cell and keeps counts past 255 exact
-by detecting wraps.  Each class is sieved on the smallest period that holds
-it, and the bytes are tiled up to the lcm as larger moduli come in, up to
-one segment of 2^20 cells; a larger period is sieved one segment at a time,
-so the sieve never holds the whole period.  At the default budget, lcm
-10^8, a 41-class cover whose smallest modulus is 2 is checked in about
-0.02 s and peaks at about 21 MiB of RSS, nearly all of it the interpreter
-(2 vCPU Xeon at 2.1 GHz, Python 3.11.7).
+check.  The sieve holds each count as base-256 digits, one byte plane per
+digit; a plane past the first is made only when a count carries into it,
+and no shipped cover's counts do (the largest is 6).  Each class is sieved
+on the smallest period that holds it, and the planes are tiled up to the
+lcm as larger moduli come in, up to one segment of 2^20 cells; a larger
+period is sieved one segment at a time, so the sieve never holds the whole
+period.  At the default budget, lcm 10^8, a 41-class cover whose smallest
+modulus is 2 is checked in about 0.02 s and peaks at about 21 MiB of RSS,
+nearly all of it the interpreter (2 vCPU Xeon at 2.1 GHz, Python 3.11.7).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from typing import NamedTuple
 
 from . import codec
@@ -87,54 +88,52 @@ def lcm_refusal(system: CoveringSystem, enumeration_budget: int,
     return "", ""
 
 
-def _add(cells: bytearray, s: int, n: int, top: int, wraps: dict[int, int]) -> int:
-    """Add 1 to cells s, s + n, s + 2n, ... with one `translate`, add 256 to
-    `wraps[x]` for each cell x that wrapped to 0, and return `top`, the
-    largest count while no cell has wrapped, brought up to date."""
-    hit = cells[s::n].translate(_INC)
-    cells[s::n] = hit
-    if top < 255 and top + 1 in hit:
+def _add(planes: list[bytearray], s: int, n: int, top: int) -> int:
+    """Add 1 to the counts of cells s, s + n, s + 2n, ... and return `top`,
+    the largest count while no count has carried, brought up to date, or -1
+    once one has.
+
+    Counts are base-256 numbers, digit k of cell x in `planes[k][x]`.  The
+    slice of low digits takes one `translate`; each digit that wrapped to 0
+    carries 1 into the next plane, which is made on its first carry.
+    """
+    low = planes[0]
+    hit = low[s::n].translate(_INC)
+    low[s::n] = hit
+    if 0 <= top < 255 and top + 1 in hit:
         top += 1
-    j = hit.find(0)                 # only a cell that was at 255 reads 0 now
+    j = hit.find(0)                 # only a digit that was at 255 reads 0 now
     while j >= 0:
-        x = s + j * n
-        wraps[x] = wraps.get(x, 0) + 256
+        x, k = s + j * n, 1
+        while k < len(planes) and planes[k][x] == 255:
+            planes[k][x] = 0
+            k += 1
+        if k == len(planes):
+            planes.append(bytearray(len(low)))
+        planes[k][x] += 1
+        top = -1
         j = hit.find(0, j + 1)
     return top
 
 
-def _extremes(cells: bytearray, size: int, tile_wraps: dict[int, int],
-              wraps: dict[int, int], top: int) -> tuple[int, int]:
-    """The least and largest count in a segment of whole tiles of `size` cells.
+def _extremes(planes: list[bytearray], top: int) -> tuple[int, int, int]:
+    """The least and largest count held in `planes`, and the first cell that
+    holds the least.
 
-    A cell's count is its byte plus the wraps of its tile cell
-    (`tile_wraps`, by cell mod `size`) and its own (`wraps`).  Each wrapped
-    cell is then set to 255, which is >= every unwrapped count and never 0,
-    so the segment's first 0 is its first uncovered cell.  A tile cell's
-    wraps are read through one strided slice of the segment, not cell by cell.
+    While no count has carried, the counts are the low plane's bytes and
+    `top` is the largest.  Once one has, a count is compared as the tuple of
+    its digits, most significant first.
     """
-    tiles = len(cells) // size
-    # counts of wrapped cells, then each run's extremes for those of its cells
-    counts = [tile_wraps.get(j % size, 0) + w + cells[j] for j, w in wraps.items()]
-    for j in wraps:
-        cells[j] = 255
-    own = Counter(j % size for j in wraps)
-    wrapped = len(tile_wraps) * tiles + sum(j % size not in tile_wraps for j in wraps)
-    everywhere = wrapped == len(cells)  # then the least count is a wrapped one
-    masked = b"\xff" * tiles if tile_wraps else b""
-    for x, w in tile_wraps.items():
-        run = cells[x::size]
-        if own[x] < tiles:          # some cell of the run has no own wraps, and
-            counts.append(w + max(run))     # those that do read 255
-            if everywhere:
-                counts.append(w + min(run))
-        cells[x::size] = masked
-    if everywhere:
-        return min(counts), max(counts)
-    least = 0
-    while least not in cells:
-        least += 1
-    return least, max(counts) if counts else top
+    low = planes[0]
+    if top >= 0:
+        least = 0
+        while least not in low:
+            least += 1
+        return least, top, low.find(least)
+    least = min(zip(*reversed(planes)))
+    most = max(zip(*reversed(planes)))
+    first = next(x for x, digits in enumerate(zip(*reversed(planes))) if digits == least)
+    return int.from_bytes(least, "big"), int.from_bytes(most, "big"), first
 
 
 def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> CoverReport:
@@ -152,17 +151,18 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
     Tiling stops at one segment of `_SEGMENT` cells.  A class whose modulus
     would take the tile past it is sieved on each segment of the period in
     turn, a fresh copy of the tile, and costs lcm/n cells; each segment's
-    extremes and first uncovered cell are read before the next is built, so
-    no more than the tile and one segment are held.  A period that fits in
-    one segment is sieved in place.
+    extremes and first uncovered cell are read, and the segment dropped,
+    before the next is built, so no more than the tile and one segment are
+    held.  A period that fits in one segment is sieved in place.
 
-    A cell hit for the 256th time reads 0 again; such wraps are found in the
-    slice just updated and kept in a dict by cell, so every count, witness
-    and extreme is exact at any multiplicity.  A wrap of a tiled class costs
-    one entry per tile cell, however many period cells repeat it, and one of
-    a later class one entry per segment cell, dropped with its segment.  A
-    class of modulus 1 holds every cell, so it is not sieved: it adds 1 to
-    both extremes at the end.
+    A byte hit for the 256th time reads 0 again and carries 1 into the next
+    plane, made for the tile or segment on its first carry: each count is a
+    base-256 number, one plane per digit, so every count, witness and
+    extreme is exact at any multiplicity.  Planes are tiled and copied into
+    segments together, so carried counts cost time in proportion to the
+    period, and only covers whose counts carry pay for reading them back
+    digit tuple by digit tuple.  A class of modulus 1 holds every cell, so
+    it is not sieved: it adds 1 to both extremes at the end.
 
     `enumeration_budget` bounds the lcm of the moduli; a larger lcm raises
     the refusal of `lcm_refusal` as ValueError instead of silently grinding.
@@ -171,10 +171,9 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
     if period > enumeration_budget:
         _, why = lcm_refusal(system, enumeration_budget)
         raise ValueError(why)
-    tile = bytearray(1)
+    tile = [bytearray(1)]             # the digit planes of the tile's counts
     size = 1                          # tile holds the period of the classes tiled so far
-    tile_wraps: dict[int, int] = {}   # tile cell -> 256 per wrap
-    top = 0                           # the largest count while no cell has wrapped
+    top = 0                           # the largest count while no count has carried, then -1
     whole = 0                         # classes of modulus 1, which hold every cell
     late = []                         # classes sieved segment by segment
     for c in sorted(system.classes, key=lambda c: c.n):
@@ -185,26 +184,25 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
         else:
             if size % c.n:
                 tiles = c.n // math.gcd(size, c.n)
-                tile *= tiles
-                # cells outermost: tiles can be near _SEGMENT while tile_wraps is empty
-                tile_wraps = {x + size * i: w for x, w in tile_wraps.items()
-                              for i in range(tiles)}
+                for plane in tile:
+                    plane *= tiles
                 size *= tiles
-            top = _add(tile, c.a % c.n, c.n, top, tile_wraps)
+            top = _add(tile, c.a % c.n, c.n, top)
     step = _SEGMENT // size * size
     lows, highs, witness = [], [], -1
     for start in range(0, period, step):
         # a period that fits in one segment is the tile, sieved in place
-        cells = tile if size == period else tile * (min(step, period - start) // size)
-        wraps: dict[int, int] = {}    # segment cell -> 256 per wrap
+        reps = min(step, period - start) // size
+        cells = tile if size == period else [plane * reps for plane in tile]
         cells_top = top
         for a, n in late:
-            cells_top = _add(cells, (a - start) % n, n, cells_top, wraps)
-        low, high = _extremes(cells, size, tile_wraps, wraps, cells_top)
+            cells_top = _add(cells, (a - start) % n, n, cells_top)
+        low, high, first = _extremes(cells, cells_top)
         if low == 0 and witness < 0:
-            witness = start + cells.find(0)
+            witness = start + first
         lows.append(low)
         highs.append(high)
+        del cells                     # before the next segment is built
     low, high = min(lows) + whole, max(highs) + whole
     return CoverReport(
         is_cover=low >= 1,

@@ -669,6 +669,12 @@ def test_lcm_over_budget_names_the_file_and_the_class(tmp_path, capsys):
     assert len(lcm) > 4300
     assert capsys.readouterr().err == (f"coverlab: input error: {wide}: $.classes[1].n: lcm of "
                                        f"moduli is {lcm}, above the enumeration budget 100000000\n")
+    # the budget bounds the lcm inclusively, down to --budget 1
+    assert cli.main(["verify-cover", asset(assets.COVER_ERDOS), "--budget", "23"]) == 2
+    assert cli.main(["verify-cover", asset(assets.COVER_ERDOS), "--budget", "24"]) == 0
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps({"classes": [{"a": "0", "n": "1"}]}))
+    assert cli.main(["verify-cover", str(whole), "--budget", "1"]) == 0
 
 
 def test_reports_deterministic_apart_from_timing(capsys):

@@ -41,6 +41,11 @@ def test_verify_cover_budget():
     system = CoveringSystem([ResidueClass(0, 675675), ResidueClass(1, 2)])
     with pytest.raises(ValueError, match="1351350"):
         verify_cover(system, enumeration_budget=10**6)
+    # the budget bounds the lcm inclusively: lcm 24 is sieved at budget 24
+    erdos = load_cover(asset_path(COVER_ERDOS))
+    assert verify_cover(erdos, enumeration_budget=24).is_cover
+    with pytest.raises(ValueError, match="above the enumeration budget 23"):
+        verify_cover(erdos, enumeration_budget=23)
 
 
 def test_verify_cover_matches_direct_membership():
@@ -74,6 +79,11 @@ def test_verify_cover_counts_past_255():
     report = verify_cover(CoveringSystem([ResidueClass(0, 1)] * 300 + [ResidueClass(1, 2)]))
     assert report.is_cover and report.uncovered_witness is None
     assert (report.min_multiplicity, report.max_multiplicity) == (300, 301)
+
+    # 65,537 = 1 * 256^2 + 0 * 256 + 1 hits carry cell 0 into a third digit
+    report = verify_cover(CoveringSystem([ResidueClass(0, 2)] * 65_537 + [ResidueClass(1, 2)]))
+    assert report.is_cover and report.uncovered_witness is None
+    assert (report.min_multiplicity, report.max_multiplicity) == (1, 65_537)
 
 
 def _direct(classes):
@@ -232,13 +242,15 @@ def test_verify_cover_holds_one_segment_not_the_period():
     assert report.is_cover and report.lcm == 16_216_200
     assert peak < 4 * 2**20
 
-    # every even cell has wrapped: the wraps are kept by tile cell, not by
-    # each of the 5 million even cells of the period
-    report, peak = _traced_peak(CoveringSystem([ResidueClass(0, 2)] * 256
-                                               + [ResidueClass(1, 10**7)]))
-    assert (report.is_cover, report.uncovered_witness) == (False, 3)
-    assert (report.min_multiplicity, report.max_multiplicity) == (0, 256)
-    assert peak < 4 * 2**20
+    # every even cell is hit 256 times, so its count carries into a second
+    # plane: 1(10^7) is sieved on 10 segments of two planes each, one at a
+    # time, and 1(2^20) on a tile of two planes of 2^20 cells
+    for big in (10**7, 2**20):
+        report, peak = _traced_peak(CoveringSystem([ResidueClass(0, 2)] * 256
+                                                   + [ResidueClass(1, big)]))
+        assert (report.is_cover, report.lcm, report.uncovered_witness,
+                report.min_multiplicity, report.max_multiplicity) == (False, big, 3, 0, 256)
+        assert peak < 4 * 2**20, big
 
 
 def test_build_doubled_cover():

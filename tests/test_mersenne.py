@@ -161,6 +161,7 @@ def test_mersenne_valuation_examples():
     assert mersenne_valuation(7, 3) == 1
     assert mersenne_valuation(3, 6) == 2      # 63 = 3^2 * 7
     assert mersenne_valuation(11, 12) == 0    # 11 does not divide 2^12 - 1
+    assert mersenne_valuation(2, 5) == 0      # p = 2 is accepted: 2^n - 1 is odd
     assert mersenne_valuation(1093, 364) == 2
     assert mersenne_valuation(3511, 3510) == 2
     # cross-check by modular lifting
