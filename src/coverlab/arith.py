@@ -54,13 +54,15 @@ class Factorization(NamedTuple):
 RHO_ITERATIONS = 10**7   # factor()'s default cap on the steps of one rho attempt
 _RHO_ATTEMPTS = 8   # rho attempts per composite cofactor, offsets c = 1..8
 
-# Pollard P-1 bounds.  Stage 1's exponent has about 1.44 * B1 bits and
-# stage 2 takes two multiplications per prime in (B1, B2], 75,483 of them,
-# so a call that splits nothing costs about 2.5 * 10^5 squarings, its
-# largest cost; a call stops at its first split.
-_PM1_B1 = 1 << 16
-_PM1_B2 = 1 << 20
-_PM1_SQUARINGS = 250_000
+# Pollard P-1 runs in two rounds of bounds (B1, B2), each from 3^step.
+# Stage 1's exponent has about 1.44 * B1 bits; stage 2 takes one
+# multiplication per prime in (B1, B2], one per giant step of _PM1_WHEEL
+# and 105 for its table.  The rounds take about 8,300 and 174,700 of
+# these, so a call that splits nothing costs about 1.9 * 10^5 squarings,
+# its largest cost; a call stops at its first split.
+_PM1_ROUNDS = ((1 << 10, 1 << 16), (1 << 16, 1 << 20))
+_PM1_WHEEL = 210
+_PM1_SQUARINGS = 190_000
 _SIEVE_SEGMENT = 1 << 14     # odd numbers per segment of the prime sieve
 _TRIAL_BOUND = 4096          # factor() divides out every prime up to it
 # factor() reads the least prime factor of n < 2^20 from a table sieved by
@@ -168,15 +170,17 @@ def factor(n: int, rho_iterations: int = RHO_ITERATIONS,
            step: int = 2) -> Factorization:
     """Factor n by trial division, then Pollard P-1 and rho.
 
-    Trial division divides out every prime up to _TRIAL_BOUND = 4096.  A
-    remainder with no prime factor below s and smaller than s^2 is itself
-    prime, so it is recorded without a primality test; any other remainder
-    goes to is_probable_prime and rho.  Below 2^20, trial division is a
-    lookup in a table of least prime factors, sieved one segment of 2^15
-    numbers at a time as calls reach it, with the same result: every odd
-    composite below 2^20 has a prime factor up to 1021.  Every extracted
-    factor is therefore proven by trial division or by the sieve, or passes
-    is_probable_prime.
+    Trial division divides out every prime up to _TRIAL_BOUND = 4096: one
+    gcd of n with the product of the 564 such primes, built once, names the
+    primes of n among them, and only those are divided out.  A remainder
+    with no prime factor up to 4096 and smaller than 4097^2 is itself prime,
+    so it is recorded without a primality test; any other remainder goes to
+    is_probable_prime and rho.  Below 2^20, trial division is a lookup in a
+    table of least prime factors, sieved one segment of 2^15 numbers at a
+    time as calls reach it, with the same result: every odd composite below
+    2^20 has a prime factor up to 1021; the table also splits a gcd below
+    2^20.  Every extracted factor is therefore proven by trial division or
+    by the sieve, or passes is_probable_prime.
 
     `rho_iterations` caps the steps of one Brent-Pollard rho attempt; an
     x^2 + c step is one modular squaring, and every composite cofactor gets
@@ -188,11 +192,13 @@ def factor(n: int, rho_iterations: int = RHO_ITERATIONS,
     trial division is = 1 (mod step).  The default 2 holds for every odd
     prime.  Only Pollard's P-1 method uses a larger step: it runs on each
     composite cofactor before rho, when rho_iterations is at least its
-    largest cost of about 2.5 * 10^5 squarings (tens of milliseconds, paid
+    largest cost of about 1.9 * 10^5 squarings (tens of milliseconds, paid
     only when it splits nothing), and that run is not charged to any rho
-    attempt.  P-1 finds p when (p - 1)/step is 2^16-smooth apart from at
-    most one prime up to 2^20, stopping at the first block of primes that
-    splits n, and otherwise leaves the cofactor to rho, which walks x^2 + c
+    attempt.  P-1 runs two rounds of bounds, (2^10, 2^16) and then
+    (2^16, 2^20), and finds p when (p - 1)/step is 2^16-smooth apart from at
+    most one prime up to 2^20, stopping at the first block or segment of
+    primes that splits n; stage 2 takes one multiplication per prime (see
+    _pm1_round).  Otherwise it leaves the cofactor to rho, which walks x^2 + c
     whatever the step.  A wrong step never yields a wrong factor: every
     split is still a gcd divisor of n and every factor still passes the
     same checks.  It can cost time, and under a small rho_iterations it can
@@ -206,15 +212,13 @@ def factor(n: int, rho_iterations: int = RHO_ITERATIONS,
         return _factor_by_table(n)
     found: dict[int, int] = {}
     rest = n
-    least = _TRIAL_BOUND + 1   # least prime factor rest can still have
-    for p in _primes_up_to(_TRIAL_BOUND):
-        if p * p > rest:
-            least = p
-            break
+    for p in _trial_primes_of(math.gcd(n, _trial_product())):
+        e = 0
         while rest % p == 0:
-            found[p] = found.get(p, 0) + 1
             rest //= p
-    if rest < least * least:
+            e += 1
+        found[p] = e
+    if rest < (_TRIAL_BOUND + 1) ** 2:   # no prime factor up to the bound: 1 or prime
         if rest > 1:
             found[rest] = 1
         return Factorization(tuple(found.items()))   # ascending: rest exceeds every p
@@ -238,8 +242,30 @@ def factor(n: int, rho_iterations: int = RHO_ITERATIONS,
     return Factorization(tuple(sorted(found.items())), leftover)
 
 
-# the bounds are fixed: _TRIAL_BOUND, _TABLE_BOUND and the square roots the
-# sieve takes of the ends of its ranges; the ones that recur stay cached
+def _product(factors) -> int:
+    """The product of the ints `factors`, by a balanced tree of multiplications."""
+    xs = list(factors)
+    while len(xs) > 1:
+        xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1:]
+    return xs[0] if xs else 1
+
+
+@functools.lru_cache(maxsize=1)
+def _trial_product() -> int:
+    """The product of the 564 primes up to _TRIAL_BOUND, 5,811 bits."""
+    return _product(_primes_up_to(_TRIAL_BOUND))
+
+
+def _trial_primes_of(g: int) -> list[int]:
+    """The primes of g, a divisor of _trial_product(), ascending."""
+    if g < _TABLE_LIMIT:
+        return [p for p, _ in _factor_by_table(g).factors]
+    return [p for p in _primes_up_to(_TRIAL_BOUND) if g % p == 0]
+
+
+# the bounds are fixed: _TRIAL_BOUND, _TABLE_BOUND, P-1's two B1 and the
+# square roots the sieve takes of the ends of its ranges; the ones that
+# recur stay cached
 @functools.lru_cache(maxsize=8)
 def _primes_up_to(bound: int) -> tuple[int, ...]:
     """The primes <= bound, ascending."""
@@ -249,12 +275,20 @@ def _primes_up_to(bound: int) -> tuple[int, ...]:
 
 
 def _odd_prime_segments(lo: int, hi: int):
-    """The odd primes p with lo < p <= hi, ascending, one segment of the
-    sieve of Eratosthenes at a time.
+    """The odd primes p with lo < p <= hi, ascending, one segment of
+    _odd_prime_flags at a time, each as an iterator over its primes."""
+    for start, flags in _odd_prime_flags(lo, hi):
+        yield itertools.compress(range(start, start + 2 * len(flags), 2), flags)
 
-    Each segment is an iterator over its primes, the cells that _strike
-    leaves 0.  The sieve holds one byte per odd number, _SIEVE_SEGMENT of
-    them at a time, so P-1 never holds the 82,025 primes below 2^20 at once.
+
+def _odd_prime_flags(lo: int, hi: int):
+    """The odd numbers m with lo < m <= hi, one segment of the sieve of
+    Eratosthenes at a time: pairs (start, flags), with flags[i] 1 when
+    start + 2*i is prime and 0 otherwise.
+
+    flags marks the cells that _strike leaves 0.  The sieve holds one byte
+    per odd number, _SIEVE_SEGMENT of them at a time, so P-1 never holds the
+    82,025 primes below 2^20 at once.
     """
     small = _primes_up_to(math.isqrt(hi))[1:]
     start = (lo + 1) | 1                 # the least odd number above lo
@@ -263,8 +297,7 @@ def _odd_prime_segments(lo: int, hi: int):
         cells = _strike(start, size, small)
         if start == 1:
             cells[0] = 1                 # 1 is not prime
-        yield itertools.compress(range(start, start + 2 * size, 2),
-                                 cells.translate(_ZERO_CELLS))
+        yield start, cells.translate(_ZERO_CELLS)
         start += 2 * size
 
 
@@ -331,52 +364,75 @@ def _factor_by_table(n: int) -> Factorization:
     return Factorization(tuple(pairs))
 
 
-@functools.lru_cache(maxsize=1)
-def _pm1_blocks() -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Stage 1's prime powers q^floor(log_q B1), one block per prime range
-    (2^(k-1), 2^k] for k = 1..16, each block with the product of its powers.
+@functools.lru_cache(maxsize=len(_PM1_ROUNDS))
+def _pm1_blocks(b1: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Stage 1's prime powers q^floor(log_q b1), one block per prime range
+    (2^(k-1), 2^k] for k = 1..log2(b1), each block with the product of its
+    powers.
 
-    The block of q = 2 holds B1 = 2^16 itself.  All the products together
-    have about 1.44 * B1 bits.
+    b1 is a power of 2, and the block of q = 2 holds b1 itself.  A prime
+    above sqrt(b1) is its own power.  All the products together have about
+    1.44 * b1 bits.
     """
-    blocks = [(_PM1_B1,)]                # B1 is a power of 2
-    primes = itertools.chain.from_iterable(_odd_prime_segments(2, _PM1_B1))
+    blocks = [(b1,)]
+    primes = itertools.chain.from_iterable(_odd_prime_segments(2, b1))
     for _, group in itertools.groupby(primes, int.bit_length):
-        powers = []
-        for q in group:
-            power = q
-            while power * q <= _PM1_B1:
-                power *= q
-            powers.append(power)
+        powers = list(group)
+        if powers[0] ** 2 <= b1:         # a block up to sqrt(b1)
+            for i, q in enumerate(powers):
+                while powers[i] * q <= b1:
+                    powers[i] *= q
         blocks.append(tuple(powers))
-    return tuple((powers, math.prod(powers)) for powers in blocks)
+    return tuple((powers, _product(powers)) for powers in blocks)
 
 
 def _pm1_split(n: int, step: int) -> int | None:
     """Pollard's P-1 method with the factor `step` of p - 1 known; a proper
     divisor of the composite n, or None.
 
+    It runs _pm1_round for each (B1, B2) of _PM1_ROUNDS, (2^10, 2^16) and
+    then (2^16, 2^20), and returns the first proper divisor.  The first
+    round costs about 4% of the second and finds p when (p - 1)/step is
+    2^10-smooth apart from at most one prime up to 2^16; the second starts
+    afresh from 3^step and finds p when it is 2^16-smooth apart from at most
+    one prime up to 2^20.  A run that splits nothing costs about
+    _PM1_SQUARINGS modular squarings, P-1's largest cost.
+    """
+    for b1, b2 in _PM1_ROUNDS:
+        d = _pm1_round(n, step, b1, b2)
+        if d is not None:
+            return d
+    return None
+
+
+def _pm1_round(n: int, step: int, b1: int, b2: int) -> int | None:
+    """One round of P-1 with bounds b1 < b2, both powers of 2: a proper
+    divisor of the composite n, or None.
+
     Stage 1 starts from a = 3^step and raises a to the prime powers of
-    _pm1_blocks(), a block at a time, with gcd(a - 1, n) after each block:
+    _pm1_blocks(b1), a block at a time, with gcd(a - 1, n) after each block:
     it finds each prime p of n = 1 (mod step) whose (p - 1)/step has no
-    prime power above B1, in the first block that completes its order.  A
+    prime power above b1, in the first block that completes its order.  A
     block whose gcd is n is replayed one prime power at a time from its
     start, and the first gcd other than 1 is returned; it is None only when
-    one prime power brings in every prime of n.  Stage 2 adds the p whose
-    (p - 1)/step has one more prime q with B1 < q <= B2: it walks a^q from
-    prime to prime by a table of a^gap for the even gaps and takes one gcd
-    of the product of the a^q - 1 per sieve segment (Pollard 1974, Proc.
-    Cambridge Philos. Soc. 76).  A stage-2 gcd of n, where every prime of n
-    is found in the same segment, gives None, and rho takes over.  The base
-    is 3 because 2 has order dividing step modulo every prime of Phi_m(2)
-    for m | step, so base 2 would always give n.
+    one prime power brings in every prime of n.  The base is 3 because 2 has
+    order dividing step modulo every prime of Phi_m(2) for m | step, so base
+    2 would always give n.
 
-    The work stops at the first block that splits n, so its cost follows
-    the largest prime of (p - 1)/step, not B1.  A run that splits nothing
-    costs about _PM1_SQUARINGS modular squarings, P-1's largest cost.
+    Stage 2 adds the p whose (p - 1)/step has one more prime q with
+    b1 < q <= b2, by baby steps and giant steps (Montgomery 1987, Math.
+    Comp. 48): with w = _PM1_WHEEL, giant steps G = a^(kw) and a table of
+    a^j for odd j < w, each prime q = kw - j multiplies a product by
+    G - a^j = a^j (a^q - 1), one multiplication, and one gcd of the product
+    is taken per sieve segment.  While 3 does not divide n, a^j is a unit,
+    so every gcd is that of the product of the a^q - 1.  A stage-2 gcd of
+    n, where every prime of n is found in the same segment, gives None.
+
+    The work stops at the first block or segment that splits n, so its cost
+    follows the largest prime of (p - 1)/step, not b1.
     """
     a = pow(3, step, n)
-    for powers, product in _pm1_blocks():
+    for powers, product in _pm1_blocks(b1):
         b = pow(a, product, n)
         g = math.gcd(b - 1, n)
         if g == 1:
@@ -389,17 +445,27 @@ def _pm1_split(n: int, step: int) -> int | None:
             g = math.gcd(a - 1, n)
             if g != 1:
                 return g if g != n else None
-    gaps = [1, a * a % n]                # gaps[k] = a^(2k)
-    for _ in range(63):                  # every gap below 2^20 is at most 114
-        gaps.append(gaps[-1] * gaps[1] % n)
-    prev = _PM1_B1 - 1                   # odd, so every gap to a prime is even
-    aq = pow(a, prev, n)
+    w = _PM1_WHEEL
+    baby = [0] * w                       # baby[w - j] = a^j for odd j < w
+    aj, a2 = a, a * a % n
+    for j in range(1, w, 2):
+        baby[w - j] = aj
+        aj = aj * a2 % n
+    giant_step = pow(a, w, n)
+    k = b1 // w                          # G = a^((k + 1) w) for kw < q < (k + 1) w
+    giant = pow(a, (k + 1) * w, n)
     acc = 1
-    for segment in _odd_prime_segments(_PM1_B1, _PM1_B2):
-        for q in segment:
-            aq = aq * gaps[(q - prev) >> 1] % n
-            acc = acc * (aq - 1) % n
-            prev = q
+    for start, flags in _odd_prime_flags(b1, b2):
+        i = 0
+        while i < len(flags):            # one window (kw, (k + 1) w) at a time
+            qk, first = divmod(start + 2 * i, w)
+            while k < qk:
+                giant = giant * giant_step % n
+                k += 1
+            end = i + (w - first + 1) // 2   # the window's cells from `first` on
+            for r in itertools.compress(range(first, w, 2), flags[i:end]):
+                acc = acc * (giant - baby[r]) % n
+            i = end
         g = math.gcd(acc, n)
         if g != 1:
             return g if g != n else None

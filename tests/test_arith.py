@@ -426,21 +426,23 @@ def test_pm1_splits_the_cofactors_where_stage_1_used_to_find_every_prime():
 
 def test_pm1_matches_sympy_on_semiprimes_of_the_progression():
     sympy = pytest.importorskip("sympy")
-    b1, b2 = arith._PM1_B1, arith._PM1_B2
-    powers = {}                          # stage 1's prime powers, in order
-    for q in sympy.primerange(2, b1 + 1):
-        power = q
-        while power * q <= b1:
-            power *= q
-        powers[q] = power
-    position = {q: i for i, q in enumerate(powers)}
-    exponent = math.prod(powers.values())
+    # the plans below put a split in each round and stage of this schedule
+    assert arith._PM1_ROUNDS == ((2**10, 2**16), (2**16, 2**20))
+    rounds = []
+    for b1, b2 in arith._PM1_ROUNDS:
+        powers = {}                      # stage 1's prime powers, in order
+        for q in sympy.primerange(2, b1 + 1):
+            power = q
+            while power * q <= b1:
+                power *= q
+            powers[q] = power
+        position = {q: i for i, q in enumerate(powers)}
+        rounds.append((b1, b2, powers, position, math.prod(powers.values())))
 
-    def entry(p, s):
-        # (1, i) when stage 1 of P-1 at step s finds the prime p at the i-th
-        # prime power, (2, j) when stage 2 finds it in its j-th sieve
-        # segment, None when neither does.  P-1 returns the prime with the
-        # earlier entry, and None when both enter together or not at all
+    def entry(p, s, b1, b2, powers, position, exponent):
+        # (1, i) when stage 1 of the round with bounds (b1, b2) finds the
+        # prime p at the i-th prime power, (2, j) when its stage 2 finds p
+        # in the j-th sieve segment, None when neither does
         order = sympy.n_order(pow(3, s, p), p)
         primes = sympy.factorint(order)
         if all(ell <= b1 and ell**k <= powers[ell] for ell, k in primes.items()):
@@ -450,52 +452,146 @@ def test_pm1_matches_sympy_on_semiprimes_of_the_progression():
             return 2, (rest - b1 - 1) // (2 * arith._SIEVE_SEGMENT)
         return None
 
+    def outcome(p, q, s):
+        # (divisor, (round, stage)), or (None, None).  A round returns the
+        # prime with the earlier entry, and nothing when both enter together
+        # or not at all; P-1 returns the first round's divisor
+        for number, bounds in enumerate(rounds, 1):
+            ep, eq = entry(p, s, *bounds), entry(q, s, *bounds)
+            if ep != eq:
+                if eq is None or (ep is not None and ep < eq):
+                    return p, (number, ep[0])
+                return q, (number, eq[0])
+        return None, None
+
     def progression_prime(s, k, r=1):
         # the least prime s * r * k' + 1 with k' >= k
         while not sympy.isprime(s * r * k + 1):
             k += 1
         return s * r * k + 1
 
+    def random_prime(s, rng):
+        return progression_prime(s, rng.randrange(2**39 // s, 2**40 // s))
+
     def planted_prime(s, r, rng):
-        # a prime that stage 1 finds at the prime power of r
+        # a prime that stage 1 of the last round finds at the prime power of r
+        last = rounds[-1]
         while True:
             p = progression_prime(s, rng.randrange(2**39 // (s * r), 2**40 // (s * r)), r)
-            if entry(p, s) == (1, position[r]):
+            if entry(p, s, *last) == (1, last[3][r]):
                 return p
 
+    small = list(sympy.primerange(3, 1 << 10))
+
+    def smooth_prime(s, big, rng):
+        # a prime s * m + 1 of at least 40 bits, m the product of the primes
+        # of `big` and of at least one of the distinct odd primes below 2^10
+        while True:
+            m = math.prod(big)
+            for ell in rng.sample(small, len(small)):
+                m *= ell
+                if s * m >= 2**39:
+                    break
+            if sympy.isprime(s * m + 1):
+                return s * m + 1
+
+    def between(lo, hi, rng):
+        return sympy.nextprime(rng.randrange(lo, hi - 200))
+
+    # the primes of (p - 1)/s above 2^10 that put p's split in each round
+    # and stage: none, one up to 2^16, two up to 2^16, one up to 2^16 and
+    # one above it
+    plans = {(1, 1): lambda rng: [],
+             (1, 2): lambda rng: [between(2**10, 2**16, rng)],
+             (2, 1): lambda rng: [between(2**10, 2**15, rng), between(2**15, 2**16, rng)],
+             (2, 2): lambda rng: [between(2**10, 2**16, rng), between(2**16, 2**18, rng)]}
     rng = random.Random(40)
-    seen = {1: 0, 2: 0, None: 0}
+    seen = dict.fromkeys([*plans, None], 0)
     for s in (6, 134, 250):
         pairs = []
         for _ in range(4):
-            p = progression_prime(s, rng.randrange(2**39 // s, 2**40 // s))
+            p = random_prime(s, rng)
             q = p
             while q == p:
-                q = progression_prime(s, rng.randrange(2**39 // s, 2**40 // s))
+                q = random_prime(s, rng)
             pairs.append((p, q))
-        # planted pairs in the last block, (2^15, 2^16]: one that enters
-        # together at 65521, the last prime power, and one that enters at
-        # 65519 and 65521, so that the block's gcd is n and its replay splits
+        # planted pairs in the last block of the last round, (2^15, 2^16]:
+        # one that enters together at 65521, the last prime power, and one
+        # that enters at 65519 and 65521, so that the block's gcd is n and
+        # its replay splits
         for r1, r2 in ((65521, 65521), (65519, 65521)):
             p = planted_prime(s, r1, rng)
             q = p
             while q == p:
                 q = planted_prime(s, r2, rng)
             pairs.append((p, q))
+        # one pair split in each round and stage, by a planted p
+        for plan, big in plans.items():
+            while True:
+                p, q = smooth_prime(s, big(rng), rng), random_prime(s, rng)
+                if outcome(p, q, s) == (p, plan):
+                    break
+            pairs.append((p, q))
         for p, q in pairs:
-            ep, eq = entry(p, s), entry(q, s)
-            if ep == eq:
-                expected = None
-            elif eq is None or (ep is not None and ep < eq):
-                expected = p
-            else:
-                expected = q
-            assert arith._pm1_split(p * q, s) == expected, (p, q, s, ep, eq)
-            seen[None if expected is None else min(filter(None, (ep, eq)))[0]] += 1
+            expected, where = outcome(p, q, s)
+            assert arith._pm1_split(p * q, s) == expected, (p, q, s, where)
+            seen[where] += 1
             f = factor(p * q, step=s)
             # p and q passed sympy.isprime, so this is sympy.factorint(p * q)
             assert f.complete and dict(f.factors) == {p: 1, q: 1}, (p, q, s)
     assert all(seen.values()), seen
+
+
+# Of the 123 exponents n = 137..259, the 85 whose Phi_n(2) leaves a composite
+# cofactor of at most 200 bits after trial division to 4096, and the 7 of
+# those where P-1 at the step of n returns no proper divisor.  Measured with
+# the single round (2^16, 2^20) that P-1 ran before it had two; a schedule
+# that narrows the last round splits fewer
+_PM1_REACH_EXPONENTS = 85
+_PM1_REACH_MISSES = (137, 149, 185, 199, 206, 219, 256)
+
+
+def test_pm1_reach_past_the_benchmark_sweep():
+    trial = arith._primes_up_to(arith._TRIAL_BOUND)
+    exponents, misses = 0, []
+    for n in range(137, 260):
+        c = cyclotomic_mersenne(n)
+        for p in trial:
+            while c % p == 0:
+                c //= p
+        if c == 1 or is_probable_prime(c) or c.bit_length() > 200:
+            continue
+        exponents += 1
+        d = arith._pm1_split(c, 2 * n if n % 2 else n)
+        if d is None:
+            misses.append(n)
+        else:
+            assert 1 < d < c and c % d == 0, n
+    assert exponents == _PM1_REACH_EXPONENTS
+    assert tuple(misses) == _PM1_REACH_MISSES
+
+
+def test_factor_matches_sympy_on_products_of_the_trial_primes():
+    # trial division takes one gcd with the product of the primes up to
+    # 4096 and divides out only the primes of that gcd.  Exponents up to 12
+    # put the gcd both below 2^20, where the least-factor table splits it,
+    # and above; the factor past 4096 is none, a prime just above it, its
+    # square, or a 64-bit prime
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4096)
+    small = list(sympy.primerange(2, arith._TRIAL_BOUND + 1))
+    above = sympy.nextprime(arith._TRIAL_BOUND)
+    big = sympy.nextprime(rng.getrandbits(63) | 1 << 63)
+    gcds = set()
+    for _ in range(400):
+        primes = rng.sample(small, rng.randrange(1, 7))
+        n = math.prod(p ** rng.randint(1, 12) for p in primes)
+        n *= rng.choice((1, above, above**2, big))
+        if n >= arith._TABLE_LIMIT:
+            gcds.add(math.prod(primes) < arith._TABLE_LIMIT)
+        f = factor(n)
+        assert f.complete and dict(f.factors) == sympy.factorint(n), n
+    assert gcds == {True, False}
 
 
 def test_factor_rejects_step_below_2():
