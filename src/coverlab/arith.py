@@ -477,7 +477,7 @@ def _rho_split(n: int, limit: int) -> int | None:
 
     The walk is y -> y^2 + c from y = 2, one attempt for each offset
     c = 1, 2, ..., _RHO_ATTEMPTS; it finds a prime p of n in about sqrt(p)
-    steps.
+    steps.  n is odd: factor() has divided out every prime up to 4096.
     An attempt takes at most `limit` steps, counting the ones that move y
     ahead of the saved point x as well as those of the gcd loop.  The gcd
     loop takes one gcd per batch of at most 128 steps, and its batches end
@@ -486,8 +486,6 @@ def _rho_split(n: int, limit: int) -> int | None:
 
     https://en.wikipedia.org/wiki/Pollard%27s_rho_algorithm
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, _RHO_ATTEMPTS + 1):   # polynomial x^2 + c
         y, r, q = 2, 1, 1
         g = 1

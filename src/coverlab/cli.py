@@ -21,7 +21,7 @@ import time
 from collections import Counter
 
 from . import assets, codec
-from .arith import RHO_ITERATIONS, is_probable_prime
+from .arith import _PM1_SQUARINGS, RHO_ITERATIONS, is_probable_prime
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
 from .certify import build_standard_cases, check_exclusion, load_case
 from .construct import (build_erdos_class, build_two_prime_class,
@@ -273,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_prim.add_argument("--n", type=int, required=True)
     p_prim.add_argument("--factor-budget", type=int, default=RHO_ITERATIONS,
                         help="most steps of each rho attempt (at least 1; "
-                             "default 10^7); the primes up to 4096 are always "
-                             "divided out")
+                             "default 10^7); below "
+                             f"{_PM1_SQUARINGS:,} P-1 does not run; the "
+                             "primes up to 4096 are always divided out")
 
     p_rep = sub.add_parser("reproduce", parents=[output],
                            help="run a full verification target")
@@ -282,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("target", choices=_REPRODUCE)
     p_rep.add_argument("--assets", default=None,
                        help="asset directory (default: packaged assets)")
-    p_rep.add_argument("--budget", type=int, default=10**8)
+    p_rep.add_argument("--budget", type=int, default=10**8,
+                       help="largest lcm a sieve will enumerate")
 
     p_cert = sub.add_parser("certify", parents=[output],
                             help="check one exclusion-case file")

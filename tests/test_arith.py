@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -683,6 +687,29 @@ def test_factor_by_table_builds_only_the_segments_it_reads():
     arith._least_factor_segment.cache_clear()
     assert factor(2 * 3 * 5 * 1021) == Factorization(((2, 1), (3, 1), (5, 1), (1021, 1)))
     assert arith._least_factor_segment.cache_info().currsize == 1
+
+
+def test_factor_by_table_holds_the_segments_it_reads_not_the_table():
+    # the whole table is 32 segments of 16 KiB.  These calls reach 11 of
+    # them, not two: the quotient left after a least factor lands in
+    # another segment.  tracemalloc cannot see what was allocated before it
+    # starts, and this process may hold the table already, so the calls run
+    # in a fresh interpreter, where the traced peak is 195 KiB
+    code = """if True:
+        import itertools, tracemalloc
+        from coverlab import arith
+        tracemalloc.start()
+        complete = all(arith.factor(n).complete for n in
+                       itertools.chain(range(2**20 - 4096, 2**20), range(1, 4096)))
+        print(complete, arith._least_factor_segment.cache_info().currsize,
+              tracemalloc.get_traced_memory()[1])
+    """
+    home = str(pathlib.Path(arith.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": home}, check=True)
+    complete, segments, peak = done.stdout.split()
+    assert (complete, segments) == ("True", "11")
+    assert int(peak) < 512 * 1024, peak
 
 
 def test_factor_reassembly_random_64bit():

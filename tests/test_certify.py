@@ -116,7 +116,7 @@ def test_combination_budget_caps_the_period_walk(tmp_path):
                                     "aux": [{"q": "1000000007", "x_mod_q": "1"}]}))
         proc = subprocess.run(
             [sys.executable, "-m", "coverlab.cli", "certify", str(path), "--budget", "1000"],
-            capture_output=True, text=True, env=env, timeout=30)
+            capture_output=True, text=True, env=env, timeout=10)
         assert proc.returncode == 2, m
         assert "exceed the budget 1000" in proc.stderr
 

@@ -111,7 +111,9 @@ def test_primitive_incomplete_budget(capsys):
 
 def test_primitive_factor_budget_caps_rho_alone(capsys):
     # 3511^2 divides Phi_1755(2): trial division finds it at any budget,
-    # even when a single rho step splits nothing else
+    # even when a single rho step splits nothing else.  A budget below
+    # arith._PM1_SQUARINGS (190,000) also turns P-1 off, which would find
+    # the primitive prime 1969111
     code, out = run(["primitive", "--base", "2", "--n", "1755",
                      "--factor-budget", "1", "--json"], capsys)
     report = json.loads(out)
@@ -695,13 +697,20 @@ def _child_env():
     return env
 
 
-def test_console_entry_subprocess():
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["verify-cover", asset(assets.COVER_ERDOS)], 0, "stdout", "verify-cover: pass"),
+    (["primitive", "--lucas-c", "4", "--n", "43", "--factor-budget", "1"], 1,
+     "stdout", "primitive: partial"),
+    (["reproduce", "thm13", "--budget", "314"], 2,
+     "stderr", "above the enumeration budget 314"),
+], ids=["exit0", "exit1", "exit2"])
+def test_console_entry_subprocess(argv, code, stream, text):
+    # the `coverlab` console script calls entry(), which exits with main's code
     proc = subprocess.run(
-        [sys.executable, "-m", "coverlab.cli", "verify-cover",
-         asset(assets.COVER_ERDOS)],
+        [sys.executable, "-c", "from coverlab.cli import entry; entry()", *argv],
         capture_output=True, text=True, env=_child_env())
-    assert proc.returncode == 0
-    assert "pass" in proc.stdout
+    assert proc.returncode == code
+    assert text in getattr(proc, stream)
 
 
 def test_closed_stdout_keeps_the_report_exit_code():

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import coverlab
 from coverlab.arith import Factorization
 from coverlab.certify import AuxEvidence, AuxPrime, CertificateReport, ExclusionCase
 from coverlab.construct import TwoPrimeData
@@ -36,12 +37,16 @@ def test_no_module_imports_dataclasses():
 def test_cli_imports_neither_dataclasses_nor_inspect():
     # dataclasses would bring inspect, ast, dis and tokenize into every
     # command's start-up, and pathlib is not needed to join asset paths;
-    # -S keeps site-packages from loading them first
-    code = ("import sys, coverlab.cli; "
+    # -S keeps site-packages from loading them first, so the child is
+    # pointed at the directory of the coverlab this process imported
+    home = str(pathlib.Path(coverlab.__file__).parent.parent)
+    code = ("import sys, coverlab.cli; print(coverlab.cli.__file__); "
             "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
-    assert done.stdout == "[]\n"
+                          env={**os.environ, "PYTHONPATH": home}, check=True)
+    imported, heavy = done.stdout.splitlines()
+    assert imported.startswith(home + os.sep), imported
+    assert heavy == "[]"
 
 
 @pytest.mark.parametrize("build, message", [
