@@ -72,27 +72,25 @@ class CertificateReport(NamedTuple):
         }
 
 
-def _refusal(case: ExclusionCase) -> tuple[str, str]:
-    """The JSON path of a case file's first field that breaks a case rule,
-    and why; ("", "") when the case is accepted.
+def _check_case(case: ExclusionCase) -> None:
+    """Refuse a case file's first field that breaks a case rule.
 
     The modulus m is at least 1, p is prime, and the auxiliary q are primes
     not dividing p and distinct: two residues for one q would pin x to no
     class at all, and a claim about no x holds vacuously.
     """
     if case.m < 1:
-        return "$.m", "progression modulus must be >= 1"
+        raise codec.Refusal("$.m", "progression modulus must be >= 1")
     if not is_probable_prime(case.p):
-        return "$.p", f"target {case.p} is not prime"
+        raise codec.Refusal("$.p", f"target {case.p} is not prime")
     for i, aux in enumerate(case.aux):
         where = f"$.aux[{i}].q"
         if any(a.q == aux.q for a in case.aux[:i]):
-            return where, f"auxiliary prime {aux.q} is repeated"
+            raise codec.Refusal(where, f"auxiliary prime {aux.q} is repeated")
         if not is_probable_prime(aux.q):
-            return where, f"auxiliary {aux.q} is not prime"
+            raise codec.Refusal(where, f"auxiliary {aux.q} is not prime")
         if case.p % aux.q == 0:
-            return where, f"auxiliary {aux.q} divides the target {case.p}"
-    return "", ""
+            raise codec.Refusal(where, f"auxiliary {aux.q} divides the target {case.p}")
 
 
 def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> CertificateReport:
@@ -106,23 +104,23 @@ def check_exclusion(case: ExclusionCase, combination_budget: int = 10**9) -> Cer
     every q, and the classes b = e_q (mod o_q) must meet (`crt_combine`), in
     exactly one b mod lcm(o_q).  The counterexample is the first sign with a
     survivor, its least b, and the least n of the key that b solves.
-    A case that breaks a rule of `_refusal` raises ValueError.
+    A case that breaks a rule of `_check_case` raises `codec.Refusal`, as
+    does a q whose period walk exceeds the budget (`$.aux[i].q`); too many
+    combinations belong to no one field and raise a plain ValueError.
     """
-    _, why = _refusal(case)
-    if why:
-        raise ValueError(why)
+    _check_case(case)
 
     # the period walk and the one-period table of u_n mod q below each cost
     # pi_q steps, so the budget caps pi_q itself, whatever the modulus m
     periods = {}
     orders = {}
-    for aux in case.aux:
+    for i, aux in enumerate(case.aux):
         q = aux.q
         periods[q] = period_mod(_U4, q, max_steps=combination_budget)
         if periods[q] is None:
-            raise ValueError(
-                f"the period of u_n mod {q} and its walk exceed the budget "
-                f"{combination_budget}")
+            raise codec.Refusal(
+                f"$.aux[{i}].q", f"the period of u_n mod {q} and its walk exceed "
+                f"the budget {combination_budget}")
         orders[q] = order_dividing(case.p % q, q, q - 1)
 
     n_span = math.lcm(case.m, *periods.values())
@@ -205,11 +203,11 @@ def build_standard_cases(data: TwoPrimeData) -> list[ExclusionCase]:
 
 def load_case(path) -> ExclusionCase:
     """Read a case file: {"label", "r", "m", "p", "aux": [{"q", "x_mod_q"}]};
-    a case that breaks a rule of `_refusal` is refused naming the field."""
+    a case that breaks a rule of `_check_case` is refused naming the field."""
     raw = codec.load(path)
     aux = tuple(AuxPrime(q=e["q"].int(), x_mod_q=e["x_mod_q"].int())
                 for e in raw.get("aux", []).list())
     case = ExclusionCase(label=raw.get("label", "").str(), r=raw["r"].int(),
                          m=raw["m"].int(), p=raw["p"].int(), aux=aux)
-    codec.refuse(path, _refusal(case))
+    codec.refuse(path, _check_case, case)
     return case

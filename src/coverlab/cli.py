@@ -1,10 +1,12 @@
 """Command-line front end: verification runs and their JSON reports.
 
 A command resolves each file it reads once and passes the path to the layer's
-loader and to `codec.refuse`.  Each check is a detail row noted with its
-verdict, and a row noted as failed is the only thing that fails a run.  Exit
-codes: 0 = every row passed, 1 = some row failed, 2 = input error (an
-unreadable or malformed file, a bad argument, or a refusal over budget).
+loader, and to `codec.refuse` with each layer call that may refuse a field
+of that file, so the refusal names the file.  Each check is a detail row
+noted with its verdict, and a row noted as failed is the only thing that
+fails a run.  Exit codes: 0 = every row passed, 1 = some row failed, 2 =
+input error (an unreadable or malformed file, a bad argument, or a refusal
+over budget).
 A run's report is the plain dict it writes, its keys in the order
 `_report` gives them; `main` sets its `wall_time_s` and encodes it once with
 `codec.encode`, for text, `--json` and `--out` alike.
@@ -25,10 +27,9 @@ from .arith import _PM1_SQUARINGS, RHO_ITERATIONS, is_probable_prime
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
 from .certify import build_standard_cases, check_exclusion, load_case
 from .construct import (build_erdos_class, build_two_prime_class,
-                        check_divisibility_mechanics, erdos_refusal, erdos_witness_primes,
+                        check_divisibility_mechanics, erdos_witness_primes,
                         load_two_prime_data)
-from .covers import (CoveringSystem, build_doubled_cover, lcm_refusal, load_cover,
-                     verify_cover)
+from .covers import load_cover, verify_cover
 from .lucas import LucasSpec, period_mod, rank_of_apparition
 from .mersenne import (MERSENNE, cyclotomic_mersenne, find_primitive_divisors,
                        load_prime_table, verify_prime_table)
@@ -49,17 +50,11 @@ def _note(report: dict, passed: bool = True, **row) -> None:
         report["outcome"] = "fail"
 
 
-def _sieve(system, path, budget: int):
-    """verify_cover, refusing a cover whose lcm is over budget by its file and class."""
-    codec.refuse(path, lcm_refusal(system, budget))
-    return verify_cover(system, enumeration_budget=budget)
-
-
 def _cmd_verify_cover(args) -> dict:
     report = _report("verify-cover", {"path": str(args.path)})
     report["asset_checksums"] = {str(args.path): assets.checksum(args.path)}
     system = load_cover(args.path)
-    result = _sieve(system, args.path, args.budget)
+    result = codec.refuse(args.path, verify_cover, system, args.budget)
     _note(report, label=system.label, classes=len(system.classes),
           lcm=result.lcm, is_cover=result.is_cover,
           min_multiplicity=result.min_multiplicity,
@@ -102,7 +97,7 @@ def _reproduce_thm11(args, report: dict) -> None:
     cover_path, table_path, certificates_path = _asset_paths(
         report, args, assets.COVER_ODD173, assets.PRIME_TABLE, assets.PRIME_CERTIFICATES)
     cover = load_cover(cover_path)
-    cover_result = _sieve(cover, cover_path, args.budget)
+    cover_result = codec.refuse(cover_path, verify_cover, cover, args.budget)
     passed = (cover_result.is_cover and cover_result.lcm == 675675
               and len(cover.classes) == 173)
     _note(report, passed=passed, check="cover", classes=len(cover.classes),
@@ -148,13 +143,8 @@ def _reproduce_thm13(args, report: dict) -> None:
 
 
 def _two_prime_class(args, report: dict, path, data):
-    """Build the two-prime class and note every check with its verdict.
-    An over-budget link sieve is refused naming the odd-cover class that takes
-    the lcm past the budget: class t + 1 of the doubled cover is odd class t."""
-    doubled = build_doubled_cover(data.cover).classes[1:]   # 1(2) adds nothing
-    for system in (data.cover, CoveringSystem(doubled)):
-        codec.refuse(path, lcm_refusal(system, args.budget, field="$.odd_cover"))
-    combined, checks = build_two_prime_class(data, enumeration_budget=args.budget)
+    """Build the two-prime class and note every check with its verdict."""
+    combined, checks = codec.refuse(path, build_two_prime_class, data, args.budget)
     for row in checks:
         _note(report, passed=row.ok, check=row.name, ok=row.ok, detail=row.detail)
     return combined, checks
@@ -174,15 +164,14 @@ def _reproduce_cases(args, report: dict) -> None:
 def _reproduce_erdos(args, report: dict) -> None:
     [path] = _asset_paths(report, args, assets.COVER_ERDOS)
     cover = load_cover(path)
-    codec.refuse(path, erdos_refusal(cover))
-    cover_result = _sieve(cover, path, args.budget)
+    primes = codec.refuse(path, erdos_witness_primes, cover)
+    cover_result = codec.refuse(path, verify_cover, cover, args.budget)
     _note(report, passed=cover_result.is_cover, check="cover",
           classes=len(cover.classes), lcm=cover_result.lcm, is_cover=cover_result.is_cover)
     cls = build_erdos_class(cover)
     _note(report, a=cls.a, M=cls.n)
     window = range(0, 2001)
-    failures = check_divisibility_mechanics(cls, cover, erdos_witness_primes(cover),
-                                            n_range=window)
+    failures = check_divisibility_mechanics(cls, cover, primes, n_range=window)
     _note(report, passed=not failures and cls.a % 2 == 1 and cls.a % 31 == 3,
           mechanics_checked=len(window), mechanics_failures=len(failures),
           odd=cls.a % 2 == 1, mod31=cls.a % 31)
@@ -223,7 +212,7 @@ def _cmd_certify(args) -> dict:
     report = _report("certify", {"case_file": str(args.case_file)})
     report["asset_checksums"] = {str(args.case_file): assets.checksum(args.case_file)}
     case = load_case(args.case_file)
-    certificate = check_exclusion(case, combination_budget=args.budget)
+    certificate = codec.refuse(args.case_file, check_exclusion, case, args.budget)
     _note(report, passed=certificate.valid, **certificate.to_dict())
     return report
 

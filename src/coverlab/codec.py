@@ -4,9 +4,10 @@ Data files and reports alike are written by `encode`: integers as decimal
 strings, so that bigints survive any JSON reader, and bools as "true" or
 "false".  On reading, a JSON integer is accepted too, but never a bool, a
 float or a string that is not plain decimal.  Every format failure --
-invalid JSON, a missing field, a value of the wrong type, a field that breaks
-an input rule (`refuse`) -- raises one FormatError naming the file and the
-JSON path of the offending field.
+invalid JSON, a missing field, a value of the wrong type -- raises one
+FormatError naming the file and the JSON path of the offending field.  An
+input rule raises a `Refusal`, which carries the path of the field it
+refuses but no file; `refuse` names the file.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ _CHUNK = 10**_CHUNK_DIGITS
 
 class FormatError(ValueError):
     """A data file is not valid JSON or does not match its layout."""
+
+
+class Refusal(ValueError):
+    """An input rule refuses a value: `why` is the message, and `where` the
+    JSON path of the field that holds the value."""
+
+    def __init__(self, where: str, why: str):
+        super().__init__(why)
+        self.where = where
 
 
 class Field:
@@ -95,12 +105,13 @@ def load(path) -> Field:
     return Field(raw, str(path))
 
 
-def refuse(path, refusal: tuple[str, str]) -> None:
-    """Raise the FormatError of an input rule's `(json_path, why)` refusal,
-    naming the file; a rule returns ("", "") when it accepts."""
-    where, why = refusal
-    if why:
-        raise Field(None, str(path), where).error(why)
+def refuse(path, call, *args):
+    """call(*args), with a Refusal it raises turned into the FormatError
+    that names the file `path` and the refused field."""
+    try:
+        return call(*args)
+    except Refusal as exc:
+        raise Field(None, str(path), exc.where).error(str(exc)) from None
 
 
 def decimal(n: int) -> str:

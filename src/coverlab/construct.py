@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import codec
 from .arith import crt_combine, is_probable_prime
 from .arith import factor  # noqa: F401 -- module attribute the perfbench tracer patches
-from .covers import (CoveringSystem, ResidueClass, build_doubled_cover,
+from .covers import (CoveringSystem, ResidueClass, build_doubled_cover, check_lcm,
                      read_classes, verify_cover)
 from .lucas import LucasSpec, period_mod, rank_of_apparition, u_term_mod, u_terms
 
@@ -30,26 +30,20 @@ from .lucas import LucasSpec, period_mod, rank_of_apparition, u_term_mod, u_term
 ERDOS_WITNESS_PRIMES: dict[int, int] = {2: 3, 3: 7, 4: 5, 8: 17, 12: 13, 24: 241}
 
 
-def erdos_refusal(cover: CoveringSystem) -> tuple[str, str]:
-    """The JSON path of a cover file's first class whose modulus has no
-    witness prime or repeats an earlier one, and why; ("", "") when every
-    modulus has a witness prime of its own.  A modulus has one witness
-    prime, and x is pinned modulo it by one class."""
+def erdos_witness_primes(cover: CoveringSystem) -> list[int]:
+    """The witness prime of each class of an exponent cover, in class order.
+
+    A modulus has one witness prime, and x is pinned modulo it by one class,
+    so the first class whose modulus has no witness prime or repeats an
+    earlier one is refused, as `$.classes[i].n` of the cover file."""
     unknown = sorted({c.n for c in cover.classes} - ERDOS_WITNESS_PRIMES.keys())
     for i, c in enumerate(cover.classes):
         if c.n in unknown:
-            return f"$.classes[{i}].n", f"no witness prime for exponent moduli {unknown}"
+            raise codec.Refusal(f"$.classes[{i}].n",
+                                f"no witness prime for exponent moduli {unknown}")
         if any(d.n == c.n for d in cover.classes[:i]):
-            return f"$.classes[{i}].n", (f"modulus {c.n} is repeated, so two classes "
-                                         f"share its witness prime {ERDOS_WITNESS_PRIMES[c.n]}")
-    return "", ""
-
-
-def erdos_witness_primes(cover: CoveringSystem) -> list[int]:
-    """The witness prime of each class of an exponent cover, in class order."""
-    _, why = erdos_refusal(cover)
-    if why:
-        raise ValueError(why)
+            raise codec.Refusal(f"$.classes[{i}].n", f"modulus {c.n} is repeated, so two "
+                                f"classes share its witness prime {ERDOS_WITNESS_PRIMES[c.n]}")
     return [ERDOS_WITNESS_PRIMES[c.n] for c in cover.classes]
 
 
@@ -86,24 +80,26 @@ class TwoPrimeData(NamedTuple):
     expected_m: int
 
 
-def _two_prime_refusal(data: TwoPrimeData) -> tuple[str, str]:
-    """The JSON path of a two-prime file's first field that breaks a rule of
-    the construction, and why; ("", "") when the data is accepted."""
+def _check_two_prime(data: TwoPrimeData) -> None:
+    """Refuse a two-prime file's first field that breaks a rule of the
+    construction."""
     for i, c in enumerate(data.cover.classes):
         if c.n % 2 == 0:
-            return f"$.odd_cover[{i}].n", f"modulus {c.n} is even; doubling needs odd moduli"
+            raise codec.Refusal(f"$.odd_cover[{i}].n",
+                                f"modulus {c.n} is even; doubling needs odd moduli")
     if len(data.primes) != len(data.cover.classes) + 1:
-        return "$.primes", "need exactly one prime per cover class plus one for parity"
+        raise codec.Refusal("$.primes",
+                            "need exactly one prime per cover class plus one for parity")
     if len(data.residues) != len(data.primes):
-        return "$.residues", "need exactly one residue class per prime"
+        raise codec.Refusal("$.residues", "need exactly one residue class per prime")
     for t, (p, r) in enumerate(zip(data.primes, data.residues)):
         if p in data.primes[:t]:
-            return f"$.primes[{t}]", f"prime {p} at position {t} is repeated"
+            raise codec.Refusal(f"$.primes[{t}]", f"prime {p} at position {t} is repeated")
         if not is_probable_prime(p):
-            return f"$.primes[{t}]", f"modulus {p} at position {t} is not prime"
+            raise codec.Refusal(f"$.primes[{t}]", f"modulus {p} at position {t} is not prime")
         if r.n != p:
-            return f"$.residues[{t}].n", f"residue class {t} has modulus {r.n}, expected {p}"
-    return "", ""
+            raise codec.Refusal(f"$.residues[{t}].n",
+                                f"residue class {t} has modulus {r.n}, expected {p}")
 
 
 def load_two_prime_data(path) -> TwoPrimeData:
@@ -115,7 +111,7 @@ def load_two_prime_data(path) -> TwoPrimeData:
         expected_a=raw["expected_a"].int(),
         expected_m=raw["expected_m"].int(),
     )
-    codec.refuse(path, _two_prime_refusal(data))
+    codec.refuse(path, _check_two_prime, data)
     return data
 
 
@@ -150,14 +146,15 @@ def build_two_prime_class(
     t >= 1; every member has absolute value > 2, so x^2 = u_n is
     impossible (the only squares with 2x^2 in the Fibonacci sequence are
     x = 0, 1, 2); and, by brute force, x = a has no x^2 - u_n = +-p_t^b
-    with n <= 2000 on progression t and b <= 60.  Data that breaks a rule
-    of `_two_prime_refusal`, an even odd-cover modulus included, raises
-    ValueError before anything is built.
+    with n <= 2000 on progression t and b <= 60.  Before anything is built,
+    data that breaks a rule of `_check_two_prime` raises `codec.Refusal`, as
+    does an odd cover whose lcm, or its doubling's, exceeds the budget: both
+    name `$.odd_cover[t].n`, since class t + 1 of the doubling is odd class t.
     """
-    _, why = _two_prime_refusal(data)
-    if why:
-        raise ValueError(why)
+    _check_two_prime(data)
     doubled = build_doubled_cover(data.cover)
+    for system in (data.cover, CoveringSystem(doubled.classes[1:])):   # 1(2) adds nothing
+        check_lcm(system, enumeration_budget, field="$.odd_cover")
 
     spec = LucasSpec(4)
     pairs = list(zip(data.primes, doubled.classes))

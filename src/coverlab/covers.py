@@ -73,19 +73,17 @@ class CoverReport(NamedTuple):
     max_multiplicity: int
 
 
-def lcm_refusal(system: CoveringSystem, enumeration_budget: int,
-                field: str = "$.classes") -> tuple[str, str]:
-    """The JSON path of the first class, in the file's list `field`, whose
-    modulus takes the running lcm of the moduli past `enumeration_budget`,
-    and why; ("", "") when the lcm of all of them is within it."""
+def check_lcm(system: CoveringSystem, enumeration_budget: int,
+              field: str = "$.classes") -> None:
+    """Refuse the first class, in the file's list `field`, whose modulus
+    takes the running lcm of the moduli past `enumeration_budget`."""
     running = 1
     for i, c in enumerate(system.classes):
         running = math.lcm(running, c.n)
         if running > enumeration_budget:
             lcm = codec.decimal(system.lcm())    # may pass str()'s 4300 digits
-            return f"{field}[{i}].n", (f"lcm of moduli is {lcm}, above the "
-                                       f"enumeration budget {enumeration_budget}")
-    return "", ""
+            raise codec.Refusal(f"{field}[{i}].n", f"lcm of moduli is {lcm}, above "
+                                f"the enumeration budget {enumeration_budget}")
 
 
 def _add(planes: list[bytearray], s: int, n: int, top: int) -> int:
@@ -165,12 +163,12 @@ def verify_cover(system: CoveringSystem, enumeration_budget: int = 10**8) -> Cov
     it is not sieved: it adds 1 to both extremes at the end.
 
     `enumeration_budget` bounds the lcm of the moduli; a larger lcm raises
-    the refusal of `lcm_refusal` as ValueError instead of silently grinding.
+    the `codec.Refusal` of `check_lcm`, naming the class `$.classes[i].n`
+    that takes the lcm past it, instead of silently grinding.
     """
     period = system.lcm()
     if period > enumeration_budget:
-        _, why = lcm_refusal(system, enumeration_budget)
-        raise ValueError(why)
+        check_lcm(system, enumeration_budget)
     tile = [bytearray(1)]             # the digit planes of the tile's counts
     size = 1                          # tile holds the period of the classes tiled so far
     top = 0                           # the largest count while no count has carried, then -1

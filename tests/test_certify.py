@@ -106,7 +106,8 @@ def test_combination_budget(tmp_path, capsys):
 def test_combination_budget_caps_the_period_walk(tmp_path):
     # for a large q the budget must stop the period walk, not only the
     # enumeration after it (uncapped, the walk runs for minutes), and a
-    # large progression modulus m must not lift that cap
+    # large progression modulus m must not lift that cap; the refusal names
+    # the file and the auxiliary prime
     path = tmp_path / "large_q.json"
     src = str(pathlib.Path(certify.__file__).parent.parent)
     env = dict(os.environ)
@@ -118,7 +119,8 @@ def test_combination_budget_caps_the_period_walk(tmp_path):
             [sys.executable, "-m", "coverlab.cli", "certify", str(path), "--budget", "1000"],
             capture_output=True, text=True, env=env, timeout=10)
         assert proc.returncode == 2, m
-        assert "exceed the budget 1000" in proc.stderr
+        assert proc.stderr == (f"coverlab: input error: {path}: $.aux[0].q: the period of "
+                               "u_n mod 1000000007 and its walk exceed the budget 1000\n")
 
 
 def test_monotonicity_of_aux_sets():

@@ -6,10 +6,11 @@ import shutil
 import pytest
 
 from coverlab import assets, cli, codec
+from coverlab.arith import crt_combine
 from coverlab.certify import AuxPrime, ExclusionCase, check_exclusion, load_case
 from coverlab.codec import FormatError
-from coverlab.construct import load_two_prime_data
-from coverlab.covers import CoveringSystem, ResidueClass, load_cover
+from coverlab.construct import build_two_prime_class, erdos_witness_primes, load_two_prime_data
+from coverlab.covers import CoveringSystem, ResidueClass, load_cover, verify_cover
 from coverlab.mersenne import load_prime_table
 from coverlab.pocklington import load_certificates
 
@@ -72,17 +73,95 @@ def test_load_case_refuses_in_the_words_of_check_exclusion(tmp_path, edit, field
     assert str(loaded.value).removeprefix(prefix) == str(direct.value)
 
 
-@pytest.mark.parametrize("refusal, message", [
-    (("", ""), None),
-    (("$.x", "why"), "F: $.x: why"),
-], ids=["accepted", "refused"])
-def test_refuse_names_the_file_and_the_field(refusal, message):
-    try:
-        codec.refuse("F", refusal)
-    except FormatError as exc:
-        assert str(exc) == message
-    else:
-        assert message is None
+def _refuses(where, why):
+    raise codec.Refusal(where, why)
+
+
+TIGHT = ExclusionCase(label="tight", r=12, m=14, p=29, aux=(AuxPrime(31, 14),))
+
+
+@pytest.mark.parametrize("call, args, error, outcome", [
+    (erdos_witness_primes, (CoveringSystem([ResidueClass(0, 2), ResidueClass(1, 4)]),),
+     None, [3, 5]),
+    (_refuses, ("$.x", "why"), FormatError, "F: $.x: why"),
+    (crt_combine, ([ResidueClass(0, 2), ResidueClass(1, 4)],), ValueError,
+     "inconsistent residue classes: 0(2) and 1(4) share no integer"),
+    (check_exclusion, (TIGHT, 99), ValueError, "100 combinations exceed the budget 99"),
+], ids=["accepted", "refused", "conflict", "combinations"])
+def test_refuse_names_the_file_and_the_field(call, args, error, outcome):
+    # refuse returns the call's value, names the file of a Refusal, and lets
+    # any other ValueError through as it is, with no file and no field
+    if error is None:
+        assert codec.refuse("F", call, *args) == outcome
+        return
+    with pytest.raises(ValueError) as raised:
+        codec.refuse("F", call, *args)
+    assert type(raised.value) is error
+    assert str(raised.value) == outcome
+
+
+def _set(items, i, value):
+    return items[:i] + [value] + items[i + 1:]
+
+
+ERDOS = load_cover(assets.asset_path(assets.COVER_ERDOS))
+DATA = load_two_prime_data(assets.asset_path(assets.TWO_PRIME_CLASS))
+LARGE_Q = ExclusionCase(label="q", r=1, m=2, p=3, aux=(AuxPrime(1000000007, 1),))
+
+# every input rule of the library: the call, the field it refuses (the path
+# the command line prints after the file name) and the words of why
+RULES = {
+    "lcm": (verify_cover, (ERDOS, 10), "$.classes[2].n",
+            "lcm of moduli is 24, above the enumeration budget 10"),
+    "erdos-unknown": (erdos_witness_primes, (CoveringSystem(
+        [ResidueClass(0, 7), ResidueClass(0, 5), ResidueClass(0, 2)]),),
+        "$.classes[0].n", "no witness prime for exponent moduli [5, 7]"),
+    "erdos-repeated": (erdos_witness_primes, (CoveringSystem(
+        [ResidueClass(0, 2), ResidueClass(1, 2)]),),
+        "$.classes[1].n", "modulus 2 is repeated, so two classes share its witness prime 3"),
+    "odd-cover-even": (build_two_prime_class, (DATA._replace(cover=CoveringSystem(
+        _set(DATA.cover.classes, 14, ResidueClass(1, 4)))),),
+        "$.odd_cover[14].n", "modulus 4 is even; doubling needs odd moduli"),
+    "primes-count": (build_two_prime_class, (DATA._replace(primes=DATA.primes[:-1]),),
+                     "$.primes", "need exactly one prime per cover class plus one for parity"),
+    "residues-count": (build_two_prime_class, (DATA._replace(residues=DATA.residues[:-1]),),
+                       "$.residues", "need exactly one residue class per prime"),
+    "prime-repeated": (build_two_prime_class, (DATA._replace(primes=_set(DATA.primes, 2, 19)),),
+                       "$.primes[2]", "prime 19 at position 2 is repeated"),
+    "prime-not-prime": (build_two_prime_class, (DATA._replace(primes=_set(DATA.primes, 1, 4)),),
+                        "$.primes[1]", "modulus 4 at position 1 is not prime"),
+    "residue-modulus": (build_two_prime_class, (DATA._replace(
+        residues=_set(DATA.residues, 3, ResidueClass(1, 7))),),
+        "$.residues[3].n", "residue class 3 has modulus 7, expected 11"),
+    "m-below-1": (check_exclusion, (TIGHT._replace(m=0),), "$.m",
+                  "progression modulus must be >= 1"),
+    "p-not-prime": (check_exclusion, (TIGHT._replace(p=4),), "$.p", "target 4 is not prime"),
+    "q-repeated": (check_exclusion, (TIGHT._replace(aux=(AuxPrime(31, 1), AuxPrime(31, 2))),),
+                   "$.aux[1].q", "auxiliary prime 31 is repeated"),
+    "q-not-prime": (check_exclusion, (TIGHT._replace(aux=(AuxPrime(1, 0),)),),
+                    "$.aux[0].q", "auxiliary 1 is not prime"),
+    "q-divides-p": (check_exclusion, (TIGHT._replace(p=31),),
+                    "$.aux[0].q", "auxiliary 31 divides the target 31"),
+    "q-period-walk": (check_exclusion, (LARGE_Q, 1000), "$.aux[0].q",
+                      "the period of u_n mod 1000000007 and its walk exceed the budget 1000"),
+    "odd-cover-lcm": (build_two_prime_class, (DATA, 314), "$.odd_cover[5].n",
+                      "lcm of moduli is 315, above the enumeration budget 314"),
+    "doubled-cover-lcm": (build_two_prime_class, (DATA, 629), "$.odd_cover[5].n",
+                          "lcm of moduli is 630, above the enumeration budget 629"),
+}
+
+
+@pytest.mark.parametrize("name", RULES)
+def test_every_input_rule_raises_a_refusal_naming_its_field(name):
+    call, args, where, why = RULES[name]
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    assert type(raised.value) is codec.Refusal
+    assert raised.value.where == where
+    assert str(raised.value) == why
+    with pytest.raises(FormatError) as located:
+        codec.refuse("F", call, *args)
+    assert str(located.value) == f"F: {where}: {why}"
 
 
 # past the 4300 digits str(int) writes, with a chunk of zeros inside
