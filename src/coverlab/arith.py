@@ -225,6 +225,7 @@ def factor(n: int, rho_iterations: int = RHO_ITERATIONS,
 
     pending = [rest]
     leftover = 1
+    # not at step 2: on the factor benchmark's inputs P-1's misses cost more than it saves
     pm1 = step > 2 and rho_iterations >= _PM1_SQUARINGS
     while pending:
         c = pending.pop()

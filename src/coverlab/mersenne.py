@@ -9,7 +9,7 @@ applies the order rule on its own, with `arith.order_dividing`, and also
 names why a row fails.  The errata search factors nothing: it walks the
 progression q = 1 (mod step) that holds every prime of order n, testing
 pow(2, n, q) before the row check, which each replacement must pass.  A
-table prime whose Pocklington certificate the caller has checked skips the
+table prime whose prime certificate the caller has checked skips the
 primality test.  The audit also names each table prime that is a Wieferich
 prime.  Row checks compute orders modulo p; only a Wieferich row is lifted
 to p^2, p^3, ... for its valuation.  The audit reports facts; `cli` decides
@@ -174,7 +174,8 @@ def find_primitive_divisors(
 class TableRow(NamedTuple):
     """One audited table entry: `reason` is why it fails, "" if it passes;
     `proof` is how p's primality was decided: "deterministic" (below 2^64),
-    "certified" (a checked Pocklington certificate) or "probable" (40 MR rounds)."""
+    "certified" (a checked Pocklington or N + 1 certificate) or "probable"
+    (40 MR rounds)."""
 
     n: int
     p: int

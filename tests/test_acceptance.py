@@ -67,13 +67,13 @@ def test_criterion_02_prime_table_audit(tmp_path):
             "prime_table_odd173.json":
                 "37ee6ddce2f435dcd0ae858e45e12f8d3250e23a3ad7b8f81c39e556da68c481",
             "prime_certificates.json":
-                "ac65dee3bcc80d24a0381b3da453a515ce334d8929a708b8053ad93c242d309b"}
+                "f9c7e5d3b29538e6f05b64cd3fde0e7461db0c31bb5e6689b09ef7c144c0c465"}
         # 164 primes for 173 classes: the 9 omitted exponents occur once each
         row(report, check="prime-table", entries="164", failing_rows="1",
             duplicates="0", count_mismatches="0", omitted_consistent="true")
-        # 120 primes below 2^64 decided exactly, 41 above by Pocklington
-        row(report, check="prime-proofs", deterministic="120", certified="41",
-            probable="3")
+        # 120 primes below 2^64 decided exactly, 42 above by certificates
+        row(report, check="prime-proofs", deterministic="120", certified="42",
+            probable="2")
         # the single expected transcription artifact, explained and replaced
         errata = [r for r in report["detail"] if "erratum_n" in r]
         assert errata == [{"erratum_n": "1755", "bad_value": "196911",

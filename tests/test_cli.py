@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -331,6 +332,21 @@ def test_environment_does_not_redirect_the_assets(tmp_path, capsys, monkeypatch)
     assert code == 0
 
 
+def test_readme_asset_table_gives_the_checksum_of_every_shipped_file():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Data assets\n")[1]
+    section = section.split("\n## ")[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    table = {}
+    for line in rows:
+        match = re.fullmatch(r"\| `([^`]+)` \| [^|]+ \| `([0-9a-f]{64})` \|", line)
+        assert match, line
+        table[match[1]] = match[2]
+    assert len(table) == len(rows)
+    assert table == {name: assets.checksum(assets.asset_path(name))
+                     for name in assets.ALL_ASSETS}
+
+
 def _assets_copy(tmp_path):
     custom = tmp_path / "assets"
     custom.mkdir()
@@ -444,7 +460,27 @@ def test_corrupted_certificate_fails_the_run_but_not_its_row(tmp_path, capsys):
     table = next(row for row in detail if row.get("check") == "prime-table")
     assert table["failing_rows"] == "1"
     proofs = next(row for row in detail if row.get("check") == "prime-proofs")
-    assert (proofs["certified"], proofs["probable"]) == ("40", "4")
+    assert (proofs["certified"], proofs["probable"]) == ("41", "3")
+
+
+def test_corrupted_n_plus_1_certificate_fails_only_its_prime(tmp_path, capsys):
+    _, clean = run(["reproduce", "thm11", "--json"], capsys)
+    custom = _assets_copy(tmp_path)
+    path = custom / assets.PRIME_CERTIFICATES
+    raw = json.loads(path.read_text())
+    [victim] = [c for c in raw["certificates"] if "lucas_c" in c]
+    victim["lucas_c"] = "4"
+    path.write_text(json.dumps(raw))
+    code, out = run(["reproduce", "thm11", "--assets", str(custom), "--json"], capsys)
+    assert code == 1
+    detail = json.loads(out)["detail"]
+    assert [row for row in detail if row.get("check") == "prime-certificate"] == [
+        {"check": "prime-certificate", "p": victim["n"], "ok": "false",
+         "reason": "lucas_c 4: U_(N+1) is not 0 mod N"}]
+    assert _errata_rows(out) == _errata_rows(clean)
+    proofs = next(row for row in detail if row.get("check") == "prime-proofs")
+    assert (proofs["certified"], proofs["probable"]) == ("41", "3")
+    assert proofs["probable_n"] == ["945", "975", "1155"]
 
 
 def test_corrupted_certificate_deep_in_a_nested_chain_fails_only_its_prime(tmp_path, capsys):
@@ -475,7 +511,7 @@ def test_corrupted_certificate_deep_in_a_nested_chain_fails_only_its_prime(tmp_p
     table_row = next(row for row in detail if row.get("check") == "prime-table")
     assert table_row["failing_rows"] == "1"
     proofs = next(row for row in detail if row.get("check") == "prime-proofs")
-    assert (proofs["certified"], proofs["probable"]) == ("40", "4")
+    assert (proofs["certified"], proofs["probable"]) == ("41", "3")
     assert "693" in proofs["probable_n"]
 
 
@@ -504,7 +540,7 @@ def test_miller_rabin_above_2_64_runs_only_on_uncertified_primes(monkeypatch, ca
     table = load_prime_table(assets.asset_path(assets.PRIME_TABLE))
     uncertified = [p for p in table.all_primes()
                    if p >= arith.DETERMINISTIC_LIMIT and p not in certified]
-    assert len(uncertified) == 3
+    assert len(uncertified) == 2
     assert sorted(large) == sorted(uncertified)
 
 

@@ -6,6 +6,7 @@ import pytest
 from coverlab import assets, codec, pocklington
 from coverlab.mersenne import load_prime_table
 from coverlab.arith import DETERMINISTIC_LIMIT, Factorization, factor, is_probable_prime
+from coverlab.lucas import LucasSpec, u_term_mod
 from coverlab.pocklington import (Certificate, Factor, build_certificate,
                                   check_certificate, keep_or_build,
                                   load_certificates, write_certificates)
@@ -21,9 +22,16 @@ def _large_table_primes():
 
 
 def _nested():
-    """A shipped certificate whose one factor carries a nested certificate."""
-    return next(c for c in _shipped().values()
-                if len(c.factors) == 1 and c.factors[0].proof is not None)
+    """A shipped Pocklington certificate whose one factor carries a nested
+    certificate."""
+    return next(c for c in _shipped().values() if c.lucas_c is None
+                and len(c.factors) == 1 and c.factors[0].proof is not None)
+
+
+def _plus():
+    """The shipped N + 1 certificate, of the 252-bit table prime at n = 975."""
+    [cert] = [c for c in _shipped().values() if c.lucas_c is not None]
+    return cert
 
 
 def _flat():
@@ -38,7 +46,7 @@ def test_every_shipped_certificate_checks():
     large = _large_table_primes()
     assert len(large) == 44
     assert set(certs) <= set(large)
-    assert len(certs) == 41
+    assert len(certs) == 42
 
 
 def test_every_shipped_certificate_is_for_a_sympy_prime():
@@ -225,6 +233,119 @@ def test_sympy_built_certificates_pass_and_composites_never_do():
                 assert check_certificate(Certificate(n, a, factors)) != ""
 
 
+def test_the_shipped_n_plus_1_certificate_proves_the_975_prime():
+    table = load_prime_table(assets.asset_path(assets.PRIME_TABLE))
+    cert = _plus()
+    assert cert.n in table.entries[975] and cert.n.bit_length() == 252
+    assert (cert.base, cert.lucas_c) == (None, 5)
+    [f] = cert.factors
+    assert (f.q.bit_length(), f.e) == (151, 1) and f.proof.lucas_c is None
+    assert check_certificate(cert) == ""
+    # a Pocklington certificate may nest it: N' - 1 = k * N
+    k = next(k for k in range(2, 10**4, 2) if is_probable_prime(k * cert.n + 1))
+    outer = Certificate(k * cert.n + 1, None, (Factor(cert.n, 1, cert),))
+    base = next(a for a in range(2, 100)
+                if not check_certificate(outer._replace(base=a)))
+    assert check_certificate(outer._replace(base=base)) == ""
+    broken = outer._replace(base=base, factors=(
+        Factor(cert.n, 1, cert._replace(lucas_c=cert.lucas_c + 1)),))
+    assert check_certificate(broken).startswith(f"q = {cert.n}: lucas_c ")
+
+
+def _sqrt_minus_1(n):
+    """x with x^2 = -1 mod the prime n = 1 mod 4."""
+    return next(x for x in (pow(a, (n - 1) // 4, n) for a in range(2, 100))
+                if x * x % n == n - 1)
+
+
+def _planted_n_plus_1_faults():
+    """Each planted fault: (certificate, the condition it must fail)."""
+    cert = _plus()
+    n, [f] = cert.n, cert.factors
+    # 41 + 1 = 6 * 7: F = 7 has F^2 > 41 but (F - 1)^2 = 36 <= 41
+    assert is_probable_prime(41)
+    # D = c^2 + 4 a square mod N: U_(N-1), not U_(N+1), is 0 mod N
+    square = next(c for c in range(1, 100) if pow(c * c + 4, (n - 1) // 2, n) == 1)
+    # the Fibonacci pseudoprime 323 = 17 * 19 has U_324 = 0 mod 323, and
+    # F = 324 = 2^2 * 3^4 passes every size condition
+    assert u_term_mod(LucasSpec(1, -1), 324, 323) == 0
+    # c^2 = -4 mod N for c = 2 sqrt(-1)
+    root = 2 * _sqrt_minus_1(n) % n
+    return {
+        "small F": (Certificate(41, None, (Factor(7, 1),), 1), "(F - 1)^2 <= N for F = 7"),
+        "wrong c": (cert._replace(lucas_c=square),
+                    f"lucas_c {square}: U_(N+1) is not 0 mod N"),
+        "fibonacci pseudoprime": (Certificate(323, None, (Factor(2, 2), Factor(3, 4)), 1),
+                                  "lucas_c 1: gcd(U_((N+1)/2), N) is not 1"),
+        "q not dividing N + 1": (cert._replace(factors=(f, Factor(3, 1))),
+                                 "3^1 does not divide N + 1"),
+        "large q without certificate": (cert._replace(factors=(f._replace(proof=None),)),
+                                        f"q = {f.q} is at or above 2^64 and has no certificate"),
+        "c^2 + 4 not prime to N": (cert._replace(lucas_c=root),
+                                   f"lucas_c {root}: gcd(N, c^2 + 4) is not 1"),
+        "even N": (Certificate(8, None, (Factor(3, 2),), 1), "N = 8 is even"),
+        "c below 1": (cert._replace(lucas_c=0), "lucas_c = 0 is below 1"),
+    }
+
+
+@pytest.mark.parametrize("fault", [
+    "small F", "wrong c", "fibonacci pseudoprime", "q not dividing N + 1",
+    "large q without certificate", "c^2 + 4 not prime to N", "even N", "c below 1"])
+def test_n_plus_1_certificate_fault_names_its_condition(fault):
+    cert, why = _planted_n_plus_1_faults()[fault]
+    assert check_certificate(cert) == why
+
+
+def _sympy_plus_factors(sympy, n):
+    """The factors of n + 1 from sympy's trial division up to 2^16, each
+    prime at or above 2^64 with a Pocklington certificate of its own; None
+    unless the division leaves a prime.  For n = 1 mod 4 the factor 2 is
+    left out: with Q = -1 a square mod a prime n, U_((n+1)/2) = 0 mod n for
+    every c with (c^2 + 4 | n) = -1 (Euler's criterion for Lucas sequences),
+    so no c could meet its gcd condition."""
+    found = sympy.factorint(n + 1, limit=1 << 16, use_rho=False, use_pm1=False,
+                            use_ecm=False)
+    if not all(sympy.isprime(q) for q in found):
+        return None
+    factors = []
+    for q, e in sorted(found.items()):
+        if q == 2 and n % 4 == 1:
+            continue
+        proof = None
+        if q >= DETERMINISTIC_LIMIT:
+            inner = _sympy_factors(sympy, q)
+            if inner is None:
+                return None
+            proof = Certificate(q, sympy.primitive_root(q), inner)
+        factors.append(Factor(q, e, proof))
+    return tuple(factors)
+
+
+def test_sympy_built_n_plus_1_certificates_pass_and_composites_never_do():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(40)
+    primes = composites = 0
+    while primes < 12:
+        bits = rng.randint(70, 200)
+        n = sympy.nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+        factors = _sympy_plus_factors(sympy, n)
+        if factors is not None:
+            primes += 1
+            # some c below 1000 meets every condition for a prime
+            assert any(check_certificate(Certificate(n, None, factors, c)) == ""
+                       for c in range(1, 1000)), n
+    while composites < 12:
+        bits = rng.randint(70, 200)
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        factors = _sympy_plus_factors(sympy, n)
+        if factors is not None and not sympy.isprime(n):
+            composites += 1
+            # N + 1 is factored but for 2: only the Lucas conditions can fail
+            for c in [1, *rng.sample(range(2, 10**6), 20)]:
+                assert check_certificate(Certificate(n, None, factors, c)).startswith(
+                    f"lucas_c {c}: ")
+
+
 def test_certificates_round_trip_through_the_file(tmp_path):
     certs = list(_shipped().values())
     path = tmp_path / "certs.json"
@@ -276,5 +397,5 @@ def test_an_n_certified_twice_is_a_format_error(tmp_path):
     path = tmp_path / "certs.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(codec.FormatError,
-                       match=r"certs\.json: \$\.certificates\[41\]\.n: .* twice"):
+                       match=r"certs\.json: \$\.certificates\[42\]\.n: .* twice"):
         load_certificates(path)

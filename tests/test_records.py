@@ -86,7 +86,7 @@ FORMERLY_FROZEN = [
      "label valid combinations counterexample aux_evidence"),
     (PrimitiveDivisorWitness(3, 7, 1), "n p alpha"),
     (Factor(3, 1), "q e proof"),
-    (Certificate(7, 3, (Factor(3, 1),)), "n base factors"),
+    (Certificate(7, 3, (Factor(3, 1),)), "n base factors lucas_c"),
 ]
 
 # records that hold a list or a dict, and so are as unhashable as it is
