@@ -7,8 +7,9 @@ order counts.  Every report run has the packaged assets directory as its
 working directory, and `certify` and `verify-cover` are given bare file
 names, so no machine path enters `inputs` or `asset_checksums`.  A refusal
 run reads a copy of the packaged assets, with at most one field edited, from
-a temporary working directory by the relative path `--assets assets`; its
-stderr is compared with `<name>.txt`.  tests/golden/ holds no other file.
+a temporary working directory by a relative path (`--assets assets`, or
+`assets/<file>` for `certify`); its stderr is compared with `<name>.txt`.
+tests/golden/ holds no other file.
 
 Running this module as a script rewrites the golden files from the current
 code:
@@ -50,15 +51,18 @@ INVOCATIONS = {
 # name: (argv, the asset to edit or None, the keys of its field, the new
 # value); every refusal exits 2
 REFUSALS = {
-    "refuse-thm13-primes": (["reproduce", "thm13"], assets.TWO_PRIME_CLASS,
-                            ("primes", 1), "4"),
-    "refuse-thm13-odd-cover": (["reproduce", "thm13"], assets.TWO_PRIME_CLASS,
-                               ("odd_cover", 14, "n"), "4"),
-    "refuse-thm11-cover": (["reproduce", "thm11"], assets.COVER_ODD173,
-                           ("classes", 145, "n"), "1926"),
-    "refuse-erdos-cover": (["reproduce", "erdos"], assets.COVER_ERDOS,
-                           ("classes", 3, "n"), "3"),
-    "refuse-thm13-budget314": (["reproduce", "thm13", "--budget", "314"], None, (), None),
+    "refuse-thm13-primes": (["reproduce", "thm13", "--assets", "assets"],
+                            assets.TWO_PRIME_CLASS, ("primes", 1), "4"),
+    "refuse-thm13-odd-cover": (["reproduce", "thm13", "--assets", "assets"],
+                               assets.TWO_PRIME_CLASS, ("odd_cover", 14, "n"), "4"),
+    "refuse-thm11-cover": (["reproduce", "thm11", "--assets", "assets"],
+                           assets.COVER_ODD173, ("classes", 145, "n"), "1926"),
+    "refuse-erdos-cover": (["reproduce", "erdos", "--assets", "assets"],
+                           assets.COVER_ERDOS, ("classes", 3, "n"), "3"),
+    "refuse-thm13-budget314": (["reproduce", "thm13", "--budget", "314", "--assets", "assets"],
+                               None, (), None),
+    "refuse-certify-p": (["certify", f"assets/{assets.SAMPLE_CASE}"],
+                         assets.SAMPLE_CASE, ("p",), "4"),
 }
 
 
@@ -100,7 +104,7 @@ def refusal_text(argv: list[str], name, keys, value) -> tuple[int, str]:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(raw, fh)
         with _working_directory(scratch), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv + ["--assets", "assets"])
+            code = cli.main(argv)
     return code, stderr.getvalue()
 
 
