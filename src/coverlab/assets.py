@@ -2,9 +2,9 @@
 
 The asset directory is the explicit argument (`--assets DIR` on the command
 line) or else the packaged assets/ directory; nothing else redirects it.
-Each file is read by the loader of the layer it belongs to (`load_cover`,
-`load_prime_table`, `load_two_prime_data`, `load_certificates`), given the
-path that `asset_path` returns.  Assets are claims, not trusted facts; the
+Each file is read by the loader of its layer (`load_cover`, `load_prime_table`,
+`load_two_prime_data`, `load_case`, `load_certificates`), given the path that
+`asset_path` returns.  Assets are claims, not trusted facts; the
 verification commands and the acceptance suite re-check them from scratch.
 """
 

@@ -203,11 +203,9 @@ def build_standard_cases(data: TwoPrimeData) -> list[ExclusionCase]:
 
 def load_case(path) -> ExclusionCase:
     """Read a case file: {"label", "r", "m", "p", "aux": [{"q", "x_mod_q"}]};
-    a case that breaks a rule of `_check_case` is refused naming the field."""
+    only its layout is checked, and `check_exclusion` refuses a case's values."""
     raw = codec.load(path)
     aux = tuple(AuxPrime(q=e["q"].int(), x_mod_q=e["x_mod_q"].int())
                 for e in raw.get("aux", []).list())
-    case = ExclusionCase(label=raw.get("label", "").str(), r=raw["r"].int(),
+    return ExclusionCase(label=raw.get("label", "").str(), r=raw["r"].int(),
                          m=raw["m"].int(), p=raw["p"].int(), aux=aux)
-    codec.refuse(path, _check_case, case)
-    return case

@@ -168,7 +168,7 @@ def _reproduce_erdos(args, report: dict) -> None:
     cover_result = codec.refuse(path, verify_cover, cover, args.budget)
     _note(report, passed=cover_result.is_cover, check="cover",
           classes=len(cover.classes), lcm=cover_result.lcm, is_cover=cover_result.is_cover)
-    cls = build_erdos_class(cover)
+    cls = build_erdos_class(cover, primes)
     _note(report, a=cls.a, M=cls.n)
     window = range(0, 2001)
     failures = check_divisibility_mechanics(cls, cover, primes, n_range=window)

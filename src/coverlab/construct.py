@@ -47,17 +47,17 @@ def erdos_witness_primes(cover: CoveringSystem) -> list[int]:
     return [ERDOS_WITNESS_PRIMES[c.n] for c in cover.classes]
 
 
-def build_erdos_class(cover: CoveringSystem) -> ResidueClass:
+def build_erdos_class(cover: CoveringSystem, primes: list[int]) -> ResidueClass:
     """The classical class: x = 1 (mod 2), x = 3 (mod 31), x = 2^a (mod p).
 
     Any member x has p | x - 2^n for some cover prime p at every n >= 0,
     while x - 2^n = 3 - 2^n (mod 31) avoids every cover prime mod 31, so
-    x - 2^n is never prime itself.  One class a(n) of `cover` gives one
-    congruence, with p the witness prime of n.
+    x - 2^n is never prime itself.  Class a(n) of `cover` gives one
+    congruence, with p its prime in `primes` (`erdos_witness_primes(cover)`).
     """
     classes = [ResidueClass(1, 2), ResidueClass(3, 31)]
     classes += [ResidueClass(pow(2, c.a, p), p)
-                for c, p in zip(cover.classes, erdos_witness_primes(cover))]
+                for c, p in zip(cover.classes, primes, strict=True)]
     return crt_combine(classes)
 
 
@@ -104,15 +104,13 @@ def _check_two_prime(data: TwoPrimeData) -> None:
 
 def load_two_prime_data(path) -> TwoPrimeData:
     raw = codec.load(path)
-    data = TwoPrimeData(
+    return TwoPrimeData(
         cover=CoveringSystem(read_classes(raw["odd_cover"]), label=raw.get("label", "").str()),
         primes=[p.int() for p in raw["primes"].list()],
         residues=read_classes(raw["residues"]),
         expected_a=raw["expected_a"].int(),
         expected_m=raw["expected_m"].int(),
     )
-    codec.refuse(path, _check_two_prime, data)
-    return data
 
 
 class CheckRow(NamedTuple):

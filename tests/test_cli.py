@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import coverlab
-from coverlab import arith, assets, certify, cli, codec, mersenne
+from coverlab import arith, assets, certify, cli, codec, construct, mersenne
 from coverlab.lucas import LucasSpec
 from coverlab.mersenne import (MERSENNE, PrimitiveDivisorWitness, cyclotomic_mersenne,
                                load_prime_table)
@@ -661,6 +661,33 @@ def test_reproduce_rejects_even_two_prime_modulus(tmp_path, capsys):
     for target in ("thm13", "cases"):
         assert cli.main(["reproduce", target, "--assets", str(custom)]) == 2
         assert "modulus 6 is even" in capsys.readouterr().err
+
+
+# each input rule and every module that calls it by its own name
+INPUT_RULES = {"_check_two_prime": (construct,), "_check_case": (certify,),
+               "erdos_witness_primes": (cli, construct)}
+
+
+@pytest.mark.parametrize("argv, rule, calls", [
+    (["reproduce", "thm13"], "_check_two_prime", 1),
+    (["reproduce", "cases"], "_check_two_prime", 1),
+    (["reproduce", "erdos"], "erdos_witness_primes", 1),
+    (["certify", asset(assets.SAMPLE_CASE)], "_check_case", 1),
+    (["reproduce", "cases"], "_check_case", 25),    # one per standard case
+], ids=["thm13", "cases", "erdos", "certify", "cases-certificates"])
+def test_each_input_rule_runs_once_per_record(monkeypatch, capsys, argv, rule, calls):
+    # the loader only parses; the layer that consumes the record refuses it
+    original = getattr(INPUT_RULES[rule][0], rule)
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return original(*args)
+
+    for module in INPUT_RULES[rule]:
+        monkeypatch.setattr(module, rule, counted)
+    assert cli.main(argv) == 0
+    assert len(seen) == calls
 
 
 def test_reproduce_budget_bounds_the_link_sieves(capsys):

@@ -51,26 +51,10 @@ def test_certify_says_why_a_field_is_no_integer(tmp_path, capsys, m, why):
     assert f"{path}: $.m: {why}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit, field", [
-    ({"m": "0"}, "$.m"),
-    ({"p": "4"}, "$.p"),
-    ({"aux": [{"q": "31", "x_mod_q": "1"}, {"q": "31", "x_mod_q": "2"}]}, "$.aux[1].q"),
-    ({"aux": [{"q": "1", "x_mod_q": "0"}]}, "$.aux[0].q"),
-    ({"p": "3", "aux": [{"q": "3", "x_mod_q": "1"}]}, "$.aux[0].q"),
-], ids=["m-below-1", "p-not-prime", "q-repeated", "q-not-prime", "q-divides-p"])
-def test_load_case_refuses_in_the_words_of_check_exclusion(tmp_path, edit, field):
-    doc = {**CASE, **edit}
+def test_load_case_parses_a_case_that_check_exclusion_refuses(tmp_path):
     path = tmp_path / "case.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(FormatError) as loaded:
-        load_case(path)
-    prefix = f"{path}: {field}: "
-    assert str(loaded.value).startswith(prefix)
-    case = ExclusionCase(label=doc["label"], r=int(doc["r"]), m=int(doc["m"]), p=int(doc["p"]),
-                         aux=tuple(AuxPrime(int(a["q"]), int(a["x_mod_q"])) for a in doc["aux"]))
-    with pytest.raises(ValueError) as direct:
-        check_exclusion(case)
-    assert str(loaded.value).removeprefix(prefix) == str(direct.value)
+    path.write_text(json.dumps({**CASE, "p": "4"}))
+    assert load_case(path).p == 4
 
 
 def _refuses(where, why):

@@ -17,7 +17,8 @@ from coverlab.mersenne import find_primitive_divisors
 
 
 def test_build_erdos_class_residues():
-    cls = build_erdos_class(load_cover(asset_path(COVER_ERDOS)))
+    cover = load_cover(asset_path(COVER_ERDOS))
+    cls = build_erdos_class(cover, erdos_witness_primes(cover))
     assert cls.n == 2 * 3 * 5 * 7 * 13 * 17 * 31 * 241
     assert cls.a % 2 == 1
     assert cls.a % 31 == 3
@@ -27,12 +28,15 @@ def test_build_erdos_class_residues():
     assert cls.a % 17 == pow(2, 3, 17)
     assert cls.a % 13 == pow(2, 7, 13)
     assert cls.a % 241 == pow(2, 23, 241)
+    # one prime short is an error, not a class pinned by five congruences
+    with pytest.raises(ValueError):
+        build_erdos_class(cover, erdos_witness_primes(cover)[:-1])
 
 
 def test_erdos_mechanics_window():
     cover = load_cover(asset_path(COVER_ERDOS))
-    cls = build_erdos_class(cover)
     primes = erdos_witness_primes(cover)
+    cls = build_erdos_class(cover, primes)
     assert check_divisibility_mechanics(cls, cover, primes, n_range=range(0, 2001)) == []
     # independent spot check: the witness really divides x - 2^n
     for n in (0, 1, 17, 100, 1999):
@@ -40,7 +44,8 @@ def test_erdos_mechanics_window():
 
 
 def test_mechanics_flags_uncovered():
-    cls = build_erdos_class(load_cover(asset_path(COVER_ERDOS)))
+    erdos = load_cover(asset_path(COVER_ERDOS))
+    cls = build_erdos_class(erdos, erdos_witness_primes(erdos))
     cover = CoveringSystem([ResidueClass(0, 2)])       # evens only
     failures = check_divisibility_mechanics(cls, cover, [3], n_range=range(0, 10))
     bad = [n for n, why in failures if why == "not covered by any class"]
