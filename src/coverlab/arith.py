@@ -92,11 +92,9 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    witnesses = list(_SMALL_WITNESSES[:bisect.bisect(_PSI, n) + 1])
-    if n >= DETERMINISTIC_LIMIT:
-        rng = random.Random(n)
-        while len(witnesses) < _MR_ROUNDS:
-            witnesses.append(rng.randrange(2, n - 1))
+    witnesses = _SMALL_WITNESSES[:bisect.bisect(_PSI, n) + 1]
+    if n >= DETERMINISTIC_LIMIT:         # drawn only once the 12 fixed bases pass
+        witnesses = itertools.chain(witnesses, _drawn_bases(n))
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -108,6 +106,13 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _drawn_bases(n: int):
+    """The 28 pseudorandom bases for n >= 2^64; the RNG is seeded by n."""
+    rng = random.Random(n)
+    for _ in range(_MR_ROUNDS - len(_SMALL_WITNESSES)):
+        yield rng.randrange(2, n - 1)
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -196,13 +201,13 @@ def factor(n: int, rho_iterations: int = RHO_ITERATIONS,
     only when it splits nothing), and that run is not charged to any rho
     attempt.  P-1 runs two rounds of bounds, (2^10, 2^16) and then
     (2^16, 2^20), and finds p when (p - 1)/step is 2^16-smooth apart from at
-    most one prime up to 2^20, stopping at the first block or segment of
-    primes that splits n; stage 2 takes one multiplication per prime (see
-    _pm1_round).  Otherwise it leaves the cofactor to rho, which walks x^2 + c
-    whatever the step.  A wrong step never yields a wrong factor: every
-    split is still a gcd divisor of n and every factor still passes the
-    same checks.  It can cost time, and under a small rho_iterations it can
-    change how much of n is factored.
+    most one prime up to 2^20, stopping at the first block of stage 1 or
+    window of stage 2 that splits n; stage 2 takes one multiplication per
+    prime (see _pm1_round).  Otherwise it leaves the cofactor to rho, which
+    walks x^2 + c whatever the step.  A wrong step never yields a wrong
+    factor: every split is still a gcd divisor of n and every factor still
+    passes the same checks.  It can cost time, and under a small
+    rho_iterations it can change how much of n is factored.
     """
     if n < 1:
         raise ValueError(f"factor() needs n >= 1, got {n}")
@@ -393,8 +398,9 @@ def _pm1_split(n: int, step: int) -> int | None:
     divisor of the composite n, or None.
 
     It runs _pm1_round for each (B1, B2) of _PM1_ROUNDS, (2^10, 2^16) and
-    then (2^16, 2^20), and returns the first proper divisor.  The first
-    round costs about 4% of the second and finds p when (p - 1)/step is
+    then (2^16, 2^20), and returns the first proper divisor; a round stops
+    at the first block or window of primes that splits n.  The first round
+    costs about 4% of the second and finds p when (p - 1)/step is
     2^10-smooth apart from at most one prime up to 2^16; the second starts
     afresh from 3^step and finds p when it is 2^16-smooth apart from at most
     one prime up to 2^20.  A run that splits nothing costs about
@@ -425,12 +431,15 @@ def _pm1_round(n: int, step: int, b1: int, b2: int) -> int | None:
     b1 < q <= b2, by baby steps and giant steps (Montgomery 1987, Math.
     Comp. 48): with w = _PM1_WHEEL, giant steps G = a^(kw) and a table of
     a^j for odd j < w, each prime q = kw - j multiplies a product by
-    G - a^j = a^j (a^q - 1), one multiplication, and one gcd of the product
-    is taken per sieve segment.  While 3 does not divide n, a^j is a unit,
-    so every gcd is that of the product of the a^q - 1.  A stage-2 gcd of
-    n, where every prime of n is found in the same segment, gives None.
+    G - a^j = a^j (a^q - 1), one multiplication.  The product restarts at
+    each window ((k - 1) w, kw) of about 15 primes, and its gcd with n is
+    taken at the window's end, and where a sieve segment ends inside it.
+    While 3 does not divide n, a^j is a unit, so every gcd is that of the
+    product of the a^q - 1.  A window whose gcd is n is replayed one prime
+    at a time, in ascending q, like a block of stage 1: two primes of n
+    that enter at the same q give None.
 
-    The work stops at the first block or segment that splits n, so its cost
+    The work stops at the first block or window that splits n, so its cost
     follows the largest prime of (p - 1)/step, not b1.
     """
     a = pow(3, step, n)
@@ -456,7 +465,6 @@ def _pm1_round(n: int, step: int, b1: int, b2: int) -> int | None:
     giant_step = pow(a, w, n)
     k = b1 // w                          # G = a^((k + 1) w) for kw < q < (k + 1) w
     giant = pow(a, (k + 1) * w, n)
-    acc = 1
     for start, flags in _odd_prime_flags(b1, b2):
         i = 0
         while i < len(flags):            # one window (kw, (k + 1) w) at a time
@@ -465,12 +473,18 @@ def _pm1_round(n: int, step: int, b1: int, b2: int) -> int | None:
                 giant = giant * giant_step % n
                 k += 1
             end = i + (w - first + 1) // 2   # the window's cells from `first` on
+            acc = 1
             for r in itertools.compress(range(first, w, 2), flags[i:end]):
                 acc = acc * (giant - baby[r]) % n
+            g = math.gcd(acc, n)
+            if g == n:                   # replay the window one prime at a time
+                for r in itertools.compress(range(first, w, 2), flags[i:end]):
+                    g = math.gcd(giant - baby[r], n)
+                    if g != 1:
+                        break
+            if g != 1:
+                return g if g != n else None
             i = end
-        g = math.gcd(acc, n)
-        if g != 1:
-            return g if g != n else None
     return None
 
 

@@ -154,7 +154,8 @@ def _reproduce_cases(args, report: dict) -> None:
     [path] = _asset_paths(report, args, assets.TWO_PRIME_CLASS)
     data = load_two_prime_data(path)
     _two_prime_class(args, report, path, data)
-    certificates = [check_exclusion(case) for case in build_standard_cases(data)]
+    certificates = [codec.refuse(path, check_exclusion, case, args.budget)
+                    for case in build_standard_cases(data)]
     for c in certificates:
         _note(report, passed=c.valid, case=c.label, valid=c.valid, combinations=c.combinations)
     valid = sum(1 for c in certificates if c.valid)
@@ -273,7 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--assets", default=None,
                        help="asset directory (default: packaged assets)")
     p_rep.add_argument("--budget", type=int, default=10**8,
-                       help="largest lcm a sieve will enumerate")
+                       help="largest lcm a sieve will enumerate; for "
+                            "`cases`, also each certificate's largest "
+                            "(n, sign, b) combination count and period of "
+                            "u_n mod an auxiliary prime")
 
     p_cert = sub.add_parser("certify", parents=[output],
                             help="check one exclusion-case file")

@@ -199,6 +199,26 @@ def test_is_probable_prime_bases_at_and_above_2_64(monkeypatch):
     assert bases == expected
 
 
+def test_is_probable_prime_draws_bases_only_after_the_fixed_ones_pass(monkeypatch):
+    # base 2 rejects (2^127 - 1)(2^89 - 1), so no RNG is made; psi_12 passes
+    # the 12 fixed bases and a drawn one rejects it; 2^127 - 1 passes all 40
+    seeds = []
+    rng_class = random.Random
+
+    def counted(seed):
+        seeds.append(seed)
+        return rng_class(seed)
+
+    monkeypatch.setattr(arith.random, "Random", counted)
+    bases = spy_on_pow(monkeypatch)
+    assert not is_probable_prime((2**127 - 1) * (2**89 - 1))
+    assert bases == [2] and seeds == []
+    assert not is_probable_prime(PSI_12)
+    assert seeds == [PSI_12]
+    assert is_probable_prime(2**127 - 1)
+    assert seeds == [PSI_12, 2**127 - 1]
+
+
 def test_is_probable_prime_takes_k_bases_below_psi_k(monkeypatch):
     bases = spy_on_pow(monkeypatch)
     # the largest prime below each distinct psi_k, and below 2^64
@@ -445,21 +465,22 @@ def test_pm1_matches_sympy_on_semiprimes_of_the_progression():
 
     def entry(p, s, b1, b2, powers, position, exponent):
         # (1, i) when stage 1 of the round with bounds (b1, b2) finds the
-        # prime p at the i-th prime power, (2, j) when its stage 2 finds p
-        # in the j-th sieve segment, None when neither does
+        # prime p at the i-th prime power, (2, q) when its stage 2 finds p
+        # at the prime q, None when neither does
         order = sympy.n_order(pow(3, s, p), p)
         primes = sympy.factorint(order)
         if all(ell <= b1 and ell**k <= powers[ell] for ell, k in primes.items()):
             return 1, max((position[ell] for ell in primes), default=0)
         rest = order // math.gcd(order, exponent)
         if b1 < rest <= b2 and sympy.isprime(rest):
-            return 2, (rest - b1 - 1) // (2 * arith._SIEVE_SEGMENT)
+            return 2, rest
         return None
 
     def outcome(p, q, s):
         # (divisor, (round, stage)), or (None, None).  A round returns the
-        # prime with the earlier entry, and nothing when both enter together
-        # or not at all; P-1 returns the first round's divisor
+        # prime with the earlier entry, and nothing when both enter at the
+        # same prime power or prime q, or not at all; P-1 returns the first
+        # round's divisor
         for number, bounds in enumerate(rounds, 1):
             ep, eq = entry(p, s, *bounds), entry(q, s, *bounds)
             if ep != eq:
@@ -467,6 +488,18 @@ def test_pm1_matches_sympy_on_semiprimes_of_the_progression():
                     return p, (number, ep[0])
                 return q, (number, eq[0])
         return None, None
+
+    # planted pairs at s = 134 whose primes enter stage 2 of the first round
+    # at q = 1201 and 3001, in different windows of 210; at 1201 and 1213,
+    # in one window, so that its gcd is n and its replay splits; and both at
+    # 1201.  All six primes enter in the first sieve segment
+    first = rounds[0]
+    for p, q, qp, qq in ((3638625524819, 13773981031079, 1201, 3001),
+                         (3638625524819, 24974960111159, 1201, 1213),
+                         (17434813375319, 11051626334663, 1201, 1201)):
+        assert entry(p, 134, *first) == (2, qp) and entry(q, 134, *first) == (2, qq)
+        assert arith._pm1_round(p * q, 134, *first[:2]) == (p if qp < qq else None)
+        assert arith._pm1_split(p * q, 134) == outcome(p, q, 134)[0], (p, q)
 
     def progression_prime(s, k, r=1):
         # the least prime s * r * k' + 1 with k' >= k
@@ -544,6 +577,26 @@ def test_pm1_matches_sympy_on_semiprimes_of_the_progression():
             # p and q passed sympy.isprime, so this is sympy.factorint(p * q)
             assert f.complete and dict(f.factors) == {p: 1, q: 1}, (p, q, s)
     assert all(seen.values()), seen
+
+
+def test_pm1_second_round_runs_only_where_the_first_splits_nothing(monkeypatch):
+    # over the benchmark's sweep n = 2..136 the round with B1 = 2^16 runs
+    # only for the four exponents whose cofactor the first round leaves
+    # whole.  At n = 71 the primes 212885833 and 48544121 enter the first
+    # round's stage 2 at q = 7349 and 17093: one sieve segment, but
+    # different windows, so the first round splits it
+    reached = []
+    pm1_round = arith._pm1_round
+
+    def spy(c, step, b1, b2):
+        if b1 == 2**16:
+            reached.append(n)
+        return pm1_round(c, step, b1, b2)
+
+    monkeypatch.setattr(arith, "_pm1_round", spy)
+    for n in range(2, 137):
+        find_primitive_divisors(n)
+    assert reached == [101, 103, 108, 124]
 
 
 # Of the 123 exponents n = 137..259, the 85 whose Phi_n(2) leaves a composite

@@ -697,6 +697,14 @@ def test_reproduce_budget_bounds_the_link_sieves(capsys):
         assert "above the enumeration budget" in capsys.readouterr().err
 
 
+def test_reproduce_cases_budget_bounds_the_certificates(capsys):
+    # the link sieves need lcm 630; the first standard case has 264,600
+    # combinations, the most of the 25, and its certificate is refused
+    assert cli.main(["reproduce", "cases", "--budget", "1000"]) == 2
+    assert capsys.readouterr().err == "coverlab: 264600 combinations exceed the budget 1000\n"
+    assert cli.main(["reproduce", "cases", "--budget", "264600"]) == 0
+
+
 @pytest.mark.parametrize("target", ["thm13", "cases"])
 @pytest.mark.parametrize("budget, lcm", [("314", 315), ("629", 630)])
 def test_link_sieve_over_budget_names_the_odd_cover_class(capsys, target, budget, lcm):
